@@ -21,11 +21,8 @@ class ExternalPolicy(PolicyModel):
     Protocol: the process prints ``HELLO <inputs> <outputs>`` on startup,
     then answers each state line (space-separated decimals, LF-terminated)
     with one action line of ``outputs`` decimals in [-1, 1]. The process is
-    reused across calls; one instance must not be shared between concurrent
-    callers.
+    reused across calls.
     """
-
-    parallel_safe = False
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
         self.input_size = int(input_size)

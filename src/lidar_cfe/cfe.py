@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ModelError
-from .ga import GaConfig, run_ga
+from .ga import GaConfig, require_int, run_ga
 from .geometry import ORIGIN, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
 from .model import ActionVector, PolicyModel
 from .scan import (
@@ -90,6 +90,13 @@ class CfeQuery:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_obstacles", "n_cfes", "rng_seed"):
+            require_int(name, getattr(self, name))
+        for name in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if value is not None and not (real and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.combination not in (MIN_DISTANCE, GEN_PRIORITY):
             raise ValueError(f"combination must be {MIN_DISTANCE!r} or {GEN_PRIORITY!r}, got {self.combination!r}")
         if self.lambda_y < 0.0 or self.lambda_p < 0.0:
@@ -100,9 +107,11 @@ class CfeQuery:
             raise ValueError(f"d_min must be >= 0, got {self.d_min}")
         if self.n_cfes < 0:
             raise ValueError(f"n_cfes must be >= 0, got {self.n_cfes}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
         lo, hi = self.size_limits
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"size_limits must satisfy 0 < lo <= hi, got {self.size_limits}")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(f"size_limits must satisfy 0 < lo <= hi < inf, got {self.size_limits}")
         if self.world_bounds is not None and not self.world_bounds > 0.0:
             raise ValueError(f"world_bounds must be > 0, got {self.world_bounds}")
         if self.d_g_max is not None and not self.d_g_max > 0.0:
@@ -176,13 +185,15 @@ def hinge_loss(action: ActionVector, bounds: ActionBounds) -> float:
     return float(np.where(inside, 0.0, nearest_edge).sum())
 
 
-def fitness_for_query(query: CfeQuery, model: PolicyModel):
-    """Build the genome objective for a query.
+def _scorer(query: CfeQuery, model: PolicyModel):
+    """Build the one chain from genome to score, shared by the objective and packaging.
 
-    The returned function decodes a genome, rejects it with -inf when any
-    obstacle crowds the sensor's protective disk, raycasts the obstacles,
-    merges them with the base scan, runs the model, and scores
-    ``-lambda_y * hinge - lambda_p * proximity`` (never positive).
+    ``score(genome, full)`` returns ``(fitness, shapes, combined, action,
+    hinge, proximity)``. A genome with an obstacle crowding the sensor's
+    protective disk scores -inf. Without ``full`` (the search objective) the
+    chain stops there, leaving the remaining parts None, and proximity is
+    only computed when ``lambda_p`` weights it; with ``full`` (packaging)
+    every part is computed.
     """
     base = query.base_scan
     if model.input_size != base.n + 3:
@@ -193,80 +204,62 @@ def fitness_for_query(query: CfeQuery, model: PolicyModel):
     world = query.world_extent
     d_scale = query.goal_distance_scale
 
-    def evaluate(genome) -> float:
+    def score(genome, full: bool) -> tuple:
         shapes = decode_genome(genome, query.n_obstacles, world, query.size_limits)
-        for shape in shapes:
-            if shape_overlaps_disk(shape, ORIGIN, query.d_min):
-                return -math.inf
-        generated = raycast_scan(ORIGIN, shapes, base.n, base.max_range)
-        combined = combine(base, generated)
-        state = assemble_state(combined, query.goal, d_scale)
-        action = model.act(state)
-        value = -query.lambda_y * hinge_loss(action, query.bounds)
-        if query.lambda_p != 0.0:
-            value -= query.lambda_p * proximity_loss(combined, base)
-        return value
+        crowds_sensor = any(shape_overlaps_disk(s, ORIGIN, query.d_min) for s in shapes)
+        if crowds_sensor and not full:
+            return -math.inf, shapes, None, None, None, None
+        combined = combine(base, raycast_scan(ORIGIN, shapes, base.n, base.max_range))
+        action = model.act(assemble_state(combined, query.goal, d_scale))
+        hinge = hinge_loss(action, query.bounds)
+        proximity = proximity_loss(combined, base) if full or query.lambda_p != 0.0 else 0.0
+        fitness = -math.inf if crowds_sensor else -query.lambda_y * hinge - query.lambda_p * proximity
+        return fitness, shapes, combined, action, hinge, proximity
 
-    return evaluate
+    return score
 
 
-def _package(query: CfeQuery, model: PolicyModel, genome: np.ndarray) -> CfeResult:
-    shapes = decode_genome(genome, query.n_obstacles, query.world_extent, query.size_limits)
-    crowds_sensor = any(shape_overlaps_disk(s, ORIGIN, query.d_min) for s in shapes)
-    generated = raycast_scan(ORIGIN, shapes, query.base_scan.n, query.base_scan.max_range)
-    combine = combine_min_distance if query.combination == MIN_DISTANCE else combine_gen_priority
-    combined = combine(query.base_scan, generated)
-    state = assemble_state(combined, query.goal, query.goal_distance_scale)
-    action = model.act(state)
-    hinge = hinge_loss(action, query.bounds)
-    proximity = proximity_loss(combined, query.base_scan)
-    if crowds_sensor:
-        fitness = -math.inf
-    else:
-        fitness = -query.lambda_y * hinge - query.lambda_p * proximity
-    return CfeResult(
-        obstacles=tuple(shapes),
-        combined_scan=combined,
-        achieved_action=action,
-        fitness=fitness,
-        hinge_component=hinge,
-        proximity_component=proximity,
-        satisfied=hinge == 0.0,
-        genome=np.array(genome, dtype=float),
-    )
+def fitness_for_query(query: CfeQuery, model: PolicyModel):
+    """Build the genome objective for a query.
+
+    The returned function decodes a genome, rejects it with -inf when any
+    obstacle crowds the sensor's protective disk, raycasts the obstacles,
+    merges them with the base scan, runs the model, and scores
+    ``-lambda_y * hinge - lambda_p * proximity`` (never positive).
+    """
+    score = _scorer(query, model)
+    return lambda genome: score(genome, False)[0]
 
 
-def generate_cfes(
-    query: CfeQuery,
-    model: PolicyModel,
-    ga_config: GaConfig | None = None,
-    workers: int = 1,
-) -> list[CfeResult]:
+def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | None = None) -> list[CfeResult]:
     """Run ``query.n_cfes`` independent seeded searches and package the results.
 
     Search i runs with seed ``query.rng_seed + i`` (overriding the seed in
     ``ga_config``), so a batch is reproducible and its members explore
     independently. Results sort by fitness, best first; results that miss
     the bounds are kept but flagged unsatisfied.
-
-    ``workers > 1`` evaluates the searches in a thread pool when the model
-    declares itself parallel-safe; results merge in run order either way.
     """
     config = ga_config if ga_config is not None else GaConfig()
     objective = fitness_for_query(query, model)
+    score = _scorer(query, model)
     length = GENES_PER_OBSTACLE * query.n_obstacles
-    seeds = [query.rng_seed + i for i in range(query.n_cfes)]
-
-    def one(seed: int) -> CfeResult:
-        run = run_ga(replace(config, rng_seed=seed), length, objective)
-        return _package(query, model, run.best_genome)
-
-    if workers > 1 and model.parallel_safe and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(seed) for seed in seeds]
+    results = []
+    for i in range(query.n_cfes):
+        genome = run_ga(replace(config, rng_seed=query.rng_seed + i), length, objective).best_genome
+        fitness, shapes, combined, action, hinge, proximity = score(genome, True)
+        results.append(
+            CfeResult(
+                obstacles=tuple(shapes),
+                combined_scan=combined,
+                achieved_action=action,
+                fitness=fitness,
+                hinge_component=hinge,
+                proximity_component=proximity,
+                satisfied=hinge == 0.0,
+                genome=genome,
+            )
+        )
     results.sort(key=lambda r: r.fitness, reverse=True)  # stable, ties keep run order
-    if seeds and not any(r.satisfied for r in results):
+    if results and not any(r.satisfied for r in results):
         logger.warning("no generated counterfactual landed inside the requested action bounds")
     return results

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .bridge import external_policy
 from .cfe import ActionBounds, CfeQuery, CfeResult, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig
-from .geometry import CIRCLE, ObstacleShape, Point2
+from .geometry import CIRCLE, ObstacleShape
 from .model import (
     GOAL_SEEKER,
     LEFT_PREFERRER,
@@ -77,13 +77,6 @@ def _obstacle_payload(shape: ObstacleShape) -> dict:
     }
 
 
-def _obstacle_from_payload(entry: dict) -> ObstacleShape:
-    center = Point2(entry["center"][0], entry["center"][1])
-    if entry["kind"] == CIRCLE:
-        return ObstacleShape.circle(center, entry["radius"])
-    return ObstacleShape.rectangle(center, tuple(entry["half_extents"]), entry["orientation"])
-
-
 # ---------------------------------------------------------------------------
 # Query loading
 
@@ -102,6 +95,16 @@ def _apply_override(data: dict, dotted: str, raw_value: str) -> None:
     node[keys[-1]] = value
 
 
+def _floats(raw, where: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v) for v in raw if not isinstance(v, bool))
+    except (TypeError, ValueError):
+        values = ()
+    if len(values) != len(raw):
+        raise InputError(f"{where} must be numbers, got {raw!r}")
+    return values
+
+
 def _parse_bounds(raw, where: str) -> ActionBounds:
     if isinstance(raw, dict):
         if set(raw) != {"linear", "angular"}:
@@ -113,7 +116,7 @@ def _parse_bounds(raw, where: str) -> ActionBounds:
     for i, pair in enumerate(raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"{where}: bounds[{i}] must be [lower, upper]")
-        pairs.append((float(pair[0]), float(pair[1])))
+        pairs.append(_floats(pair, f"{where}: bounds[{i}]"))
     try:
         return ActionBounds.from_pairs(pairs)
     except ValueError as exc:
@@ -196,7 +199,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
         raw_sizes = data["size_limits"]
         if not isinstance(raw_sizes, (list, tuple)) or len(raw_sizes) != 2:
             raise InputError(f"{where}: size_limits must be [min, max]")
-        kwargs["size_limits"] = (float(raw_sizes[0]), float(raw_sizes[1]))
+        kwargs["size_limits"] = _floats(raw_sizes, f"{where}: size_limits")
     if "d_g_max" not in kwargs and base_d_g_max is not None:
         kwargs["d_g_max"] = base_d_g_max
     try:
@@ -207,6 +210,8 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     ga_raw = data.get("ga") or {}
     if not isinstance(ga_raw, dict):
         raise InputError(f"{where}: 'ga' must be a mapping of engine settings")
+    if "rng_seed" in ga_raw:
+        raise InputError(f"{where}: ga.rng_seed is not a setting; the top-level seed seeds search i with seed + i")
     try:
         ga_config = GaConfig(**ga_raw)
     except (TypeError, ValueError) as exc:
@@ -358,12 +363,13 @@ def cmd_scan(args) -> int:
 def cmd_explain(args) -> int:
     started = time.monotonic()
     started_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    query, ga_config, meta = _load_query(args.query, args.set or [])
+    overrides = list(args.set or [])
     if args.seed is not None:
-        query = replace(query, rng_seed=args.seed)
+        overrides.append(("seed", str(args.seed)))
+    query, ga_config, meta = _load_query(args.query, overrides)
     model = load_model(args.model, query.base_scan.n + 3, len(query.bounds), timeout=args.timeout)
     try:
-        results = generate_cfes(query, model, ga_config, workers=args.workers)
+        results = generate_cfes(query, model, ga_config)
     finally:
         close = getattr(model, "close", None)
         if close is not None:
@@ -399,20 +405,8 @@ def cmd_explain(args) -> int:
             "d_g_max": query.goal_distance_scale,
             "n_cfes": query.n_cfes,
         },
-        "ga": {
-            "generations": ga_config.generations,
-            "population": ga_config.population,
-            "parents_mating": ga_config.parents_mating,
-            "keep_parents": ga_config.keep_parents,
-            "tournament_size": ga_config.tournament_size,
-            "crossover": ga_config.crossover,
-            "mutation_fraction": ga_config.mutation_fraction,
-            "saturate_k": ga_config.saturate_k,
-            "reach_zero": ga_config.reach_zero,
-            "keep_selected_parents": ga_config.keep_selected_parents,
-        },
+        "ga": {k: v for k, v in asdict(ga_config).items() if k != "rng_seed"},
         "seeds": [query.rng_seed + i for i in range(query.n_cfes)],
-        "workers": args.workers,
         "started_utc": started_utc,
         "duration_seconds": round(time.monotonic() - started, 3),
     }
@@ -472,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--model", required=True, help="scripted:<name>, weights:<path>, or exec:<command>")
     p_explain.add_argument("-o", "--out", help=f"output directory (default: ${ENV_OUT_DIR} or .)")
     p_explain.add_argument("--seed", type=int, help="override the query's seed")
-    p_explain.add_argument("--workers", type=int, default=1, help="parallel searches (parallel-safe models only)")
     p_explain.add_argument("--timeout", type=float, default=5.0, help="bridge response timeout in seconds")
     p_explain.add_argument("--no-plots", action="store_true", help="skip per-counterfactual SVGs")
     p_explain.add_argument(

@@ -5,17 +5,22 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
-SINGLE_POINT = "single_point"
-
 TERMINATED_GENERATIONS = "generations"
 TERMINATED_SATURATE = "saturate"
 TERMINATED_REACH_ZERO = "reach_zero"
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,6 @@ class GaConfig:
     parents_mating: int = 10
     keep_parents: int = 10
     tournament_size: int = 3
-    crossover: str = SINGLE_POINT
     mutation_fraction: float = 0.20
     saturate_k: int | None = 10
     reach_zero: bool = True
@@ -45,6 +49,13 @@ class GaConfig:
     keep_selected_parents: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("generations", "population", "parents_mating", "keep_parents", "tournament_size", "rng_seed"):
+            require_int(name, getattr(self, name))
+        if self.saturate_k is not None:
+            require_int("saturate_k", self.saturate_k)
+        for name in ("reach_zero", "keep_selected_parents"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.population < 1:
@@ -55,8 +66,6 @@ class GaConfig:
             raise ValueError(f"keep_parents must lie in [0, parents_mating], got {self.keep_parents}")
         if not 1 <= self.tournament_size <= self.population:
             raise ValueError(f"tournament_size must lie in [1, population], got {self.tournament_size}")
-        if self.crossover != SINGLE_POINT:
-            raise ValueError(f"only {SINGLE_POINT!r} crossover is implemented, got {self.crossover!r}")
         if not 0.0 < self.mutation_fraction <= 1.0:
             raise ValueError(f"mutation_fraction must lie in (0, 1], got {self.mutation_fraction}")
         if self.saturate_k is not None and self.saturate_k < 1:

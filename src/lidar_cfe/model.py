@@ -49,16 +49,10 @@ class ActionVector:
 
 
 class PolicyModel:
-    """A deterministic mapping from a normalized state to a bounded action.
-
-    ``parallel_safe`` declares whether one instance may be shared by
-    concurrent callers; process-backed policies must be driven from one
-    lane at a time.
-    """
+    """A deterministic mapping from a normalized state to a bounded action."""
 
     input_size: int
     output_size: int
-    parallel_safe: bool = True
 
     def act(self, state: ModelState) -> ActionVector:
         raise NotImplementedError
@@ -214,76 +208,62 @@ def _layer_weights(weights, idx: int, layer: Layer) -> tuple[np.ndarray, np.ndar
     return w, b
 
 
+def _checked_weights(spec: NetworkSpec, weights) -> list:
+    """The weight list as float arrays, every shape checked against ``spec``."""
+    if len(weights) != len(spec.layers):
+        raise NetworkConfigError(f"{len(weights)} weight entries for {len(spec.layers)} layers")
+    return [
+        None if isinstance(layer, Activation) else _layer_weights(weights, idx, layer)
+        for idx, layer in enumerate(spec.layers)
+    ]
+
+
+def _forward(spec: NetworkSpec, weights: list, state: ModelState) -> ActionVector:
+    """Run a network whose layer chain and weights are already checked."""
+    values = state.values
+    expected = spec.lidar_inputs + spec.extra_inputs
+    if values.size != expected:
+        raise NetworkConfigError(f"state length {values.size} does not match spec inputs {expected}")
+    x = values[: spec.lidar_inputs][np.newaxis, :]
+    for layer, entry in zip(spec.layers, weights):
+        if isinstance(layer, Conv1d):
+            w, b = entry
+            x = conv1d_forward(x, w, b, layer.stride, layer.padding, layer.circular)
+        elif isinstance(layer, Dense):
+            if x.ndim == 2:  # first dense layer: flatten the conv features, append the extra inputs
+                x = np.concatenate([x.reshape(-1), values[spec.lidar_inputs:]])
+            w, b = entry
+            x = w @ x + b
+        elif layer.fn == RELU:
+            x = np.maximum(x, 0.0)
+        else:
+            x = np.tanh(x)
+    return ActionVector(x)
+
+
 def net_forward(spec: NetworkSpec, weights, state: ModelState) -> ActionVector:
     """Run the network on a normalized state and return the bounded action.
 
     ``weights`` is a sequence aligned with ``spec.layers``: a ``(weight, bias)``
     pair per conv/dense layer and None per activation.
     """
-    values = state.values
-    expected = spec.lidar_inputs + spec.extra_inputs
-    if values.size != expected:
-        raise NetworkConfigError(f"state length {values.size} does not match spec inputs {expected}")
-    if len(weights) != len(spec.layers):
-        raise NetworkConfigError(f"{len(weights)} weight entries for {len(spec.layers)} layers")
-    x = values[: spec.lidar_inputs][np.newaxis, :]
-    vec: np.ndarray | None = None
-    for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv1d):
-            if vec is not None:
-                raise NetworkConfigError(f"{_layer_name(idx, layer)}: convolution after the dense stack")
-            w, b = _layer_weights(weights, idx, layer)
-            if x.shape[0] != layer.in_channels:
-                raise NetworkConfigError(
-                    f"{_layer_name(idx, layer)}: got {x.shape[0]} input channels, expected {layer.in_channels}"
-                )
-            x = conv1d_forward(x, w, b, layer.stride, layer.padding, layer.circular)
-        elif isinstance(layer, Dense):
-            if vec is None:
-                vec = np.concatenate([x.reshape(-1), values[spec.lidar_inputs:]])
-            w, b = _layer_weights(weights, idx, layer)
-            if vec.size != layer.in_size:
-                raise NetworkConfigError(
-                    f"{_layer_name(idx, layer)}: got {vec.size} inputs, expected {layer.in_size}"
-                )
-            vec = w @ vec + b
-        else:
-            if layer.fn == RELU:
-                if vec is None:
-                    x = np.maximum(x, 0.0)
-                else:
-                    vec = np.maximum(vec, 0.0)
-            else:
-                if vec is None:
-                    x = np.tanh(x)
-                else:
-                    vec = np.tanh(vec)
-    if vec is None:
-        raise NetworkConfigError("network needs at least one dense layer")
-    return ActionVector(vec)
+    return _forward(spec, _checked_weights(spec, weights), state)
 
 
 class NetworkPolicy(PolicyModel):
-    """Policy backed by the built-in network engine."""
-
-    parallel_safe = True
+    """Policy backed by the built-in network engine; weights are checked once, at construction."""
 
     def __init__(self, spec: NetworkSpec, weights) -> None:
         last = spec.layers[-1] if spec.layers else None
         if not (isinstance(last, Activation) and last.fn == TANH):
             raise ModelError("policy network must end with a tanh activation")
-        if len(weights) != len(spec.layers):
-            raise NetworkConfigError(f"{len(weights)} weight entries for {len(spec.layers)} layers")
-        for idx, layer in enumerate(spec.layers):
-            if isinstance(layer, (Conv1d, Dense)):
-                _layer_weights(weights, idx, layer)
         self.spec = spec
-        self.weights = list(weights)
+        self.weights = _checked_weights(spec, weights)
         self.input_size = spec.lidar_inputs + spec.extra_inputs
         self.output_size = spec.output_size()
 
     def act(self, state: ModelState) -> ActionVector:
-        return net_forward(self.spec, self.weights, state)
+        return _forward(self.spec, self.weights, state)
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":
@@ -514,7 +494,6 @@ def _logistic(x: float) -> float:
 
 
 class _ScriptedPolicy(PolicyModel):
-    parallel_safe = True
     output_size = 2
 
     def __init__(self, kind: str, params: ScriptedParams) -> None:

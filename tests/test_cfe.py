@@ -31,8 +31,6 @@ GOAL_AHEAD = GoalFeatures(1.0, 0.0, 2.0)
 
 
 class ConstantPolicy(PolicyModel):
-    parallel_safe = True
-
     def __init__(self, action, input_size=183):
         self.input_size = input_size
         self.output_size = len(action)
@@ -225,7 +223,10 @@ class TestGenerateCfes:
         query = reverse_query(n_cfes=4, lambda_p=0.05)
         model = scripted_policy("goal_seeker")
         results = generate_cfes(query, model)
+        objective = fitness_for_query(query, model)
         for r in results:
+            # The objective the search ran scores the packaged genome the same.
+            assert objective(r.genome) == r.fitness
             # Re-applying the combination operator reproduces the stored scan.
             regenerated = raycast_scan(ORIGIN, r.obstacles, query.base_scan.n, query.base_scan.max_range)
             recombined = combine_min_distance(query.base_scan, regenerated)
@@ -257,13 +258,6 @@ class TestGenerateCfes:
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.genome, rb.genome)
             assert ra.fitness == rb.fitness
-
-    def test_worker_threads_do_not_change_results(self):
-        query = reverse_query(n_cfes=4)
-        serial = generate_cfes(query, scripted_policy("goal_seeker"), workers=1)
-        threaded = generate_cfes(query, scripted_policy("goal_seeker"), workers=4)
-        for rs, rt in zip(serial, threaded):
-            assert np.array_equal(rs.genome, rt.genome)
 
     def test_unsatisfied_results_flagged_not_dropped(self, caplog):
         # Impossible request: constant model far outside the bounds.
@@ -297,6 +291,17 @@ class TestGenerateCfes:
             reverse_query(lambda_y=-1.0)
         with pytest.raises(ValueError):
             reverse_query(size_limits=(0.0, 1.0))
+        with pytest.raises(ValueError):
+            reverse_query(size_limits=(0.1, math.inf))
+        with pytest.raises(ValueError):
+            reverse_query(n_cfes=True)
+        with pytest.raises(ValueError):
+            reverse_query(n_obstacles=2.0)
+        with pytest.raises(ValueError):
+            reverse_query(rng_seed=-1)
+        for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
+            with pytest.raises(ValueError):
+                reverse_query(**{field: math.nan})
 
     def test_world_extent_defaults_to_max_range(self):
         query = reverse_query()

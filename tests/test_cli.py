@@ -166,6 +166,59 @@ class TestExplainCommand:
         results = json.loads((out / "results.json").read_text())
         assert len(results["results"]) == 1
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "bounds=[[a,1],[0,1]]",
+            "size_limits=[x,1]",
+            "world_bounds=.inf",
+            "n_obstacles=2.5",
+            "n_cfes=true",
+            "lambda_y=.nan",
+            "lambda_y=true",
+            "bounds=[[true,1],[-1,1]]",
+            "seed=-1",
+            "ga.reach_zero=maybe",
+            "ga.generations=2.5",
+            "ga.crossover=single_point",
+        ],
+    )
+    def test_malformed_query_value_is_input_error(self, tmp_path, override):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path), "--no-plots"]
+        assert main([*args, *FAST_GA, "--set", override]) == EXIT_INPUT
+
+    def test_ga_rng_seed_is_input_error_naming_seed(self, tmp_path, capsys):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path)]
+        assert main([*args, "--set", "ga.rng_seed=1"]) == EXIT_INPUT
+        assert "top-level seed" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, tmp_path):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", str(query), "--model", "scripted:goal_seeker", "--workers", "2"])
+        assert exc.value.code == EXIT_INPUT
+
+    def test_every_genome_rejected_still_packages(self, tmp_path):
+        # A sensor disk wider than the decode square rejects every genome, so
+        # each result packages a genome whose fitness is -inf.
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml", n_cfes=2)
+        out = tmp_path / "out"
+        args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--no-plots"]
+        assert main([*args, *FAST_GA, "--set", "d_min=5.0", "--set", "ga.generations=3"]) == EXIT_OK
+        entries = json.loads((out / "results.json").read_text())["results"]
+        assert len(entries) == 2
+        for entry in entries:
+            assert entry["fitness"] == "-inf"
+            assert math.isfinite(entry["hinge"]) and math.isfinite(entry["proximity"])
+            assert entry["satisfied"] == (entry["hinge"] == 0.0)
+        assert verify_results_file(out / "results.json", scripted_policy("goal_seeker")) == 2
+
     def test_unknown_query_field_is_input_error(self, tmp_path):
         write_empty_room(tmp_path)
         query = tmp_path / "query.yaml"

@@ -220,10 +220,14 @@ class TestRunGa:
             GaConfig(keep_parents=11, parents_mating=10)
         with pytest.raises(ValueError):
             GaConfig(mutation_fraction=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GaConfig(crossover="two_point")
         with pytest.raises(ValueError):
             GaConfig(tournament_size=0)
+        with pytest.raises(ValueError):
+            GaConfig(generations=2.5)
+        with pytest.raises(ValueError):
+            GaConfig(population=True)
 
     def test_genome_length_validated(self):
         with pytest.raises(ValueError):
