@@ -11,16 +11,9 @@ import numpy as np
 
 from .errors import ModelError
 from .ga import GaConfig, require_int, run_ga
-from .geometry import ORIGIN, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
-from .model import ActionVector, PolicyModel
-from .scan import (
-    GoalFeatures,
-    Scan,
-    assemble_state,
-    combine_gen_priority,
-    combine_min_distance,
-    proximity_loss,
-)
+from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows, scalar_math
+from .model import ActionVector, PolicyModel, check_action_rows
+from .scan import GoalFeatures, Scan, goal_state
 
 logger = logging.getLogger(__name__)
 
@@ -101,8 +94,9 @@ class CfeQuery:
             raise ValueError(f"combination must be {MIN_DISTANCE!r} or {GEN_PRIORITY!r}, got {self.combination!r}")
         if self.lambda_y < 0.0 or self.lambda_p < 0.0:
             raise ValueError("lambda_y and lambda_p must be >= 0")
-        if self.n_obstacles < 1:
-            raise ValueError(f"n_obstacles must be >= 1, got {self.n_obstacles}")
+        if not 1 <= self.n_obstacles <= self.base_scan.n:
+            # More slots than rays would leave obstacles that no ray can show.
+            raise ValueError(f"n_obstacles must lie in [1, {self.base_scan.n}], the scan's ray count, got {self.n_obstacles}")
         if self.d_min < 0.0:
             raise ValueError(f"d_min must be >= 0, got {self.d_min}")
         if self.n_cfes < 0:
@@ -146,6 +140,24 @@ class CfeResult:
     genome: np.ndarray
 
 
+def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRows:
+    """Decode a (P, 6K) gene matrix into (P, K) shape parameter arrays."""
+    t, x, y, theta, s1, s2 = np.moveaxis(genes.reshape(len(genes), -1, GENES_PER_OBSTACLE), 2, 0)
+    lo, hi = size_limits
+    span = hi - lo
+    orientation = np.remainder(theta * math.pi, math.pi)  # normalized to [0, pi) as ObstacleShape does
+    return ShapeRows(
+        rect=t >= 0.5,
+        cx=(2.0 * x - 1.0) * world_bounds,
+        cy=(2.0 * y - 1.0) * world_bounds,
+        size1=lo + s1 * span,
+        size2=lo + s2 * span,
+        orientation=orientation,
+        cos_o=scalar_math(math.cos, orientation),
+        sin_o=scalar_math(math.sin, orientation),
+    )
+
+
 def decode_genome(genome, n_obstacles: int, world_bounds: float, size_limits=(0.05, 1.0)) -> list[ObstacleShape]:
     """Decode 6 genes per obstacle: type, x, y, orientation, and two sizes.
 
@@ -162,16 +174,14 @@ def decode_genome(genome, n_obstacles: int, world_bounds: float, size_limits=(0.
     lo, hi = size_limits
     if not 0.0 < lo <= hi:
         raise ValueError(f"size_limits must satisfy 0 < lo <= hi, got {size_limits}")
-    span = hi - lo
+    rows = _decode_rows(genes[np.newaxis], world_bounds, size_limits).take(0)
     shapes = []
-    for t, x, y, theta, s1, s2 in genes.reshape(-1, GENES_PER_OBSTACLE):
-        center = Point2((2.0 * x - 1.0) * world_bounds, (2.0 * y - 1.0) * world_bounds)
-        if t < 0.5:
-            shapes.append(ObstacleShape.circle(center, lo + s1 * span))
+    for k in range(n_obstacles):
+        center = Point2(rows.cx[k], rows.cy[k])
+        if rows.rect[k]:
+            shapes.append(ObstacleShape.rectangle(center, (rows.size1[k], rows.size2[k]), rows.orientation[k]))
         else:
-            shapes.append(
-                ObstacleShape.rectangle(center, (lo + s1 * span, lo + s2 * span), orientation=theta * math.pi)
-            )
+            shapes.append(ObstacleShape.circle(center, rows.size1[k]))
     return shapes
 
 
@@ -180,55 +190,80 @@ def hinge_loss(action: ActionVector, bounds: ActionBounds) -> float:
     a = action.values
     if a.size != len(bounds):
         raise ValueError(f"action has {a.size} dimensions, bounds cover {len(bounds)}")
-    inside = (a >= bounds.lower) & (a <= bounds.upper)
-    nearest_edge = np.minimum(np.abs(a - bounds.lower), np.abs(a - bounds.upper))
-    return float(np.where(inside, 0.0, nearest_edge).sum())
+    return float(_hinge_rows(a[np.newaxis], bounds)[0])
+
+
+def _hinge_rows(actions: np.ndarray, bounds: ActionBounds) -> np.ndarray:
+    inside = (actions >= bounds.lower) & (actions <= bounds.upper)
+    nearest_edge = np.minimum(np.abs(actions - bounds.lower), np.abs(actions - bounds.upper))
+    return np.where(inside, 0.0, nearest_edge).sum(axis=1)
 
 
 def _scorer(query: CfeQuery, model: PolicyModel):
-    """Build the one chain from genome to score, shared by the objective and packaging.
+    """Build the one chain from genomes to scores, shared by the objective and packaging.
 
-    ``score(genome, full)`` returns ``(fitness, shapes, combined, action,
-    hinge, proximity)``. A genome with an obstacle crowding the sensor's
-    protective disk scores -inf. Without ``full`` (the search objective) the
-    chain stops there, leaving the remaining parts None, and proximity is
-    only computed when ``lambda_p`` weights it; with ``full`` (packaging)
-    every part is computed.
+    ``score(pop, full)`` scores a (P, 6K) gene matrix and returns ``(fitness,
+    merged, actions, hinge, proximity)``, one row per genome: the merged
+    (P, n_rays) readings, the (P, m) actions and (P,) arrays. A genome with
+    an obstacle crowding the sensor's protective disk scores -inf. Without
+    ``full`` (the search objective) such rows skip the rest of the chain, so
+    the other parts hold only the accepted rows (None when there are none),
+    and proximity is only computed when ``lambda_p`` weights it. With
+    ``full`` (packaging) every part of every row is computed.
     """
     base = query.base_scan
     if model.input_size != base.n + 3:
         raise ModelError(f"model expects {model.input_size} inputs, query state has {base.n + 3}")
     if model.output_size != len(query.bounds):
         raise ModelError(f"model outputs {model.output_size} values, bounds cover {len(query.bounds)}")
-    combine = combine_min_distance if query.combination == MIN_DISTANCE else combine_gen_priority
-    world = query.world_extent
-    d_scale = query.goal_distance_scale
+    readings, max_range = base.readings, base.max_range
+    goal = goal_state(query.goal, query.goal_distance_scale)
+    length = GENES_PER_OBSTACLE * query.n_obstacles
 
-    def score(genome, full: bool) -> tuple:
-        shapes = decode_genome(genome, query.n_obstacles, world, query.size_limits)
-        crowds_sensor = any(shape_overlaps_disk(s, ORIGIN, query.d_min) for s in shapes)
-        if crowds_sensor and not full:
-            return -math.inf, shapes, None, None, None, None
-        combined = combine(base, raycast_scan(ORIGIN, shapes, base.n, base.max_range))
-        action = model.act(assemble_state(combined, query.goal, d_scale))
-        hinge = hinge_loss(action, query.bounds)
-        proximity = proximity_loss(combined, base) if full or query.lambda_p != 0.0 else 0.0
-        fitness = -math.inf if crowds_sensor else -query.lambda_y * hinge - query.lambda_p * proximity
-        return fitness, shapes, combined, action, hinge, proximity
+    def score(pop, full: bool) -> tuple:
+        pop = np.asarray(pop, dtype=float)
+        if pop.ndim != 2 or pop.shape[1] != length:
+            raise ValueError(f"population shape {pop.shape} is not (P, {length})")
+        shapes = _decode_rows(pop, query.world_extent, query.size_limits)
+        rejected = overlaps_disk_rows(shapes, ORIGIN, query.d_min).any(axis=1)
+        fitness = np.full(len(pop), -math.inf)
+        rows = np.arange(len(pop)) if full else np.flatnonzero(~rejected)
+        if rows.size == 0:
+            return fitness, None, None, None, None
+        scans = raycast_rows(ORIGIN, shapes.take(rows), base.n, max_range)
+        if query.combination == MIN_DISTANCE:
+            merged = np.minimum(readings, scans)
+        else:  # every actual generated return overrides the base
+            merged = np.where(scans < max_range, scans, readings)
+        states = np.concatenate([merged / max_range, np.broadcast_to(goal, (len(rows), goal.size))], axis=1)
+        actions = np.asarray(model.act_batch(states), dtype=float)
+        if actions.shape != (len(rows), model.output_size):
+            raise ModelError(f"act_batch returned shape {actions.shape} for {len(rows)} states")
+        check_action_rows(actions)
+        hinge = _hinge_rows(actions, query.bounds)
+        if full or query.lambda_p != 0.0:
+            proximity = np.abs(merged - readings).sum(axis=1) / (base.n * max_range)
+        else:
+            proximity = np.zeros(len(rows))
+        fitness[rows] = -query.lambda_y * hinge - query.lambda_p * proximity
+        fitness[rejected] = -math.inf
+        return fitness, merged, actions, hinge, proximity
 
     return score
 
 
 def fitness_for_query(query: CfeQuery, model: PolicyModel):
-    """Build the genome objective for a query.
+    """Build the population objective for a query.
 
-    The returned function decodes a genome, rejects it with -inf when any
-    obstacle crowds the sensor's protective disk, raycasts the obstacles,
-    merges them with the base scan, runs the model, and scores
-    ``-lambda_y * hinge - lambda_p * proximity`` (never positive).
+    The returned function maps a (P, 6K) gene matrix to P fitness values.
+    For each genome it decodes the obstacles, rejects the genome with -inf
+    when any obstacle crowds the sensor's protective disk, raycasts the
+    obstacles, merges them with the base scan, runs the model, and scores
+    ``-lambda_y * hinge - lambda_p * proximity`` (never positive). Each row's
+    value is the same whatever the other rows are.
     """
     score = _scorer(query, model)
-    return lambda genome: score(genome, False)[0]
+    return lambda pop: score(pop, False)[0]
 
 
 def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | None = None) -> list[CfeResult]:
@@ -246,16 +281,16 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
     results = []
     for i in range(query.n_cfes):
         genome = run_ga(replace(config, rng_seed=query.rng_seed + i), length, objective).best_genome
-        fitness, shapes, combined, action, hinge, proximity = score(genome, True)
+        fitness, merged, actions, hinge, proximity = (part[0] for part in score(genome[np.newaxis], True))
         results.append(
             CfeResult(
-                obstacles=tuple(shapes),
-                combined_scan=combined,
-                achieved_action=action,
-                fitness=fitness,
-                hinge_component=hinge,
-                proximity_component=proximity,
-                satisfied=hinge == 0.0,
+                obstacles=tuple(decode_genome(genome, query.n_obstacles, query.world_extent, query.size_limits)),
+                combined_scan=Scan(merged, query.base_scan.max_range),
+                achieved_action=ActionVector(actions),
+                fitness=float(fitness),
+                hinge_component=float(hinge),
+                proximity_component=float(proximity),
+                satisfied=bool(hinge == 0.0),
                 genome=genome,
             )
         )

@@ -37,7 +37,7 @@ from .model import (
 )
 from .plot import cfe_plot_svg, scan_plot_svg, write_svg
 from .scan import GoalFeatures, ModelState, Scan, assemble_state
-from .scenario import load_scenario, load_yaml_mapping
+from .scenario import load_scenario, load_yaml_mapping, parse_yaml
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
 
@@ -83,7 +83,7 @@ def _obstacle_payload(shape: ObstacleShape) -> dict:
 
 def _apply_override(data: dict, dotted: str, raw_value: str) -> None:
     try:
-        value = yaml.safe_load(raw_value)
+        value = parse_yaml(raw_value)
     except yaml.YAMLError:
         value = raw_value
     node = data

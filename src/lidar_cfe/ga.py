@@ -163,9 +163,11 @@ def _next_generation(pop: np.ndarray, fits: np.ndarray, order: np.ndarray, confi
 def run_ga(config: GaConfig, genome_length: int, fitness) -> GaRun:
     """Evolve a uniform-random [0,1] population against ``fitness``.
 
-    ``fitness`` maps a genome array to a float (higher is better; -inf is a
-    valid rejection sentinel, NaN is coerced to -inf with a warning). The
-    run is fully determined by (config, genome_length, fitness).
+    ``fitness`` maps the (population, genome_length) gene matrix of a
+    generation to one float per genome (higher is better; -inf is a valid
+    rejection sentinel, NaN is coerced to -inf with one warning per
+    generation). It is called once per generation. The run is fully
+    determined by (config, genome_length, fitness).
     """
     if genome_length < 1:
         raise ValueError(f"genome_length must be >= 1, got {genome_length}")
@@ -176,14 +178,14 @@ def run_ga(config: GaConfig, genome_length: int, fitness) -> GaRun:
     stale = 0
     trace: list[float] = []
     termination = TERMINATED_GENERATIONS
-    fits = np.empty(config.population)
     for gen in range(1, config.generations + 1):
-        for i in range(config.population):
-            value = float(fitness(pop[i]))
-            if math.isnan(value):
-                logger.warning("fitness returned NaN for individual %d in generation %d; using -inf", i, gen)
-                value = -math.inf
-            fits[i] = value
+        fits = np.array(fitness(pop), dtype=float)
+        if fits.shape != (config.population,):
+            raise ValueError(f"fitness returned shape {fits.shape} for a population of {config.population}")
+        nan = np.isnan(fits)
+        if nan.any():
+            logger.warning("fitness returned NaN for %d of %d individuals in generation %d; using -inf", nan.sum(), nan.size, gen)
+            fits[nan] = -math.inf
         order = np.argsort(-fits, kind="stable")
         gen_best = float(fits[order[0]])
         trace.append(gen_best)
@@ -204,7 +206,7 @@ def run_ga(config: GaConfig, genome_length: int, fitness) -> GaRun:
         pop = _next_generation(pop, fits, order, config, rng)
     return GaRun(
         population=pop,
-        fitnesses=fits.copy(),
+        fitnesses=fits,
         best_genome=best_genome,
         best_fitness=best_fitness,
         trace=tuple(trace),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -183,11 +183,58 @@ def _ray_directions(n_rays: int) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def _circle_hit_distances(ox: float, oy: float, dx: np.ndarray, dy: np.ndarray, circle: ObstacleShape) -> np.ndarray:
-    fx = ox - circle.center.x
-    fy = oy - circle.center.y
+@dataclass(frozen=True, eq=False)
+class ShapeRows:
+    """P candidate scenes of K obstacle slots each, as (P, K) parameter arrays.
+
+    ``rect`` marks rectangle slots. ``size1`` is a circle's radius or a
+    rectangle's first half extent, ``size2`` the second half extent (unused
+    by circles); ``orientation`` is a rectangle's turn in [0, pi), with its
+    cosine and sine in ``cos_o`` and ``sin_o``.
+    """
+
+    rect: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    size1: np.ndarray
+    size2: np.ndarray
+    orientation: np.ndarray
+    cos_o: np.ndarray
+    sin_o: np.ndarray
+
+    @classmethod
+    def from_shapes(cls, shapes) -> "ShapeRows":
+        """One row holding ``shapes``."""
+        params = [
+            (s.kind == RECTANGLE, s.center.x, s.center.y, *(s.half_extents or (s.radius, s.radius)), s.orientation)
+            for s in shapes
+        ]
+        rect, cx, cy, size1, size2, turn = np.moveaxis(np.array(params, dtype=float).reshape(1, -1, 6), 2, 0)
+        return cls(rect == 1.0, cx, cy, size1, size2, turn, scalar_math(math.cos, turn), scalar_math(math.sin, turn))
+
+    def take(self, index) -> "ShapeRows":
+        """Every parameter array indexed by ``index``."""
+        return ShapeRows(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+def scalar_math(fn, *arrays: np.ndarray) -> np.ndarray:
+    """Apply a scalar ``math`` function per element.
+
+    Transcendentals go through ``math`` one value at a time: numpy's
+    vectorized exp, atan2 and hypot can differ from ``math`` in the last
+    bit, and a score must not change with the batch it was computed in or
+    drift from the single-shape functions.
+    """
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _circle_hit_distances(ox: float, oy: float, dx, dy, cx, cy, r) -> np.ndarray:
+    # One row per circle: centers and radii are (P, 1) columns, directions (R,) rows.
+    fx = ox - cx
+    fy = oy - cy
     b = fx * dx + fy * dy
-    c = fx * fx + fy * fy - circle.radius * circle.radius
+    c = fx * fx + fy * fy - r * r
     disc = b * b - c
     hit = disc >= 0.0
     root = np.sqrt(np.where(hit, disc, 0.0))
@@ -197,31 +244,29 @@ def _circle_hit_distances(ox: float, oy: float, dx: np.ndarray, dy: np.ndarray, 
     return np.where(hit & (leave >= 0.0), t, np.inf)
 
 
-def _slab_interval(o: float, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _slab_interval(o, d: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     # Entry/exit parameters of the slab |o + t d| <= h; rays parallel to the
     # slab map to (-inf, inf) when inside it and to an empty interval otherwise.
     parallel = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (-h - o) / d
         tb = (h - o) / d
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
-    inside = abs(o) <= h
-    lo = np.where(parallel, -np.inf if inside else np.inf, lo)
-    hi = np.where(parallel, np.inf if inside else -np.inf, hi)
+    inside = np.abs(o) <= h
+    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
     return lo, hi
 
 
-def _rect_hit_distances(ox: float, oy: float, dx: np.ndarray, dy: np.ndarray, rect: ObstacleShape) -> np.ndarray:
-    cos_o = math.cos(rect.orientation)
-    sin_o = math.sin(rect.orientation)
-    px = ox - rect.center.x
-    py = oy - rect.center.y
+def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, hy) -> np.ndarray:
+    # One row per rectangle, parameters as (P, 1) columns; slab test in its local frame.
+    px = ox - cx
+    py = oy - cy
     lox = px * cos_o + py * sin_o
     loy = -px * sin_o + py * cos_o
     ldx = dx * cos_o + dy * sin_o
     ldy = -dx * sin_o + dy * cos_o
-    hx, hy = rect.half_extents
     lo_x, hi_x = _slab_interval(lox, ldx, hx)
     lo_y, hi_y = _slab_interval(loy, ldy, hy)
     t_enter = np.maximum(lo_x, lo_y)
@@ -229,6 +274,26 @@ def _rect_hit_distances(ox: float, oy: float, dx: np.ndarray, dy: np.ndarray, re
     hit = (t_enter <= t_exit) & (t_exit >= 0.0)
     t = np.where(t_enter >= 0.0, t_enter, t_exit)
     return np.where(hit, t, np.inf)
+
+
+def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float) -> np.ndarray:
+    """Scan readings of every scene in ``shapes``, one (n_rays,) row per scene.
+
+    Loops over the obstacle slots, so temporaries stay (P, n_rays).
+    """
+    dx, dy = _ray_directions(n_rays)
+    best = np.full((shapes.rect.shape[0], n_rays), np.inf)
+    for k in range(shapes.rect.shape[1]):
+        for rows in (np.flatnonzero(~shapes.rect[:, k]), np.flatnonzero(shapes.rect[:, k])):
+            if rows.size == 0:
+                continue
+            s = shapes.take((rows, k, np.newaxis))  # (n, 1) columns of one slot, one kind
+            if s.rect[0, 0]:
+                t = _rect_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.cos_o, s.sin_o, s.size1, s.size2)
+            else:
+                t = _circle_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.size1)
+            best[rows] = np.minimum(best[rows], t)
+    return np.minimum(best, max_range)
 
 
 def raycast_scan(
@@ -247,35 +312,30 @@ def raycast_scan(
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     if not (0.0 < max_range < math.inf):
         raise ValueError(f"max_range must be positive and finite, got {max_range}")
-    dx, dy = _ray_directions(n_rays)
-    best = np.full(n_rays, np.inf)
-    for shape in shapes:
-        if shape.kind == CIRCLE:
-            t = _circle_hit_distances(origin.x, origin.y, dx, dy, shape)
-        else:
-            t = _rect_hit_distances(origin.x, origin.y, dx, dy, shape)
-        np.minimum(best, t, out=best)
-    return Scan(np.minimum(best, max_range), max_range)
+    return Scan(raycast_rows(origin, ShapeRows.from_shapes(shapes), n_rays, max_range)[0], max_range)
+
+
+def overlaps_disk_rows(shapes: ShapeRows, center: Point2, radius: float) -> np.ndarray:
+    """(P, K) mask of the slots whose closed region intersects the closed disk."""
+    # Circles compare the center gap; rectangles the gap from the disk center
+    # to its closest point on the rectangle, in the rectangle's frame.
+    px = center.x - shapes.cx
+    py = center.y - shapes.cy
+    lx = px * shapes.cos_o + py * shapes.sin_o
+    ly = -px * shapes.sin_o + py * shapes.cos_o
+    qx = np.minimum(np.maximum(lx, -shapes.size1), shapes.size1)
+    qy = np.minimum(np.maximum(ly, -shapes.size2), shapes.size2)
+    gap_x = np.where(shapes.rect, lx - qx, shapes.cx - center.x)
+    gap_y = np.where(shapes.rect, ly - qy, shapes.cy - center.y)
+    limit = np.where(shapes.rect, radius, shapes.size1 + radius)
+    return scalar_math(math.hypot, gap_x, gap_y) <= limit
 
 
 def shape_overlaps_disk(shape: ObstacleShape, center: Point2, radius: float) -> bool:
     """True iff the shape's closed region intersects the closed disk."""
     if radius < 0.0:
         raise ValueError(f"disk radius must be >= 0, got {radius}")
-    if shape.kind == CIRCLE:
-        gap = math.hypot(shape.center.x - center.x, shape.center.y - center.y)
-        return gap <= shape.radius + radius
-    cos_o = math.cos(shape.orientation)
-    sin_o = math.sin(shape.orientation)
-    px = center.x - shape.center.x
-    py = center.y - shape.center.y
-    lx = px * cos_o + py * sin_o
-    ly = -px * sin_o + py * cos_o
-    hx, hy = shape.half_extents
-    # Closest point on the rectangle to the disk center, in the rect frame.
-    qx = min(max(lx, -hx), hx)
-    qy = min(max(ly, -hy), hy)
-    return math.hypot(lx - qx, ly - qy) <= radius
+    return bool(overlaps_disk_rows(ShapeRows.from_shapes([shape]), center, radius)[0, 0])
 
 
 def shape_contains(shape: ObstacleShape, point: Point2) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, NetworkConfigError
+from .geometry import scalar_math
 from .scan import ModelState
 
 RELU = "relu"
@@ -25,6 +26,15 @@ TANH = "tanh"
 
 GOAL_SEEKER = "goal_seeker"
 LEFT_PREFERRER = "left_preferrer"
+
+
+def check_action_rows(values: np.ndarray) -> None:
+    """Raise ValueError unless every value of a (P, m) action array is finite and in [-1, 1]."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("action values must be finite")
+    outside = ~np.all((values >= -1.0) & (values <= 1.0), axis=1)
+    if np.any(outside):
+        raise ValueError(f"action values must lie in [-1, 1], got {values[outside][0].tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +47,7 @@ class ActionVector:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("action must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("action values must be finite")
-        if not np.all((values >= -1.0) & (values <= 1.0)):
-            raise ValueError(f"action values must lie in [-1, 1], got {values.tolist()}")
+        check_action_rows(values[np.newaxis])
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -56,6 +63,15 @@ class PolicyModel:
 
     def act(self, state: ModelState) -> ActionVector:
         raise NotImplementedError
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        """Actions for a (P, input_size) array of states, as a (P, output_size) array.
+
+        Row i must equal ``act`` on row i. This default calls ``act`` once
+        per row; models that can score rows together override it.
+        """
+        actions = [self.act(ModelState(row)).values for row in states]
+        return np.array(actions, dtype=float).reshape(len(states), self.output_size)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +183,25 @@ def conv1d_forward(
     padding: int = 0,
     circular: bool = True,
 ) -> np.ndarray:
-    """One 1-d convolution; ``x`` is (channels, length), ``weight`` is (out, in, kernel).
+    """One 1-d convolution; ``x`` is (..., channels, length), ``weight`` is (out, in, kernel).
 
-    Output length is ``(length + 2*padding - kernel) // stride + 1``; circular
-    padding wraps the signal ends before the sweep.
+    Leading axes of ``x`` are batch axes. Output length is
+    ``(length + 2*padding - kernel) // stride + 1``; circular padding wraps
+    the signal ends before the sweep.
     """
-    _, length = x.shape
+    length = x.shape[-1]
     kernel = weight.shape[2]
     if padding:
         if circular:
             if padding > length:
                 raise ValueError(f"circular padding {padding} wider than signal {length}")
-            x = np.concatenate([x[:, length - padding:], x, x[:, :padding]], axis=1)
+            x = np.concatenate([x[..., length - padding:], x, x[..., :padding]], axis=-1)
         else:
-            x = np.pad(x, ((0, 0), (padding, padding)))
-    if x.shape[1] < kernel:
-        raise ValueError(f"kernel {kernel} wider than padded signal {x.shape[1]}")
-    windows = sliding_window_view(x, kernel, axis=1)[:, ::stride, :]  # (in, n_out, kernel)
-    return np.einsum("ink,oik->on", windows, weight) + bias[:, None]
+            x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(padding, padding)])
+    if x.shape[-1] < kernel:
+        raise ValueError(f"kernel {kernel} wider than padded signal {x.shape[-1]}")
+    windows = sliding_window_view(x, kernel, axis=-1)[..., ::stride, :]  # (..., in, n_out, kernel)
+    return np.einsum("...ink,oik->...on", windows, weight) + bias[:, None]
 
 
 def _layer_weights(weights, idx: int, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
@@ -218,27 +235,34 @@ def _checked_weights(spec: NetworkSpec, weights) -> list:
     ]
 
 
-def _forward(spec: NetworkSpec, weights: list, state: ModelState) -> ActionVector:
-    """Run a network whose layer chain and weights are already checked."""
-    values = state.values
+def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
+    """Run a network whose layer chain and weights are already checked on (P, inputs) states.
+
+    Dense layers multiply one row at a time: a matrix-vector product per row
+    gives every row the same bits as a single-state pass, where one
+    matrix-matrix product over all rows can round differently.
+    """
     expected = spec.lidar_inputs + spec.extra_inputs
-    if values.size != expected:
-        raise NetworkConfigError(f"state length {values.size} does not match spec inputs {expected}")
-    x = values[: spec.lidar_inputs][np.newaxis, :]
+    if states.shape[1] != expected:
+        raise NetworkConfigError(f"state length {states.shape[1]} does not match spec inputs {expected}")
+    x = states[:, np.newaxis, : spec.lidar_inputs]
     for layer, entry in zip(spec.layers, weights):
         if isinstance(layer, Conv1d):
             w, b = entry
             x = conv1d_forward(x, w, b, layer.stride, layer.padding, layer.circular)
         elif isinstance(layer, Dense):
-            if x.ndim == 2:  # first dense layer: flatten the conv features, append the extra inputs
-                x = np.concatenate([x.reshape(-1), values[spec.lidar_inputs:]])
+            if x.ndim == 3:  # first dense layer: flatten the conv features, append the extra inputs
+                x = np.concatenate([x.reshape(len(x), -1), states[:, spec.lidar_inputs:]], axis=1)
             w, b = entry
-            x = w @ x + b
+            out = np.empty((len(x), w.shape[0]))
+            for i, row in enumerate(x):
+                out[i] = w @ row
+            x = out + b
         elif layer.fn == RELU:
             x = np.maximum(x, 0.0)
         else:
             x = np.tanh(x)
-    return ActionVector(x)
+    return x
 
 
 def net_forward(spec: NetworkSpec, weights, state: ModelState) -> ActionVector:
@@ -247,7 +271,7 @@ def net_forward(spec: NetworkSpec, weights, state: ModelState) -> ActionVector:
     ``weights`` is a sequence aligned with ``spec.layers``: a ``(weight, bias)``
     pair per conv/dense layer and None per activation.
     """
-    return _forward(spec, _checked_weights(spec, weights), state)
+    return ActionVector(_forward(spec, _checked_weights(spec, weights), state.values[np.newaxis])[0])
 
 
 class NetworkPolicy(PolicyModel):
@@ -263,7 +287,10 @@ class NetworkPolicy(PolicyModel):
         self.output_size = spec.output_size()
 
     def act(self, state: ModelState) -> ActionVector:
-        return _forward(self.spec, self.weights, state)
+        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        return _forward(self.spec, self.weights, states)
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":
@@ -507,29 +534,31 @@ class _ScriptedPolicy(PolicyModel):
         self._left = np.flatnonzero((headings > 1e-12) & (headings < math.pi - 1e-12))
 
     def act(self, state: ModelState) -> ActionVector:
-        values = state.values
-        if values.size != self.input_size:
-            raise ModelError(f"state length {values.size}, policy expects {self.input_size}")
-        p = self.params
-        lidar = values[: p.n_lidar]
-        cos_g = 2.0 * values[p.n_lidar] - 1.0
-        sin_g = 2.0 * values[p.n_lidar + 1] - 1.0
-        bearing = math.atan2(sin_g, cos_g)
-        goal_steer = max(-1.0, min(1.0, p.turn_gain * bearing))
+        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
 
-        min_forward = float(lidar[self._cone].min())
-        blocked = _logistic((p.block_threshold - min_forward) / p.blend_width)
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        if states.shape[1] != self.input_size:
+            raise ModelError(f"state length {states.shape[1]}, policy expects {self.input_size}")
+        p = self.params
+        lidar = states[:, : p.n_lidar]
+        cos_g = 2.0 * states[:, p.n_lidar] - 1.0
+        sin_g = 2.0 * states[:, p.n_lidar + 1] - 1.0
+        bearing = scalar_math(math.atan2, sin_g, cos_g)
+        goal_steer = np.clip(p.turn_gain * bearing, -1.0, 1.0)
+
+        min_forward = lidar[:, self._cone].min(axis=1)
+        blocked = scalar_math(_logistic, (p.block_threshold - min_forward) / p.blend_width)
         linear = (1.0 - blocked) * p.forward_speed + blocked * p.reverse_speed
 
         if self.kind == GOAL_SEEKER:
             angular = goal_steer
         else:
-            avoid = _logistic((p.avoid_threshold - min_forward) / p.blend_width)
-            left_clear = _logistic((float(lidar[self._left].min()) - p.side_threshold) / p.blend_width)
+            avoid = scalar_math(_logistic, (p.avoid_threshold - min_forward) / p.blend_width)
+            left_clear = scalar_math(_logistic, (lidar[:, self._left].min(axis=1) - p.side_threshold) / p.blend_width)
             swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
             angular = avoid * swerve + (1.0 - avoid) * goal_steer
 
-        return ActionVector(np.array([linear, angular]))
+        return np.stack([linear, angular], axis=1)
 
 
 def scripted_policy(kind: str, params: ScriptedParams | None = None) -> PolicyModel:

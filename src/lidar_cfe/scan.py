@@ -110,12 +110,10 @@ def combine_gen_priority(base: Scan, generated: Scan) -> Scan:
     return Scan(merged, base.max_range)
 
 
-def assemble_state(scan: Scan, goal: GoalFeatures, d_g_max: float) -> ModelState:
-    """Build the normalized model input from a scan and goal features.
+def goal_state(goal: GoalFeatures, d_g_max: float) -> np.ndarray:
+    """The last three model-state values: goal cos and sin mapped through (v + 1) / 2, and distance / d_g_max.
 
-    Readings divide by max_range, cos/sin map through (v + 1) / 2, and the
-    goal distance divides by ``d_g_max``. A distance beyond d_g_max clamps
-    to 1 with a warning.
+    A distance beyond d_g_max clamps to 1 with a warning.
     """
     if not (math.isfinite(d_g_max) and d_g_max > 0):
         raise ValueError(f"d_g_max must be positive and finite, got {d_g_max}")
@@ -123,12 +121,19 @@ def assemble_state(scan: Scan, goal: GoalFeatures, d_g_max: float) -> ModelState
     if d_part > 1.0:
         warnings.warn(
             f"goal distance {goal.distance} exceeds d_g_max {d_g_max}; clamping to 1",
-            stacklevel=2,
+            stacklevel=3,
         )
         d_part = 1.0
     # cos/sin may sit a hair outside the unit circle (1e-6 tolerance); clip the mapped values.
-    tail = np.clip([(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, d_part], 0.0, 1.0)
-    return ModelState(np.concatenate([scan.readings / scan.max_range, tail]))
+    return np.clip([(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, d_part], 0.0, 1.0)
+
+
+def assemble_state(scan: Scan, goal: GoalFeatures, d_g_max: float) -> ModelState:
+    """Build the normalized model input from a scan and goal features.
+
+    Readings divide by max_range; the goal part is :func:`goal_state`.
+    """
+    return ModelState(np.concatenate([scan.readings / scan.max_range, goal_state(goal, d_g_max)]))
 
 
 def proximity_loss(combined: Scan, base: Scan) -> float:

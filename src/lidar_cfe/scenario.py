@@ -8,6 +8,7 @@ features derive directly from the origin-to-goal vector.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,26 @@ def _obstacle(entry, where: str) -> ObstacleShape:
     raise InputError(f"{where}: unknown obstacle kind {kind!r}")
 
 
+class _Yaml12Loader(yaml.SafeLoader):
+    """The safe loader, also reading YAML 1.2 floats that YAML 1.1 leaves as strings.
+
+    YAML 1.1 wants a dot and a signed exponent (``1.0e-3``), so ``1e-3``,
+    ``1E+2`` and ``1.5e3`` would load as text.
+    """
+
+
+_Yaml12Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def parse_yaml(text: str):
+    """Parse YAML text with the safe loader; exponent numbers read as floats."""
+    return yaml.load(text, Loader=_Yaml12Loader)
+
+
 def load_yaml_mapping(path) -> dict:
     """Read a YAML file that must contain a top-level mapping."""
     path = Path(path)
@@ -111,7 +132,7 @@ def load_yaml_mapping(path) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = parse_yaml(text)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(data, dict):

@@ -11,7 +11,174 @@ import math
 
 import numpy as np
 
-from lidar_cfe import ORIGIN, Activation, Conv1d, Dense, NetworkSpec, ObstacleShape, Point2, shape_overlaps_disk
+from lidar_cfe import (
+    ORIGIN,
+    ActionVector,
+    Activation,
+    Conv1d,
+    Dense,
+    NetworkPolicy,
+    NetworkSpec,
+    ObstacleShape,
+    Point2,
+    Scan,
+    assemble_state,
+    combine_gen_priority,
+    combine_min_distance,
+    proximity_loss,
+    shape_overlaps_disk,
+)
+
+
+def rowwise(objective):
+    """A population objective from a one-genome objective: one call per row."""
+    return lambda pop: np.array([objective(genome) for genome in pop], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# The one-genome scoring chain, written out shape by shape and state by state
+# as the library computed it before whole populations were scored together.
+# Batched scores must equal it bit for bit.
+
+
+def scalar_decode(genome, n_obstacles, world_bounds, size_limits):
+    lo, hi = size_limits
+    span = hi - lo
+    shapes = []
+    for t, x, y, theta, s1, s2 in np.asarray(genome, dtype=float).reshape(n_obstacles, 6):
+        center = Point2((2.0 * x - 1.0) * world_bounds, (2.0 * y - 1.0) * world_bounds)
+        if t < 0.5:
+            shapes.append(ObstacleShape.circle(center, lo + s1 * span))
+        else:
+            shapes.append(ObstacleShape.rectangle(center, (lo + s1 * span, lo + s2 * span), orientation=theta * math.pi))
+    return shapes
+
+
+def scalar_overlaps_disk(shape, radius):
+    """Closed shape against the closed disk of ``radius`` around the origin."""
+    if shape.kind == "circle":
+        return math.hypot(shape.center.x, shape.center.y) <= shape.radius + radius
+    cos_o = math.cos(shape.orientation)
+    sin_o = math.sin(shape.orientation)
+    px = 0.0 - shape.center.x
+    py = 0.0 - shape.center.y
+    lx = px * cos_o + py * sin_o
+    ly = -px * sin_o + py * cos_o
+    hx, hy = shape.half_extents
+    return math.hypot(lx - min(max(lx, -hx), hx), ly - min(max(ly, -hy), hy)) <= radius
+
+
+def _scalar_slab(o, d, h):
+    parallel = d == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ta = (-h - o) / d
+        tb = (h - o) / d
+    inside = abs(o) <= h
+    lo = np.where(parallel, -np.inf if inside else np.inf, np.minimum(ta, tb))
+    hi = np.where(parallel, np.inf if inside else -np.inf, np.maximum(ta, tb))
+    return lo, hi
+
+
+def scalar_raycast(shapes, n_rays, max_range):
+    """Readings from the origin, one shape at a time over all rays."""
+    headings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    dx, dy = np.cos(headings), np.sin(headings)
+    best = np.full(n_rays, np.inf)
+    for shape in shapes:
+        fx = 0.0 - shape.center.x
+        fy = 0.0 - shape.center.y
+        if shape.kind == "circle":
+            b = fx * dx + fy * dy
+            disc = b * b - (fx * fx + fy * fy - shape.radius * shape.radius)
+            root = np.sqrt(np.where(disc >= 0.0, disc, 0.0))
+            enter, leave = -b - root, -b + root
+            t = np.where((disc >= 0.0) & (leave >= 0.0), np.where(enter >= 0.0, enter, leave), np.inf)
+        else:
+            cos_o = math.cos(shape.orientation)
+            sin_o = math.sin(shape.orientation)
+            lo_x, hi_x = _scalar_slab(fx * cos_o + fy * sin_o, dx * cos_o + dy * sin_o, shape.half_extents[0])
+            lo_y, hi_y = _scalar_slab(-fx * sin_o + fy * cos_o, -dx * sin_o + dy * cos_o, shape.half_extents[1])
+            t_enter, t_exit = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
+            t = np.where((t_enter <= t_exit) & (t_exit >= 0.0), np.where(t_enter >= 0.0, t_enter, t_exit), np.inf)
+        best = np.minimum(best, t)
+    return np.minimum(best, max_range)
+
+
+def _logistic(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def scalar_scripted_act(kind, p, values):
+    """The scripted policies on one state, in plain float arithmetic."""
+    n = p.n_lidar
+    headings = np.arange(n) * (2.0 * math.pi / n)
+    cone = np.minimum(headings, 2.0 * math.pi - headings) <= p.cone_half_angle + 1e-12
+    left = (headings > 1e-12) & (headings < math.pi - 1e-12)
+    lidar = values[:n]
+    bearing = math.atan2(2.0 * values[n + 1] - 1.0, 2.0 * values[n] - 1.0)
+    goal_steer = max(-1.0, min(1.0, p.turn_gain * bearing))
+    min_forward = float(lidar[cone].min())
+    blocked = _logistic((p.block_threshold - min_forward) / p.blend_width)
+    linear = (1.0 - blocked) * p.forward_speed + blocked * p.reverse_speed
+    if kind == "goal_seeker":
+        return np.array([linear, goal_steer])
+    avoid = _logistic((p.avoid_threshold - min_forward) / p.blend_width)
+    left_clear = _logistic((float(lidar[left].min()) - p.side_threshold) / p.blend_width)
+    swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
+    return np.array([linear, avoid * swerve + (1.0 - avoid) * goal_steer])
+
+
+def scalar_net_act(spec, weights, values):
+    """The network engine on one state: 2-d einsum convolutions, matrix-vector dense layers."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    x = values[: spec.lidar_inputs][np.newaxis, :]
+    for layer, entry in zip(spec.layers, weights):
+        if isinstance(layer, Conv1d):
+            w, b = entry
+            p = layer.padding
+            x = np.concatenate([x[:, x.shape[1] - p:], x, x[:, :p]], axis=1) if layer.circular else np.pad(x, ((0, 0), (p, p)))
+            windows = sliding_window_view(x, layer.kernel, axis=1)[:, :: layer.stride, :]
+            x = np.einsum("ink,oik->on", windows, w) + b[:, None]
+        elif isinstance(layer, Dense):
+            if x.ndim == 2:
+                x = np.concatenate([x.reshape(-1), values[spec.lidar_inputs:]])
+            w, b = entry
+            x = w @ x + b
+        else:
+            x = np.maximum(x, 0.0) if layer.fn == "relu" else np.tanh(x)
+    return x
+
+
+def scalar_act(model, state):
+    """One action: scripted policies and networks re-derived here, any other model through its act."""
+    if getattr(model, "kind", None) in ("goal_seeker", "left_preferrer"):
+        return ActionVector(scalar_scripted_act(model.kind, model.params, state.values))
+    if isinstance(model, NetworkPolicy):
+        return ActionVector(scalar_net_act(model.spec, model.weights, state.values))
+    return model.act(state)
+
+
+def scalar_score(query, model, genome):
+    """Score one genome: decode, guard, raycast, combine, state, act, hinge and proximity.
+
+    Returns ``(fitness, combined, action, hinge, proximity)`` with every part
+    computed, also for a genome whose obstacles crowd the sensor disk
+    (fitness -inf).
+    """
+    base = query.base_scan
+    shapes = scalar_decode(genome, query.n_obstacles, query.world_extent, query.size_limits)
+    crowds_sensor = any(scalar_overlaps_disk(s, query.d_min) for s in shapes)
+    combine = combine_min_distance if query.combination == "min_distance" else combine_gen_priority
+    combined = combine(base, Scan(scalar_raycast(shapes, base.n, base.max_range), base.max_range))
+    action = scalar_act(model, assemble_state(combined, query.goal, query.goal_distance_scale))
+    hinge = hinge_oracle(action.values, query.bounds.lower, query.bounds.upper)
+    proximity = proximity_loss(combined, base)
+    fitness = -math.inf if crowds_sensor else -query.lambda_y * hinge - query.lambda_p * proximity
+    return fitness, combined, action, hinge, proximity
 
 
 def shape_inside_mask(shape, xs, ys):

@@ -198,8 +198,8 @@ def test_c04_network_inference_oracle():
 
 
 def test_c05_ga_engine_properties_and_convergence():
-    def objective(genome):
-        return -float(np.abs(np.asarray(genome) - 0.5).sum())
+    def objective(pop):
+        return -np.abs(np.asarray(pop) - 0.5).sum(axis=1)
 
     # Engine laws over 50 seeded runs (run twice each for determinism).
     for seed in range(50):
@@ -280,11 +280,10 @@ def test_c09_sensor_disk_guard():
     )
     fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
     rng = np.random.default_rng(20244)
-    for _ in range(1000):
-        genes = rng.random(GENES_PER_OBSTACLE * query.n_obstacles)
-        genes[1] = 0.5  # first obstacle centered on the sensor
-        genes[2] = 0.5
-        assert fitness(genes) == -math.inf
+    pop = rng.random((1000, GENES_PER_OBSTACLE * query.n_obstacles))
+    pop[:, 1] = 0.5  # first obstacle centered on the sensor
+    pop[:, 2] = 0.5
+    assert np.all(fitness(pop) == -math.inf)
 
     # Violators never survive into the elite slots of a real run.
     run = run_ga(GaConfig(rng_seed=11), GENES_PER_OBSTACLE * query.n_obstacles, fitness)

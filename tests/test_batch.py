@@ -1,0 +1,240 @@
+"""Population scoring against the one-genome chain, bit for bit.
+
+The search scores a whole generation in one call. Each row must come out
+exactly as the single-shape public functions score that genome alone
+(``oracles.scalar_score``), whatever else is in the batch.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from lidar_cfe import (
+    ORIGIN,
+    ActionBounds,
+    ActionVector,
+    Activation,
+    CfeQuery,
+    Conv1d,
+    Dense,
+    GoalFeatures,
+    ModelError,
+    ModelState,
+    NetworkPolicy,
+    NetworkSpec,
+    ObstacleShape,
+    Point2,
+    PolicyModel,
+    fitness_for_query,
+    raycast_scan,
+    scripted_policy,
+)
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, _scorer
+
+from oracles import scalar_score
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+PROPERTY = settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class MeanRangePolicy(PolicyModel):
+    """A plain subclass that only defines act, so it scores through the looping act_batch."""
+
+    input_size = 183
+    output_size = 2
+
+    def act(self, state):
+        v = state.values
+        return ActionVector(np.tanh([4.0 * (v[:90].mean() - 0.8), 3.0 * (v[90:180].min() - v[180])]))
+
+
+def bench_conv_net() -> NetworkPolicy:
+    """The benchmark's seeded README conv net (workload seed 7)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    (c1, c2), (d1, d2) = workloads.CONV_LAYERS, workloads.DENSE_LAYERS
+    k, pad = workloads.KERNEL, workloads.PADDING
+    layers = (
+        Conv1d(c1[0], c1[1], k, c1[2], pad, True),
+        Activation("relu"),
+        Conv1d(c2[0], c2[1], k, c2[2], pad, True),
+        Activation("relu"),
+        Dense(*d1),
+        Activation("relu"),
+        Dense(*d2),
+        Activation("tanh"),
+    )
+    w = workloads.conv_weights(7)
+    return NetworkPolicy(NetworkSpec(workloads.N_RAYS, 3, layers), [w[0], None, w[1], None, w[2], None, w[3], None])
+
+
+MODELS = {
+    "goal_seeker": (scripted_policy("goal_seeker"), [(-1.0, 0.0), (-0.2, 0.2)]),
+    "left_preferrer": (scripted_policy("left_preferrer"), [(0.9, 1.0), (-1.0, -0.5)]),
+    "conv_net": (bench_conv_net(), [(-0.03, 0.03), (-1.0, -0.01)]),
+    "plain_subclass": (MeanRangePolicy(), [(-0.5, 0.5), (-1.0, 0.0)]),
+}
+
+BOX_AHEAD = raycast_scan(ORIGIN, [ObstacleShape.rectangle(Point2(2.75, 0.0), (0.25, 0.4))], 180, 3.5)
+
+
+def make_query(model_name, **overrides):
+    fields = dict(
+        base_scan=BOX_AHEAD,
+        goal=GoalFeatures(1.0, 0.0, 3.25),
+        bounds=ActionBounds.from_pairs(MODELS[model_name][1]),
+    )
+    fields.update(overrides)
+    return CfeQuery(**fields)
+
+
+def populations(n_obstacles, max_rows=6):
+    rows = st.integers(1, max_rows)
+    genes = st.floats(0.0, 1.0, exclude_max=True)
+    return rows.flatmap(lambda p: arrays(float, (p, GENES_PER_OBSTACLE * n_obstacles), elements=genes))
+
+
+def bits(values):
+    """The float64 bit patterns, so -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def assert_rows_match_oracle(query, model, pop):
+    oracle = [scalar_score(query, model, genome) for genome in pop]
+    objective = fitness_for_query(query, model)(pop)
+    fitness, merged, actions, hinge, proximity = _scorer(query, model)(pop, True)
+    assert np.array_equal(bits(objective), bits([o[0] for o in oracle]))
+    assert np.array_equal(bits(fitness), bits([o[0] for o in oracle]))
+    assert np.array_equal(bits(merged), bits([o[1].readings for o in oracle]))
+    assert np.array_equal(bits(actions), bits([o[2].values for o in oracle]))
+    assert np.array_equal(bits(hinge), bits([o[3] for o in oracle]))
+    assert np.array_equal(bits(proximity), bits([o[4] for o in oracle]))
+    assert np.all(fitness <= 0.0)
+    for action, h in zip(actions, hinge):
+        assert query.bounds.contains(ActionVector(action)) == (h == 0.0)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("n_obstacles", [1, 5])
+@pytest.mark.parametrize("combination", ["min_distance", "gen_priority"])
+@pytest.mark.parametrize("lambda_p", [0.0, 0.3])
+def test_batched_scores_equal_the_one_genome_chain(model_name, n_obstacles, combination, lambda_p):
+    query = make_query(model_name, n_obstacles=n_obstacles, combination=combination, lambda_p=lambda_p)
+
+    @PROPERTY
+    @given(pop=populations(n_obstacles))
+    def check(pop):
+        assert_rows_match_oracle(query, MODELS[model_name][0], pop)
+
+    check()
+
+
+class CountingPolicy(PolicyModel):
+    """Wraps a model and counts the states it is asked to act on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_size = inner.input_size
+        self.output_size = inner.output_size
+        self.rows = 0
+
+    def act(self, state):
+        self.rows += 1
+        return self.inner.act(state)
+
+
+@PROPERTY
+@given(pop=populations(2))
+def test_every_genome_rejected_skips_the_model(pop):
+    model = CountingPolicy(scripted_policy("goal_seeker"))
+    query = make_query("goal_seeker", n_obstacles=2, d_min=10.0)  # the disk covers the whole decode region
+    assert np.all(fitness_for_query(query, model)(pop) == -math.inf)
+    assert model.rows == 0
+    assert_rows_match_oracle(query, model, pop)
+
+
+def test_rejected_rows_skip_the_model():
+    model = CountingPolicy(scripted_policy("goal_seeker"))
+    query = make_query("goal_seeker", n_obstacles=1)
+    pop = np.random.default_rng(5).random((40, GENES_PER_OBSTACLE))
+    pop[::2, 1:3] = 0.5  # every other obstacle centered on the sensor
+    values = fitness_for_query(query, model)(pop)
+    assert np.all(values[::2] == -math.inf)
+    assert np.all(np.isfinite(values[1::2]))
+    assert model.rows == 20
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_act_batch_rows_equal_act(model_name):
+    model = MODELS[model_name][0]
+
+    @PROPERTY
+    @given(states=st.integers(1, 8).flatmap(lambda p: arrays(float, (p, 183), elements=st.floats(0.0, 1.0))))
+    def check(states):
+        batch = model.act_batch(states)
+        single = [model.act(ModelState(row)).values for row in states]
+        assert np.array_equal(bits(batch), bits(single))
+
+    check()
+
+
+def test_scripted_act_batch_covers_the_blend_region():
+    # Random states put something near the sensor almost always; sweep a
+    # forward obstacle through the logistic blend so the smooth part is checked too.
+    model = scripted_policy("left_preferrer")
+    states = np.ones((200, 183))
+    states[:, 180:] = [1.0, 0.6, 0.3]
+    states[:, 0] = np.linspace(0.3, 0.9, 200)
+    states[:, 45] = np.linspace(0.45, 0.55, 200)
+    batch = model.act_batch(states)
+    assert len(np.unique(batch[:, 0])) > 50
+    single = [model.act(ModelState(row)).values for row in states]
+    assert np.array_equal(bits(batch), bits(single))
+
+
+class FixedBatchPolicy(PolicyModel):
+    """Returns one preset action array from act_batch, whatever the states."""
+
+    input_size = 183
+    output_size = 2
+
+    def __init__(self, actions):
+        self.actions = np.asarray(actions, dtype=float)
+
+    def act_batch(self, states):
+        return self.actions
+
+
+@pytest.mark.parametrize(
+    "actions, message",
+    [([[0.0, 2.0]], "action values must lie in [-1, 1], got [0.0, 2.0]"), ([[math.nan, 0.0]], "action values must be finite")],
+)
+def test_batched_actions_keep_action_vector_checks(actions, message):
+    with pytest.raises(ValueError) as single:
+        ActionVector(np.asarray(actions[0]))
+    assert str(single.value) == message
+    objective = fitness_for_query(make_query("goal_seeker", n_obstacles=1), FixedBatchPolicy(actions))
+    with pytest.raises(ValueError) as batched:
+        objective(np.full((1, GENES_PER_OBSTACLE), 0.9))
+    assert str(batched.value) == message
+
+
+def test_act_batch_of_the_wrong_shape_is_a_model_error():
+    objective = fitness_for_query(make_query("goal_seeker", n_obstacles=1), FixedBatchPolicy([[0.0, 0.0]]))
+    with pytest.raises(ModelError, match="shape"):
+        objective(np.full((3, GENES_PER_OBSTACLE), 0.9))
+
+
+def test_objective_rejects_a_single_genome():
+    objective = fitness_for_query(make_query("goal_seeker", n_obstacles=1), scripted_policy("goal_seeker"))
+    with pytest.raises(ValueError, match="population shape"):
+        objective(np.full(GENES_PER_OBSTACLE, 0.9))

@@ -159,16 +159,14 @@ class TestFitness:
         query = reverse_query()
         fitness = fitness_for_query(query, ConstantPolicy([0.0, 0.0]))
         genome = np.full(GENES_PER_OBSTACLE * query.n_obstacles, 0.5)  # every obstacle at the sensor
-        assert fitness(genome) == -math.inf
+        assert fitness(genome[np.newaxis]).tolist() == [-math.inf]
 
     def test_constant_in_bounds_model_scores_zero(self):
         query = reverse_query(lambda_p=0.0)
         fitness = fitness_for_query(query, ConstantPolicy([-0.5, 0.0]))
         rng = np.random.default_rng(3)
         found = 0
-        for _ in range(50):
-            genome = rng.random(GENES_PER_OBSTACLE * query.n_obstacles)
-            value = fitness(genome)
+        for value in fitness(rng.random((50, GENES_PER_OBSTACLE * query.n_obstacles))):
             if value != -math.inf:
                 assert value == 0.0
                 found += 1
@@ -182,15 +180,16 @@ class TestFitness:
         size_gene = (0.5 - 0.05) / 0.95
         ahead = np.array([1.0, 0.5 + 1.5 / 7.0, 0.5, 0.0, size_gene, size_gene])
         behind = np.array([1.0, 0.5 - 1.5 / 7.0, 0.5, 0.0, size_gene, size_gene])
-        assert fitness(ahead) == 0.0
-        assert fitness(behind) < 0.0
+        assert fitness(ahead[np.newaxis])[0] == 0.0
+        assert fitness(behind[np.newaxis])[0] < 0.0
 
     def test_fitness_never_positive(self):
         rng = np.random.default_rng(4)
         query = reverse_query(lambda_p=0.3)
         fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
-        for _ in range(100):
-            assert fitness(rng.random(GENES_PER_OBSTACLE * query.n_obstacles)) <= 0.0
+        values = fitness(rng.random((100, GENES_PER_OBSTACLE * query.n_obstacles)))
+        assert values.shape == (100,)
+        assert np.all(values <= 0.0)
 
     def test_model_shape_mismatch_rejected(self):
         query = reverse_query()
@@ -204,7 +203,7 @@ class TestFitness:
         fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
         run = run_ga(GaConfig(rng_seed=3), GENES_PER_OBSTACLE * query.n_obstacles, fitness)
         assert run.termination == "reach_zero"
-        assert fitness(run.best_genome) == 0.0  # zero hinge = satisfied
+        assert fitness(run.best_genome[np.newaxis])[0] == 0.0  # zero hinge = satisfied
 
 
 class TestGenerateCfes:
@@ -226,7 +225,7 @@ class TestGenerateCfes:
         objective = fitness_for_query(query, model)
         for r in results:
             # The objective the search ran scores the packaged genome the same.
-            assert objective(r.genome) == r.fitness
+            assert objective(r.genome[np.newaxis])[0] == r.fitness
             # Re-applying the combination operator reproduces the stored scan.
             regenerated = raycast_scan(ORIGIN, r.obstacles, query.base_scan.n, query.base_scan.max_range)
             recombined = combine_min_distance(query.base_scan, regenerated)
@@ -297,6 +296,9 @@ class TestGenerateCfes:
             reverse_query(n_cfes=True)
         with pytest.raises(ValueError):
             reverse_query(n_obstacles=2.0)
+        with pytest.raises(ValueError, match="ray count"):
+            reverse_query(n_obstacles=181)  # more obstacle slots than the 180 rays
+        assert reverse_query(n_obstacles=180).n_obstacles == 180
         with pytest.raises(ValueError):
             reverse_query(rng_seed=-1)
         for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):

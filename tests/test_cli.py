@@ -181,6 +181,9 @@ class TestExplainCommand:
             "ga.reach_zero=maybe",
             "ga.generations=2.5",
             "ga.crossover=single_point",
+            "n_obstacles=181",
+            "n_obstacles=100000000",
+            "lambda_p=1e",
         ],
     )
     def test_malformed_query_value_is_input_error(self, tmp_path, override):
@@ -188,6 +191,18 @@ class TestExplainCommand:
         query = write_reverse_query(tmp_path, "room.yaml")
         args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path), "--no-plots"]
         assert main([*args, *FAST_GA, "--set", override]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("text, value", [("1e-3", 0.001), ("1E+2", 100.0)])
+    def test_exponent_floats_are_numbers(self, tmp_path, text, value):
+        # YAML 1.1 reads an exponent without a dot as text; queries read it as YAML 1.2 does.
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml", n_cfes=1)
+        args = ["explain", str(query), "--model", "scripted:goal_seeker", "--no-plots", *FAST_GA]
+        assert main([*args, "-o", str(tmp_path / "set"), "--set", f"lambda_p={text}"]) == EXIT_OK
+        query.write_text(query.read_text() + f"lambda_p: {text}\n")
+        assert main([*args, "-o", str(tmp_path / "file")]) == EXIT_OK
+        for out in ("set", "file"):
+            assert json.loads((tmp_path / out / "results.json").read_text())["lambda_p"] == value
 
     def test_ga_rng_seed_is_input_error_naming_seed(self, tmp_path, capsys):
         write_empty_room(tmp_path)

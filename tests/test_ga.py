@@ -12,10 +12,12 @@ from lidar_cfe import (
     tournament_select,
 )
 
+from oracles import rowwise
 
-def l1_objective(genome):
-    """Known optimum 0 at every gene = 0.5."""
-    return -float(np.abs(np.asarray(genome) - 0.5).sum())
+
+def l1_objective(pop):
+    """Known optimum 0 at every gene = 0.5; one value per genome (row)."""
+    return -np.abs(np.asarray(pop) - 0.5).sum(axis=1)
 
 
 class FixedCut:
@@ -143,12 +145,12 @@ class TestTournament:
 
 class TestRunGa:
     def test_constant_zero_reaches_zero_immediately(self):
-        run = run_ga(GaConfig(rng_seed=0), 6, lambda g: 0.0)
+        run = run_ga(GaConfig(rng_seed=0), 6, rowwise(lambda g: 0.0))
         assert run.termination == "reach_zero"
         assert run.generations_run == 1
 
     def test_constant_negative_saturates_after_k_plus_one(self):
-        run = run_ga(GaConfig(rng_seed=0, saturate_k=10, reach_zero=True), 6, lambda g: -1.0)
+        run = run_ga(GaConfig(rng_seed=0, saturate_k=10, reach_zero=True), 6, rowwise(lambda g: -1.0))
         assert run.termination == "saturate"
         assert run.generations_run == 11
 
@@ -166,15 +168,15 @@ class TestRunGa:
     def test_population_size_and_gene_range_every_generation(self):
         calls = []
 
-        def spy(genome):
-            g = np.asarray(genome)
+        def spy(pop):
+            g = np.asarray(pop)
             assert np.all((g >= 0.0) & (g <= 1.0))
-            calls.append(1)
+            calls.append(len(g))
             return l1_objective(g)
 
         config = GaConfig(rng_seed=2, generations=12, saturate_k=None, reach_zero=False)
         run = run_ga(config, 6, spy)
-        assert len(calls) == 12 * config.population
+        assert calls == [config.population] * 12  # one call per generation, scoring the whole population
         assert run.population.shape == (config.population, 6)
         assert np.all((run.population >= 0.0) & (run.population <= 1.0))
 
@@ -193,13 +195,30 @@ class TestRunGa:
         assert not np.array_equal(r1.best_genome, r2.best_genome)
 
     def test_nan_fitness_treated_as_rejection(self, caplog):
-        def sometimes_nan(genome):
-            return math.nan if genome[0] > 0.95 else l1_objective(genome)
+        nan_counts = []
+
+        def sometimes_nan(pop):
+            nan = pop[:, 0] > 0.95
+            nan_counts.append(int(nan.sum()))
+            return np.where(nan, math.nan, l1_objective(pop))
 
         with caplog.at_level(logging.WARNING, logger="lidar_cfe.ga"):
             run = run_ga(GaConfig(rng_seed=4, generations=3, saturate_k=None, reach_zero=False), 4, sometimes_nan)
         assert math.isfinite(run.best_fitness)
-        assert any("NaN" in record.message for record in caplog.records)
+        assert not np.any(np.isnan(run.fitnesses))
+        # One record per generation that had NaN, giving that generation's count.
+        warned = [record.getMessage() for record in caplog.records if "NaN" in record.getMessage()]
+        affected = [(gen, count) for gen, count in enumerate(nan_counts, start=1) if count]
+        assert affected
+        assert len(warned) == len(affected)
+        for message, (gen, count) in zip(warned, affected):
+            assert f"NaN for {count} of 100 individuals in generation {gen}" in message
+
+    def test_objective_must_return_one_value_per_genome(self):
+        with pytest.raises(ValueError, match="shape"):
+            run_ga(GaConfig(rng_seed=0), 6, lambda pop: l1_objective(pop)[:-1])
+        with pytest.raises(ValueError, match="shape"):
+            run_ga(GaConfig(rng_seed=0), 6, lambda pop: 0.0)
 
     def test_converges_on_analytic_objective(self):
         # Full-budget runs; a handful of seeds here, the wide sweep lives in
