@@ -30,14 +30,7 @@ from .errors import (
     ModelError,
     NetworkConfigError,
 )
-from .ga import (
-    GaConfig,
-    GaRun,
-    mutate,
-    run_ga,
-    single_point_crossover,
-    tournament_select,
-)
+from .ga import GaConfig, GaRun, run_ga
 from .geometry import (
     CIRCLE,
     ORIGIN,
@@ -128,7 +121,6 @@ __all__ = [
     "hinge_loss",
     "load_scenario",
     "load_weight_file",
-    "mutate",
     "net_forward",
     "proximity_loss",
     "ray_circle_intersect",
@@ -139,6 +131,4 @@ __all__ = [
     "scripted_policy",
     "shape_contains",
     "shape_overlaps_disk",
-    "single_point_crossover",
-    "tournament_select",
 ]

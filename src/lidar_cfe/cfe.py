@@ -122,9 +122,22 @@ class CfeQuery:
         return self.d_g_max if self.d_g_max is not None else 2.0 * math.sqrt(2.0) * self.world_extent
 
 
+@dataclass(frozen=True)
+class SearchFacts:
+    """How the search behind one result ran: its seed, why it stopped
+    ("generations", "saturate" or "reach_zero"), the generations it ran and
+    the genomes it scored."""
+
+    seed: int
+    termination: str
+    generations: int
+    evaluations: int
+
+
 @dataclass(frozen=True, eq=False)
 class CfeResult:
-    """One counterfactual: decoded obstacles, merged scan, achieved action, scores.
+    """One counterfactual: decoded obstacles, merged scan, achieved action,
+    scores, and the facts of the search that found it.
 
     ``satisfied`` is true exactly when the hinge component is zero, i.e. the
     action landed inside the requested bounds (inclusive).
@@ -138,6 +151,7 @@ class CfeResult:
     proximity_component: float
     satisfied: bool
     genome: np.ndarray
+    search: SearchFacts
 
 
 def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRows:
@@ -279,8 +293,9 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
     score = _scorer(query, model)
     length = GENES_PER_OBSTACLE * query.n_obstacles
     results = []
-    for i in range(query.n_cfes):
-        genome = run_ga(replace(config, rng_seed=query.rng_seed + i), length, objective).best_genome
+    for seed in range(query.rng_seed, query.rng_seed + query.n_cfes):
+        run = run_ga(replace(config, rng_seed=seed), length, objective)
+        genome = run.best_genome
         fitness, merged, actions, hinge, proximity = (part[0] for part in score(genome[np.newaxis], True))
         results.append(
             CfeResult(
@@ -292,6 +307,7 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
                 proximity_component=float(proximity),
                 satisfied=bool(hinge == 0.0),
                 genome=genome,
+                search=SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population),
             )
         )
     results.sort(key=lambda r: r.fitness, reverse=True)  # stable, ties keep run order

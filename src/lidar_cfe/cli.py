@@ -281,6 +281,7 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
                 "obstacles": [_obstacle_payload(s) for s in r.obstacles],
                 "genome": [float(g) for g in r.genome],
                 "combined_readings": [float(v) for v in r.combined_scan.readings],
+                "search": asdict(r.search),
             }
         )
     return {

@@ -1,5 +1,8 @@
 """Real-coded genetic algorithm with tournament selection, single-point
-crossover, uniform gene resampling, and elitism."""
+crossover, uniform gene resampling, and elitism.
+
+Each generation is bred from a few whole-array random draws: the operators
+work on every tournament, pair or child at once, one per row."""
 
 from __future__ import annotations
 
@@ -92,72 +95,59 @@ class GaRun:
         return len(self.trace)
 
 
-def tournament_select(population, fitnesses, k: int, rng: np.random.Generator) -> int:
-    """Sample k distinct contenders uniformly; return the index of the fittest.
+def tournament_rows(fitnesses, n_winners: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Run ``n_winners`` independent k-contender tournaments; return the winners' indices.
 
-    Ties go to the lowest index.
+    Each row of one random-key matrix names its k smallest keys as the
+    contenders, a uniform draw of k distinct individuals. Ties go to the
+    lowest index.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
     n = fitnesses.size
-    if len(population) != n:
-        raise ValueError(f"population size {len(population)} does not match {n} fitness values")
     if not 1 <= k <= n:
         raise ValueError(f"tournament size must lie in [1, {n}], got {k}")
-    contenders = np.sort(rng.choice(n, size=k, replace=False))
-    return int(contenders[np.argmax(fitnesses[contenders])])
+    contenders = np.sort(np.argpartition(rng.random((n_winners, n)), k - 1, axis=1)[:, :k], axis=1)
+    return contenders[np.arange(n_winners), np.argmax(fitnesses[contenders], axis=1)]
 
 
-def single_point_crossover(a, b, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Swap tails at a uniform cut point in [1, L-1]; length-1 genomes return copies."""
+def crossover_rows(a, b, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Swap the tails of each row pair at its own uniform cut point in [1, L-1].
+
+    Row i of the children mixes row i of ``a`` and ``b``; length-1 genomes
+    are copied.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("parents must be 1-d and of equal length")
-    length = a.size
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"parents must be two (pairs, L) arrays of one shape, got {a.shape} and {b.shape}")
+    length = a.shape[1]
     if length == 1:
         return a.copy(), b.copy()
-    cut = int(rng.integers(1, length))
-    child1 = np.concatenate([a[:cut], b[cut:]])
-    child2 = np.concatenate([b[:cut], a[cut:]])
-    return child1, child2
+    head = np.arange(length) < rng.integers(1, length, size=len(a))[:, np.newaxis]
+    return np.where(head, a, b), np.where(head, b, a)
 
 
-def mutate(genome, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample ``round(fraction * L)`` distinct genes uniformly in [0, 1]."""
-    g = np.asarray(genome, dtype=float)
+def mutate_rows(genomes, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Resample ``round(fraction * L)`` distinct genes of each row uniformly in [0, 1]."""
+    out = np.array(genomes, dtype=float)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"mutation fraction must lie in [0, 1], got {fraction}")
-    out = g.copy()
-    count = int(round(fraction * g.size))
+    count = int(round(fraction * out.shape[1]))
     if count == 0:
         return out
-    where = rng.choice(g.size, size=count, replace=False)
-    out[where] = rng.random(count)
+    where = np.argpartition(rng.random(out.shape), count - 1, axis=1)[:, :count]
+    np.put_along_axis(out, where, rng.random((len(out), count)), axis=1)
     return out
 
 
 def _next_generation(pop: np.ndarray, fits: np.ndarray, order: np.ndarray, config: GaConfig, rng) -> np.ndarray:
-    parent_idx = [tournament_select(pop, fits, config.tournament_size, rng) for _ in range(config.parents_mating)]
-    parents = pop[np.array(parent_idx, dtype=int)]
-    if config.keep_selected_parents:
-        elites = parents[: config.keep_parents].copy()
-    else:
-        elites = pop[order[: config.keep_parents]].copy()
+    parents = pop[tournament_rows(fits, config.parents_mating, config.tournament_size, rng)]
+    elites = parents[: config.keep_parents] if config.keep_selected_parents else pop[order[: config.keep_parents]]
     n_children = config.population - config.keep_parents
-    children = np.empty((n_children, pop.shape[1]))
-    made = 0
-    pair = 0
-    while made < n_children:
-        a = parents[pair % len(parents)]
-        b = parents[(pair + 1) % len(parents)]
-        pair += 1
-        c1, c2 = single_point_crossover(a, b, rng)
-        children[made] = mutate(c1, config.mutation_fraction, rng)
-        made += 1
-        if made < n_children:
-            children[made] = mutate(c2, config.mutation_fraction, rng)
-            made += 1
-    return np.vstack([elites, children])
+    pair = np.arange((n_children + 1) // 2)  # pair p mates parents p and p + 1, wrapping around
+    c1, c2 = crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)
+    children = np.stack([c1, c2], axis=1).reshape(-1, pop.shape[1])[:n_children]  # c1, c2 interleaved
+    return np.vstack([elites, mutate_rows(children, config.mutation_fraction, rng)])
 
 
 def run_ga(config: GaConfig, genome_length: int, fitness) -> GaRun:

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ def bridge_script(tmp_path):
 
 CONSTANT_RESPONDER = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     print("0.5 -0.5", flush=True)
@@ -30,6 +32,7 @@ for line in sys.stdin:
 
 REVERSER = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     values = [float(v) for v in line.split()]
@@ -65,6 +68,7 @@ def test_rule_matches_in_process_twin(bridge_script):
 def test_process_death_is_surfaced(bridge_script):
     body = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 sys.stdin.readline()
 sys.exit(3)
@@ -77,6 +81,7 @@ sys.exit(3)
 def test_malformed_response_rejected(bridge_script):
     body = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     print("not numbers", flush=True)
@@ -89,6 +94,7 @@ for line in sys.stdin:
 def test_wrong_arity_response_rejected(bridge_script):
     body = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     print("0.1 0.2 0.3", flush=True)
@@ -101,6 +107,7 @@ for line in sys.stdin:
 def test_out_of_range_action_rejected(bridge_script):
     body = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     print("1.5 0.0", flush=True)
@@ -125,6 +132,7 @@ time.sleep(30)
 def test_handshake_arity_mismatch(bridge_script):
     body = """
 import sys
+import time
 print("HELLO 7 2", flush=True)
 for line in sys.stdin:
     print("0.0 0.0", flush=True)
@@ -150,6 +158,7 @@ def test_state_round_trip_is_exact(bridge_script):
     # repr-formatted decimals survive the pipe bit for bit.
     body = f"""
 import sys
+import time
 print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
 for line in sys.stdin:
     values = [float(v) for v in line.split()]
@@ -162,3 +171,36 @@ for line in sys.stdin:
         action = policy.act(make_state(values))
         assert action.values[0] == float(values.min()) - 1.0
         assert action.values[1] == float(values.max()) - 1.0
+
+
+def test_partial_line_then_stall_times_out_within_deadline(bridge_script):
+    body = f"""
+import sys, time
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+sys.stdin.readline()
+sys.stdout.write("0.5 ")
+sys.stdout.flush()
+time.sleep(30)
+"""
+    with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS, timeout=0.4) as policy:
+        start = time.monotonic()
+        with pytest.raises(BridgeTimeout):
+            policy.act(make_state(np.zeros(N_INPUTS)))
+        assert time.monotonic() - start < 3.0
+
+
+def test_stderr_flood_does_not_block_answers(bridge_script):
+    # stderr is inherited, not piped, so a child that writes far more than a
+    # pipe buffer holds never blocks on it.
+    body = f"""
+import sys
+import time
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for line in sys.stdin:
+    sys.stderr.write("x" * (1 << 20))
+    sys.stderr.flush()
+    print("0.5 -0.5", flush=True)
+"""
+    with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS, timeout=5.0) as policy:
+        for _ in range(3):
+            assert policy.act(make_state(np.zeros(N_INPUTS))).values.tolist() == [0.5, -0.5]

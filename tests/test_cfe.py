@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lidar_cfe import (
     scripted_policy,
     shape_overlaps_disk,
 )
-from lidar_cfe.cfe import GENES_PER_OBSTACLE
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts
 
 from oracles import hinge_oracle
 
@@ -249,6 +250,18 @@ class TestGenerateCfes:
             assert math.isfinite(r.fitness)
             for shape in r.obstacles:
                 assert not shape_overlaps_disk(shape, ORIGIN, query.d_min)
+
+    def test_search_facts_match_the_run(self):
+        query = reverse_query(n_cfes=3, lambda_p=0.05)
+        model = scripted_policy("goal_seeker")
+        config = GaConfig(generations=6, population=20, saturate_k=3)
+        results = generate_cfes(query, model, config)
+        assert sorted(r.search.seed for r in results) == [7, 8, 9]
+        objective = fitness_for_query(query, model)
+        for r in results:
+            run = run_ga(replace(config, rng_seed=r.search.seed), GENES_PER_OBSTACLE * query.n_obstacles, objective)
+            assert np.array_equal(run.best_genome, r.genome)
+            assert r.search == SearchFacts(r.search.seed, run.termination, run.generations_run, run.generations_run * 20)
 
     def test_deterministic_across_calls(self):
         query = reverse_query(n_cfes=3)

@@ -104,6 +104,12 @@ class TestExplainCommand:
         results = json.loads((out / "results.json").read_text())
         assert len(results["results"]) == 3
         assert results["warning"] is None
+        searches = [entry["search"] for entry in results["results"]]
+        assert sorted(search["seed"] for search in searches) == [5, 6, 7]
+        for search in searches:
+            assert set(search) == {"seed", "termination", "generations", "evaluations"}
+            assert search["termination"] in ("generations", "saturate", "reach_zero")
+            assert search["evaluations"] == search["generations"] * 30  # ga.population in FAST_GA
         assert (out / "manifest.json").exists()
         for i in range(3):
             assert (out / f"cfe_{i:03d}.svg").exists()

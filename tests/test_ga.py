@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lidar_cfe import (
-    GaConfig,
-    mutate,
-    run_ga,
-    single_point_crossover,
-    tournament_select,
-)
+from lidar_cfe import GaConfig, run_ga
+from lidar_cfe.ga import _next_generation, crossover_rows, mutate_rows, tournament_rows
 
 from oracles import rowwise
 
@@ -20,127 +15,222 @@ def l1_objective(pop):
     return -np.abs(np.asarray(pop) - 0.5).sum(axis=1)
 
 
+def chi_square(counts) -> float:
+    """Pearson's statistic for counts expected to be equal."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# Upper 0.1 % points of the chi-square distribution, by degrees of freedom.
+CHI2_999 = {6: 22.458, 9: 27.877}
+
+
 class FixedCut:
     """Stand-in rng whose integers() always returns a chosen cut point."""
 
     def __init__(self, cut):
         self.cut = cut
 
-    def integers(self, lo, hi):
+    def integers(self, lo, hi, size):
         assert lo <= self.cut < hi
-        return self.cut
+        return np.full(size, self.cut)
 
 
 class TestCrossover:
     def test_forced_cut_point(self):
-        a = np.zeros(6)
-        b = np.ones(6)
-        c1, c2 = single_point_crossover(a, b, FixedCut(3))
-        assert c1.tolist() == [0, 0, 0, 1, 1, 1]
-        assert c2.tolist() == [1, 1, 1, 0, 0, 0]
+        a = np.zeros((4, 6))
+        b = np.ones((4, 6))
+        c1, c2 = crossover_rows(a, b, FixedCut(3))
+        assert c1.tolist() == [[0, 0, 0, 1, 1, 1]] * 4
+        assert c2.tolist() == [[1, 1, 1, 0, 0, 0]] * 4
 
     def test_equal_parents_give_equal_children(self):
         rng = np.random.default_rng(0)
-        a = rng.random(8)
+        a = rng.random((5, 8))
         for cut in range(1, 8):
-            c1, c2 = single_point_crossover(a, a, FixedCut(cut))
+            c1, c2 = crossover_rows(a, a, FixedCut(cut))
             assert np.array_equal(c1, a) and np.array_equal(c2, a)
 
     def test_length_one_copies_parents(self):
         rng = np.random.default_rng(1)
-        a, b = np.array([0.2]), np.array([0.9])
-        c1, c2 = single_point_crossover(a, b, rng)
-        assert c1[0] == 0.2 and c2[0] == 0.9
+        a, b = np.array([[0.2], [0.3]]), np.array([[0.9], [0.8]])
+        c1, c2 = crossover_rows(a, b, rng)
+        assert c1.tolist() == [[0.2], [0.3]] and c2.tolist() == [[0.9], [0.8]]
 
     def test_positionwise_multiset_preserved(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            a, b = rng.random(12), rng.random(12)
-            c1, c2 = single_point_crossover(a, b, rng)
+        a, b = rng.random((50, 12)), rng.random((50, 12))
+        c1, c2 = crossover_rows(a, b, rng)
+        for row in range(50):
             for i in range(12):
-                assert {c1[i], c2[i]} == {a[i], b[i]}
+                assert {c1[row, i], c2[row, i]} == {a[row, i], b[row, i]}
+
+    def test_cut_points_uniform(self):
+        # A cut at c gives child 1 the first c genes of the all-zero parent
+        # and the rest of the all-one parent; child 2 is the complement.
+        rng = np.random.default_rng(15)
+        length, pairs = 8, 70_000
+        c1, c2 = crossover_rows(np.zeros((pairs, length)), np.ones((pairs, length)), rng)
+        cuts = (c1 == 0).sum(axis=1)
+        assert np.array_equal(c1, (np.arange(length) >= cuts[:, None]).astype(float))
+        assert np.array_equal(c2, 1.0 - c1)
+        counts = np.bincount(cuts, minlength=length)
+        assert counts[0] == 0 and counts[length:].sum() == 0
+        assert chi_square(counts[1:length]) < CHI2_999[length - 2]
 
     def test_mismatched_parents_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            single_point_crossover(np.zeros(3), np.zeros(4), rng)
+            crossover_rows(np.zeros((1, 3)), np.zeros((1, 4)), rng)
+        with pytest.raises(ValueError):
+            crossover_rows(np.zeros((2, 3)), np.zeros((1, 3)), rng)
+        with pytest.raises(ValueError):
+            crossover_rows(np.zeros(3), np.zeros(3), rng)
 
 
 class TestMutate:
     def test_fraction_zero_is_identity(self):
         rng = np.random.default_rng(4)
-        g = rng.random(10)
-        assert np.array_equal(mutate(g, 0.0, rng), g)
+        g = rng.random((3, 10))
+        assert np.array_equal(mutate_rows(g, 0.0, rng), g)
 
     def test_fraction_one_resamples_everything(self):
         rng = np.random.default_rng(5)
-        g = np.full(20, 0.5)
-        out = mutate(g, 1.0, rng)
+        g = np.full((4, 20), 0.5)
+        out = mutate_rows(g, 1.0, rng)
         assert np.all((out >= 0) & (out <= 1))
-        assert np.count_nonzero(out != 0.5) == 20  # collision has probability 0
+        assert np.all(np.count_nonzero(out != 0.5, axis=1) == 20)  # collision has probability 0
 
     def test_exact_count_of_changed_positions(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            g = np.full(30, 0.5)
-            out = mutate(g, 0.2, rng)
-            assert np.count_nonzero(out != g) == 6
+        g = np.full((200, 30), 0.5)
+        out = mutate_rows(g, 0.2, rng)
+        assert np.all(np.count_nonzero(out != g, axis=1) == 6)
 
     def test_untouched_genes_identical(self):
         rng = np.random.default_rng(7)
-        g = rng.random(30)
-        out = mutate(g, 0.2, rng)
-        changed = np.flatnonzero(out != g)
-        assert changed.size <= 6
-        untouched = np.setdiff1d(np.arange(30), changed)
-        assert np.array_equal(out[untouched], g[untouched])
+        g = rng.random((20, 30))
+        out = mutate_rows(g, 0.2, rng)
+        for row in range(20):
+            changed = np.flatnonzero(out[row] != g[row])
+            assert changed.size <= 6
+            untouched = np.setdiff1d(np.arange(30), changed)
+            assert np.array_equal(out[row, untouched], g[row, untouched])
+
+    def test_input_not_modified(self):
+        rng = np.random.default_rng(16)
+        g = np.full((5, 10), 0.5)
+        mutate_rows(g, 0.5, rng)
+        assert np.all(g == 0.5)
+
+    def test_mutated_positions_uniform(self):
+        rng = np.random.default_rng(17)
+        length = 10
+        out = mutate_rows(np.full((20_000, length), 2.0), 0.2, rng)  # 2.0 marks an untouched gene
+        counts = (out != 2.0).sum(axis=0)
+        assert counts.sum() == 20_000 * 2
+        assert chi_square(counts) < CHI2_999[length - 1]
 
     def test_fraction_out_of_range_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            mutate(np.zeros(4), 1.5, rng)
+            mutate_rows(np.zeros((1, 4)), 1.5, rng)
 
 
 class TestTournament:
     def test_full_tournament_returns_global_argmax(self):
         rng = np.random.default_rng(9)
         fits = rng.normal(size=25)
-        pop = np.zeros((25, 3))
-        for _ in range(10):
-            assert tournament_select(pop, fits, 25, rng) == int(np.argmax(fits))
+        assert np.all(tournament_rows(fits, 10, 25, rng) == int(np.argmax(fits)))
 
     def test_single_contender_is_uniform_draw(self):
         rng = np.random.default_rng(10)
         fits = np.arange(10.0)
-        pop = np.zeros((10, 2))
-        seen = {tournament_select(pop, fits, 1, rng) for _ in range(500)}
-        assert seen == set(range(10))
+        assert set(tournament_rows(fits, 500, 1, rng).tolist()) == set(range(10))
 
     def test_ties_go_to_lowest_index(self):
         rng = np.random.default_rng(11)
-        fits = np.zeros(6)
-        pop = np.zeros((6, 2))
-        for _ in range(50):
-            winner = tournament_select(pop, fits, 6, rng)
-            assert winner == 0
+        assert np.all(tournament_rows(np.zeros(6), 50, 6, rng) == 0)
+        # Among tied contenders the lowest index wins, so with every fitness
+        # equal the winner is the smallest of k distinct uniform draws:
+        # P(winner = 0) = k / n.
+        n, k, draws = 20, 3, 100_000
+        freq = np.mean(tournament_rows(np.zeros(n), draws, k, rng) == 0)
+        assert abs(freq - k / n) / (k / n) < 0.02
 
     def test_best_selection_frequency_matches_closed_form(self):
         # P(best is drawn into a k-of-n tournament) = k / n.
         rng = np.random.default_rng(12)
         n, k, draws = 20, 3, 100_000
         fits = np.arange(float(n))
-        pop = np.zeros((n, 1))
         best = n - 1
-        hits = sum(tournament_select(pop, fits, k, rng) == best for _ in range(draws))
-        freq = hits / draws
+        freq = np.mean(tournament_rows(fits, draws, k, rng) == best)
         assert abs(freq - k / n) / (k / n) < 0.02
 
     def test_size_validation(self):
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError):
-            tournament_select(np.zeros((4, 1)), np.zeros(4), 0, rng)
+            tournament_rows(np.zeros(4), 1, 0, rng)
         with pytest.raises(ValueError):
-            tournament_select(np.zeros((4, 1)), np.zeros(4), 5, rng)
+            tournament_rows(np.zeros(4), 1, 5, rng)
+
+
+def breed(population: int, keep_parents: int, genome_length: int, keep_selected_parents: bool = False, seed: int = 0):
+    """One generation from a population whose row i holds the constant i.
+
+    The mutation fraction rounds to zero resampled genes, so every child gene
+    names the individual it was copied from. Returns the population, its
+    fitness order and the next generation.
+    """
+    rng = np.random.default_rng(seed)
+    pop = np.repeat(np.arange(float(population))[:, None], genome_length, axis=1)
+    fits = rng.normal(size=population)
+    order = np.argsort(-fits, kind="stable")
+    config = GaConfig(
+        population=population,
+        parents_mating=4,
+        keep_parents=keep_parents,
+        mutation_fraction=0.01,
+        keep_selected_parents=keep_selected_parents,
+    )
+    return pop, order, _next_generation(pop, fits, order, config, rng)
+
+
+class TestNextGeneration:
+    @pytest.mark.parametrize("population", [30, 31])  # an even and an odd child count
+    def test_pairs_wrap_and_children_interleave(self, population):
+        pop, _, nxt = breed(population, keep_parents=2, genome_length=6)
+        children = nxt[2:]
+        n_children = population - 2
+        assert nxt.shape == (population, 6) and len(children) == n_children
+        # Pair p mates parents p % 4 and (p + 1) % 4; its children are rows 2p
+        # (head of parent p) and 2p + 1 (head of parent p + 1).
+        n_pairs = (n_children + 1) // 2
+        parents = children[0::2, 0]
+        assert np.array_equal(parents[4:], parents[: n_pairs - 4])
+        for p in range(n_pairs):
+            a, b = parents[p % 4], parents[(p + 1) % 4]
+            assert children[2 * p, 0] == a and children[2 * p, -1] == b
+            if 2 * p + 1 < n_children:
+                assert children[2 * p + 1, 0] == b and children[2 * p + 1, -1] == a
+                assert np.array_equal(children[2 * p] + children[2 * p + 1], np.full(6, a + b))
+
+    def test_length_one_copies_parents(self):
+        _, _, nxt = breed(31, keep_parents=2, genome_length=1)
+        children = nxt[2:, 0]
+        parents = children[0::2]
+        for p in range(len(children) // 2):
+            assert children[2 * p + 1] == parents[(p + 1) % 4]
+
+    @pytest.mark.parametrize("keep_selected_parents", [False, True])
+    def test_elites_copied_unchanged(self, keep_selected_parents):
+        pop, order, nxt = breed(30, keep_parents=3, genome_length=6, keep_selected_parents=keep_selected_parents)
+        if keep_selected_parents:
+            expected = nxt[3:][0::2][:3, 0]  # the first three selected parents
+        else:
+            expected = order[:3].astype(float)  # the three fittest
+        assert np.array_equal(nxt[:3], pop[expected.astype(int)])
 
 
 class TestRunGa:
@@ -148,6 +238,20 @@ class TestRunGa:
         run = run_ga(GaConfig(rng_seed=0), 6, rowwise(lambda g: 0.0))
         assert run.termination == "reach_zero"
         assert run.generations_run == 1
+
+    def test_search_stopping_in_generation_one_returns_the_seeded_draw(self):
+        # The first generation is rng.random((population, L)) from the run's
+        # seed, before any operator draws; a search that stops there depends
+        # on nothing else.
+        def half_satisfied(pop):
+            return np.where(pop[:, 0] > 0.5, 0.0, -1.0)
+
+        run = run_ga(GaConfig(rng_seed=3), 6, half_satisfied)
+        pop = np.random.default_rng(3).random((100, 6))
+        assert run.termination == "reach_zero" and run.trace == (0.0,) and run.best_fitness == 0.0
+        assert np.array_equal(run.population, pop)
+        assert np.array_equal(run.fitnesses, half_satisfied(pop))
+        assert np.array_equal(run.best_genome, pop[np.argmax(pop[:, 0] > 0.5)])
 
     def test_constant_negative_saturates_after_k_plus_one(self):
         run = run_ga(GaConfig(rng_seed=0, saturate_k=10, reach_zero=True), 6, rowwise(lambda g: -1.0))
