@@ -37,9 +37,6 @@ from .geometry import (
     RECTANGLE,
     ObstacleShape,
     Point2,
-    Ray,
-    ray_circle_intersect,
-    ray_rect_intersect,
     raycast_scan,
     shape_contains,
     shape_overlaps_disk,
@@ -106,7 +103,6 @@ __all__ = [
     "Point2",
     "PolicyModel",
     "RECTANGLE",
-    "Ray",
     "Scan",
     "Scenario",
     "ScriptedParams",
@@ -123,8 +119,6 @@ __all__ = [
     "load_weight_file",
     "net_forward",
     "proximity_loss",
-    "ray_circle_intersect",
-    "ray_rect_intersect",
     "raycast_scan",
     "run_ga",
     "save_weight_file",

@@ -11,17 +11,37 @@ import time
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
-from .model import ActionVector, PolicyModel
+from .model import ActionVector, PolicyModel, check_action_rows
 from .scan import ModelState
 
 
+def _state_lines(states: np.ndarray) -> bytes:
+    """One LF-terminated line of ``repr`` decimals per state row.
+
+    Rows share most values (the base scan, the goal), so each distinct
+    value, told apart by its bits so that -0.0 stays distinct from 0.0, is
+    formatted once.
+    """
+    bits = np.ascontiguousarray(states, dtype=float).view(np.int64)
+    distinct, where = np.unique(bits, return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    rows = texts[where.reshape(states.shape)].tolist()
+    return "".join([" ".join(row) + "\n" for row in rows]).encode("ascii")
+
+
 class ExternalPolicy(PolicyModel):
-    """Policy spoken to over stdin/stdout, one text line per call.
+    """Policy spoken to over stdin/stdout, one text line per state.
 
     Protocol: the process prints ``HELLO <inputs> <outputs>`` on startup,
     then answers each state line (space-separated decimals, LF-terminated)
     with one action line of ``outputs`` decimals in [-1, 1]. The process is
     reused across calls.
+
+    ``act_batch`` sends a whole batch: it writes state lines while it reads
+    replies, so the process may get later state lines before its earlier
+    replies are read. It must answer in order, one line per request; the
+    wire format is the same as for a single ``act``. A timeout or protocol
+    error closes the process, and later calls raise.
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
@@ -36,7 +56,8 @@ class ExternalPolicy(PolicyModel):
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise BridgeError(f"could not start policy process {argv!r}: {exc}") from exc
-        hello = self._read_line("handshake")
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        (hello,) = self._exchange(b"", 1, "handshake")
         parts = hello.split()
         if len(parts) != 3 or parts[0] != "HELLO":
             self.close()
@@ -53,48 +74,86 @@ class ExternalPolicy(PolicyModel):
             )
 
     def act(self, state: ModelState) -> ActionVector:
+        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
         if self._proc is None:
             raise BridgeError("policy process is closed")
-        if len(state) != self.input_size:
-            raise BridgeError(f"state length {len(state)}, bridge expects {self.input_size}")
-        line = " ".join(repr(float(v)) for v in state.values) + "\n"
+        if states.shape[1] != self.input_size:
+            raise BridgeError(f"state length {states.shape[1]}, bridge expects {self.input_size}")
+        if len(states) == 0:
+            return np.empty((0, self.output_size))
+        lines = self._exchange(_state_lines(states), len(states), "action")
         try:
-            self._proc.stdin.write(line.encode("ascii"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise BridgeError(f"policy process died (exit code {self._proc.poll()})") from exc
-        reply = self._read_line("action")
-        fields = reply.split()
-        if len(fields) != self.output_size:
-            raise BridgeError(f"malformed action line {reply!r}: expected {self.output_size} values")
-        try:
-            values = np.array([float(f) for f in fields])
+            actions = np.array([[float(f) for f in line.split()] for line in lines], dtype=float)
+            if actions.shape == (len(lines), self.output_size):
+                check_action_rows(actions)
+                return actions
         except ValueError:
-            raise BridgeError(f"malformed action line {reply!r}: not all fields are numbers") from None
+            pass
+        # Some line is bad: parse them in order to name the first one.
         try:
-            return ActionVector(values)
-        except ValueError as exc:
-            raise BridgeError(f"bad action line {reply!r}: {exc}") from None
+            return np.array([self._parse_action(line) for line in lines])
+        except BridgeError:
+            self.close()
+            raise
 
-    def _read_line(self, what: str) -> str:
+    def _parse_action(self, line: str) -> np.ndarray:
+        fields = line.split()
+        if len(fields) != self.output_size:
+            raise BridgeError(f"malformed action line {line!r}: expected {self.output_size} values")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise BridgeError(f"malformed action line {line!r}: not all fields are numbers") from None
+        try:
+            return ActionVector(values).values
+        except ValueError as exc:
+            raise BridgeError(f"bad action line {line!r}: {exc}") from None
+
+    def _exchange(self, payload: bytes, count: int, what: str) -> list[str]:
+        """Write ``payload`` while reading ``count`` reply lines; close the process on failure.
+
+        One ``select`` loop does both, so replies that fill the pipe never
+        block the writes. Each reply line must arrive within ``timeout``
+        seconds of the previous one.
+        """
+        proc = self._proc
+        out_fd, in_fd = proc.stdin.fileno(), proc.stdout.fileno()
+        unsent = memoryview(payload)
+        chunks = [self._buffer]
+        got = self._buffer.count(b"\n")
         deadline = time.monotonic() + self.timeout
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise BridgeTimeout(f"timed out after {self.timeout:g}s waiting for {what} line")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                continue  # loop re-checks the deadline
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise BridgeError(
-                    f"policy process closed its output while waiting for {what} line "
-                    f"(exit code {self._proc.poll()})"
-                )
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode("utf-8", "replace").strip()
+        try:
+            while unsent or got < count:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    answered = f" ({got} of {count} answered)" if count > 1 else ""
+                    raise BridgeTimeout(f"timed out after {self.timeout:g}s waiting for {what} line{answered}")
+                readable, writable, _ = select.select([in_fd], [out_fd] if unsent else [], [], remaining)
+                if writable:
+                    try:
+                        unsent = unsent[os.write(out_fd, unsent) :]
+                    except BlockingIOError:
+                        pass
+                    except OSError as exc:
+                        raise BridgeError(f"policy process died (exit code {proc.poll()})") from exc
+                if readable:
+                    chunk = os.read(in_fd, 65536)
+                    if not chunk:
+                        raise BridgeError(
+                            f"policy process closed its output while waiting for {what} line "
+                            f"(exit code {proc.poll()})"
+                        )
+                    chunks.append(chunk)
+                    if b"\n" in chunk:
+                        got += chunk.count(b"\n")
+                        deadline = time.monotonic() + self.timeout
+        except BaseException:  # replies still in flight must never answer a later call
+            self.close()
+            raise
+        *lines, self._buffer = b"".join(chunks).split(b"\n", count)
+        return [line.decode("utf-8", "replace").strip() for line in lines]
 
     def close(self) -> None:
         """Terminate the child process; safe to call more than once."""

@@ -310,8 +310,9 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
 def verify_results_file(path, model: PolicyModel) -> int:
     """Re-run the model on every stored combined state; raise on any mismatch.
 
-    Returns the number of entries checked. Used by tests and available for
-    scripting confidence checks.
+    All states go to the model in one ``act_batch`` call. Returns the number
+    of entries checked. Used by tests and available for scripting confidence
+    checks.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
@@ -319,17 +320,21 @@ def verify_results_file(path, model: PolicyModel) -> int:
     d_g_max = float(data["d_g_max"])
     lower = np.array([pair[0] for pair in data["bounds"]])
     upper = np.array([pair[1] for pair in data["bounds"]])
-    for entry in data["results"]:
-        combined = Scan(np.array(entry["combined_readings"], dtype=float), max_range)
-        state = assemble_state(combined, goal, d_g_max)
-        action = model.act(state)
+    entries = data["results"]
+    if not entries:
+        return 0
+    states = np.array(
+        [assemble_state(Scan(np.array(e["combined_readings"], dtype=float), max_range), goal, d_g_max).values for e in entries]
+    )
+    actions = np.asarray(model.act_batch(states), dtype=float)
+    for entry, action in zip(entries, actions, strict=True):
         stored = np.array(entry["achieved_action"], dtype=float)
-        if not np.array_equal(action.values, stored):
-            raise LidarCfeError(f"{path}: entry {entry['index']} action mismatch: {action.values} != {stored}")
+        if not np.array_equal(action, stored):
+            raise LidarCfeError(f"{path}: entry {entry['index']} action mismatch: {action} != {stored}")
         inside = bool(np.all((stored >= lower) & (stored <= upper)))
         if inside != entry["satisfied"]:
             raise LidarCfeError(f"{path}: entry {entry['index']} satisfied flag disagrees with bounds")
-    return len(data["results"])
+    return len(entries)
 
 
 # ---------------------------------------------------------------------------

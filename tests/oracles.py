@@ -8,11 +8,14 @@ without calling the code paths under test.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from lidar_cfe import (
+    CIRCLE,
     ORIGIN,
+    RECTANGLE,
     ActionVector,
     Activation,
     Conv1d,
@@ -28,6 +31,92 @@ from lidar_cfe import (
     proximity_loss,
     shape_overlaps_disk,
 )
+
+
+# ---------------------------------------------------------------------------
+# One ray against one shape, in plain scalar math. The vectorized scan kernels
+# must agree with it.
+
+
+@dataclass(frozen=True)
+class Ray:
+    """A half line from ``origin`` along ``heading`` (radians, wrapped to [0, 2pi))."""
+
+    origin: Point2
+    heading: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.heading):
+            raise ValueError(f"heading must be finite, got {self.heading}")
+        h = float(self.heading) % (2.0 * math.pi)
+        if h >= 2.0 * math.pi:
+            h = 0.0
+        object.__setattr__(self, "heading", h)
+
+
+def ray_circle_intersect(ray: Ray, circle: ObstacleShape) -> float | None:
+    """Distance along the ray to the circle boundary, or None if missed.
+
+    Returns the entry distance, the exit distance when the ray starts
+    inside, and the tangent distance for a grazing ray.
+    """
+    if circle.kind != CIRCLE:
+        raise ValueError(f"expected a circle, got {circle.kind}")
+    dx = math.cos(ray.heading)
+    dy = math.sin(ray.heading)
+    fx = ray.origin.x - circle.center.x
+    fy = ray.origin.y - circle.center.y
+    # Unit direction, so t^2 + 2 b t + c = 0 with b = f.d and c = |f|^2 - r^2.
+    b = fx * dx + fy * dy
+    c = fx * fx + fy * fy - circle.radius * circle.radius
+    disc = b * b - c
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    t_exit = -b + root
+    if t_exit < 0.0:
+        return None
+    t_enter = -b - root
+    return t_enter if t_enter >= 0.0 else t_exit
+
+
+def ray_rect_intersect(ray: Ray, rect: ObstacleShape) -> float | None:
+    """Distance along the ray to the oriented rectangle, or None if missed.
+
+    Slab test in the rectangle's local frame; same inside/exit conventions
+    as :func:`ray_circle_intersect`.
+    """
+    if rect.kind != RECTANGLE:
+        raise ValueError(f"expected a rectangle, got {rect.kind}")
+    cos_o = math.cos(rect.orientation)
+    sin_o = math.sin(rect.orientation)
+    px = ray.origin.x - rect.center.x
+    py = ray.origin.y - rect.center.y
+    ox = px * cos_o + py * sin_o
+    oy = -px * sin_o + py * cos_o
+    wx = math.cos(ray.heading)
+    wy = math.sin(ray.heading)
+    dx = wx * cos_o + wy * sin_o
+    dy = -wx * sin_o + wy * cos_o
+    hx, hy = rect.half_extents
+    t_enter = -math.inf
+    t_exit = math.inf
+    for o, d, h in ((ox, dx, hx), (oy, dy, hy)):
+        if d == 0.0:
+            if abs(o) > h:
+                return None
+            continue  # ray runs inside this slab; no constraint
+        ta = (-h - o) / d
+        tb = (h - o) / d
+        if ta > tb:
+            ta, tb = tb, ta
+        t_enter = max(t_enter, ta)
+        t_exit = min(t_exit, tb)
+        if t_enter > t_exit:
+            return None
+    if t_exit < 0.0:
+        return None
+    return t_enter if t_enter >= 0.0 else t_exit
 
 
 def rowwise(objective):

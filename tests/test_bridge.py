@@ -204,3 +204,103 @@ for line in sys.stdin:
     with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS, timeout=5.0) as policy:
         for _ in range(3):
             assert policy.act(make_state(np.zeros(N_INPUTS))).values.tolist() == [0.5, -0.5]
+
+
+# A child that answers each state line with (-first value, last value), both
+# as repr text, so every reply bit depends on the exact floats that crossed
+# the pipe. ``sleep_first`` delays the first reply; ``pad`` appends that many
+# spaces to each reply line; after ``stall_after`` replies it stops answering;
+# the reply to line ``bad_at`` is ``bad`` and every later one is ``after_bad``.
+ECHO_CHILD = f"""
+import sys, time
+sleep_first, pad, stall_after, bad_at, bad, after_bad = {{config}}
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for i, line in enumerate(sys.stdin):
+    if i == 0:
+        time.sleep(sleep_first)
+    if i == stall_after:
+        time.sleep(30)
+    values = [float(v) for v in line.split()]
+    reply = repr(-values[0]) + " " + repr(values[-1])
+    if bad_at is not None and i >= bad_at:
+        reply = bad if i == bad_at else after_bad
+    print(reply + " " * pad, flush=True)
+"""
+
+
+def echo_child(bridge_script, sleep_first=0.0, pad=0, stall_after=None, bad_at=None, bad="", after_bad=""):
+    config = (sleep_first, pad, stall_after, bad_at, bad, after_bad)
+    return bridge_script(ECHO_CHILD.replace("{config}", repr(config)))
+
+
+def echo_states(rows, seed=5):
+    states = np.random.default_rng(seed).random((rows, N_INPUTS))
+    states[0, 0] = -0.0  # the sign of zero must cross the pipe too
+    if rows > 1:
+        states[1, 0] = 0.0
+    return states
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+def test_act_batch_rows_equal_act_bit_for_bit(bridge_script, rows):
+    states = echo_states(rows)
+    with external_policy(echo_child(bridge_script), N_INPUTS, N_OUTPUTS) as policy:
+        batch = policy.act_batch(states)
+        singles = np.array([policy.act(ModelState(row)).values for row in states])
+    expected = np.stack([-states[:, 0], states[:, -1]], axis=1)
+    assert batch.shape == (rows, N_OUTPUTS)
+    assert batch.tobytes() == singles.tobytes() == expected.tobytes()
+
+
+def test_batch_larger_than_both_pipe_buffers_does_not_deadlock(bridge_script):
+    # 2000 requests (about 700 KB) against 2000 replies padded to about 4 KB
+    # (about 8 MB): both directions overflow a 64 KB pipe buffer, so writing
+    # every request before reading any reply would block both processes.
+    states = echo_states(2000)
+    with external_policy(echo_child(bridge_script, pad=4000), N_INPUTS, N_OUTPUTS, timeout=5.0) as policy:
+        start = time.monotonic()
+        batch = policy.act_batch(states)
+        assert time.monotonic() - start < 5.0
+    assert batch.tobytes() == np.stack([-states[:, 0], states[:, -1]], axis=1).tobytes()
+
+
+def test_batch_stalled_after_k_replies_times_out_within_deadline(bridge_script):
+    with external_policy(echo_child(bridge_script, stall_after=3), N_INPUTS, N_OUTPUTS, timeout=0.4) as policy:
+        start = time.monotonic()
+        with pytest.raises(BridgeTimeout, match=r"\(3 of 10 answered\)"):
+            policy.act_batch(echo_states(10))
+        assert time.monotonic() - start < 3.0
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act_batch(echo_states(10))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["not numbers", "0.1 0.2 0.3", "0.5", "1.5 0.0", "nan 0.0", "-inf 0.0", ""],
+)
+def test_bad_reply_in_a_batch_raises_what_act_raises(bridge_script, bad):
+    # Row 4 is bad, and so is every later row in a different way: the error
+    # must name row 4's line, with the message act gives for that line alone.
+    with external_policy(echo_child(bridge_script, bad_at=0, bad=bad), N_INPUTS, N_OUTPUTS) as policy:
+        with pytest.raises(BridgeError) as single:
+            policy.act(ModelState(echo_states(1)[0]))
+    with external_policy(
+        echo_child(bridge_script, bad_at=4, bad=bad, after_bad="7.0 7.0 7.0"), N_INPUTS, N_OUTPUTS
+    ) as policy:
+        with pytest.raises(BridgeError) as batched:
+            policy.act_batch(echo_states(9))
+        assert str(batched.value) == str(single.value)
+        assert type(batched.value) is type(single.value)
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act_batch(echo_states(9))
+
+
+def test_late_reply_never_answers_a_later_call(bridge_script):
+    # The first reply arrives after the deadline. It must not be taken as the
+    # answer to the next state: the timed-out process is closed instead.
+    with external_policy(echo_child(bridge_script, sleep_first=0.6), N_INPUTS, N_OUTPUTS, timeout=0.4) as policy:
+        with pytest.raises(BridgeTimeout):
+            policy.act(make_state(np.full(N_INPUTS, 0.25)))
+        time.sleep(0.4)  # the late reply to 0.25 is now in the pipe
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act(make_state(np.full(N_INPUTS, 0.75)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lidar_cfe import scripted_policy
+from lidar_cfe import LidarCfeError, PolicyModel, scripted_policy
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -126,6 +126,39 @@ class TestExplainCommand:
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), *FAST_GA]) == EXIT_OK
         checked = verify_results_file(out / "results.json", scripted_policy("goal_seeker"))
         assert checked == 3
+
+    def test_verify_scores_every_entry_in_one_batch_and_names_bad_entries(self, tmp_path):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        out = tmp_path / "out"
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), *FAST_GA]) == EXIT_OK
+        policy = scripted_policy("goal_seeker")
+        batches = []
+
+        class Counting(PolicyModel):
+            input_size, output_size = policy.input_size, policy.output_size
+
+            def act(self, state):
+                raise AssertionError("verify must score entries through act_batch")
+
+            def act_batch(self, states):
+                batches.append(len(states))
+                return policy.act_batch(states)
+
+        path = out / "results.json"
+        assert verify_results_file(path, Counting()) == 3
+        assert batches == [3]
+        text = path.read_text()
+        data = json.loads(text)
+        data["results"][1]["achieved_action"][0] += 0.001
+        path.write_text(json.dumps(data))
+        with pytest.raises(LidarCfeError, match="entry 1 action mismatch"):
+            verify_results_file(path, policy)
+        data = json.loads(text)
+        data["results"][2]["satisfied"] = not data["results"][2]["satisfied"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(LidarCfeError, match="entry 2 satisfied flag disagrees with bounds"):
+            verify_results_file(path, policy)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         write_empty_room(tmp_path)

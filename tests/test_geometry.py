@@ -7,15 +7,12 @@ from lidar_cfe import (
     ORIGIN,
     ObstacleShape,
     Point2,
-    Ray,
-    ray_circle_intersect,
-    ray_rect_intersect,
     raycast_scan,
     shape_contains,
     shape_overlaps_disk,
 )
 
-from oracles import march_ray, march_scan, random_scene
+from oracles import Ray, march_ray, march_scan, random_scene, ray_circle_intersect, ray_rect_intersect
 
 
 def rotate_shape(shape, phi):
