@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
 from .model import ActionVector, PolicyModel, check_action_rows
-from .scan import ModelState
 
 
 def _state_lines(states: np.ndarray) -> bytes:
@@ -40,8 +39,9 @@ class ExternalPolicy(PolicyModel):
     ``act_batch`` sends a whole batch: it writes state lines while it reads
     replies, so the process may get later state lines before its earlier
     replies are read. It must answer in order, one line per request; the
-    wire format is the same as for a single ``act``. A timeout or protocol
-    error closes the process, and later calls raise.
+    wire format is the same as for a single ``act``. A timeout, a protocol
+    error or output that arrives before a batch is sent closes the process,
+    and later calls raise.
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
@@ -73,9 +73,6 @@ class ExternalPolicy(PolicyModel):
                 f"handshake mismatch: process speaks {n_in}->{n_out}, configured {self.input_size}->{self.output_size}"
             )
 
-    def act(self, state: ModelState) -> ActionVector:
-        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
-
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         if self._proc is None:
             raise BridgeError("policy process is closed")
@@ -83,6 +80,7 @@ class ExternalPolicy(PolicyModel):
             raise BridgeError(f"state length {states.shape[1]}, bridge expects {self.input_size}")
         if len(states) == 0:
             return np.empty((0, self.output_size))
+        self._reject_unsolicited()
         lines = self._exchange(_state_lines(states), len(states), "action")
         try:
             actions = np.array([[float(f) for f in line.split()] for line in lines], dtype=float)
@@ -110,6 +108,20 @@ class ExternalPolicy(PolicyModel):
             return ActionVector(values).values
         except ValueError as exc:
             raise BridgeError(f"bad action line {line!r}: {exc}") from None
+
+    def _reject_unsolicited(self) -> None:
+        """Close the process and raise if it has output that no request asked for.
+
+        Replies carry no request ids, so only output present before a
+        batch's first write can be told apart from an answer.
+        """
+        extra = self._buffer
+        out_fd = self._proc.stdout.fileno()
+        if select.select([out_fd], [], [], 0)[0]:
+            extra += os.read(out_fd, 65536)
+        if extra:
+            self.close()
+            raise BridgeError(f"unsolicited output from policy process: {extra.decode('utf-8', 'replace')!r}")
 
     def _exchange(self, payload: bytes, count: int, what: str) -> list[str]:
         """Write ``payload`` while reading ``count`` reply lines; close the process on failure.

@@ -13,7 +13,7 @@ from .errors import ModelError
 from .ga import GaConfig, require_int, run_ga
 from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows, scalar_math
 from .model import ActionVector, PolicyModel, check_action_rows
-from .scan import GoalFeatures, Scan, goal_state
+from .scan import GoalFeatures, Scan, goal_state, state_rows
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,8 @@ class ActionBounds:
         return int(self.lower.size)
 
     def contains(self, action: ActionVector) -> bool:
-        """Inclusive membership test."""
-        a = action.values
-        return bool(np.all((a >= self.lower) & (a <= self.upper)))
+        """Inclusive membership test: the hinge is zero."""
+        return bool(_hinge_rows(action.values[np.newaxis], self)[0] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,7 @@ def _scorer(query: CfeQuery, model: PolicyModel):
             merged = np.minimum(readings, scans)
         else:  # every actual generated return overrides the base
             merged = np.where(scans < max_range, scans, readings)
-        states = np.concatenate([merged / max_range, np.broadcast_to(goal, (len(rows), goal.size))], axis=1)
-        actions = np.asarray(model.act_batch(states), dtype=float)
+        actions = np.asarray(model.act_batch(state_rows(merged, max_range, goal)), dtype=float)
         if actions.shape != (len(rows), model.output_size):
             raise ModelError(f"act_batch returned shape {actions.shape} for {len(rows)} states")
         check_action_rows(actions)

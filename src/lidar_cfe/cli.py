@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__
 from .bridge import external_policy
-from .cfe import ActionBounds, CfeQuery, CfeResult, generate_cfes
+from .cfe import ActionBounds, CfeQuery, CfeResult, _hinge_rows, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig
 from .geometry import CIRCLE, ObstacleShape
@@ -36,7 +36,7 @@ from .model import (
     scripted_policy,
 )
 from .plot import cfe_plot_svg, scan_plot_svg, write_svg
-from .scan import GoalFeatures, ModelState, Scan, assemble_state
+from .scan import GoalFeatures, ModelState, Scan, goal_state, state_rows
 from .scenario import load_scenario, load_yaml_mapping, parse_yaml
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
@@ -316,22 +316,24 @@ def verify_results_file(path, model: PolicyModel) -> int:
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
-    max_range = float(data["max_range"])
-    d_g_max = float(data["d_g_max"])
-    lower = np.array([pair[0] for pair in data["bounds"]])
-    upper = np.array([pair[1] for pair in data["bounds"]])
+    n_rays, max_range = int(data["n_rays"]), float(data["max_range"])
+    bounds = ActionBounds.from_pairs(data["bounds"])
     entries = data["results"]
     if not entries:
         return 0
-    states = np.array(
-        [assemble_state(Scan(np.array(e["combined_readings"], dtype=float), max_range), goal, d_g_max).values for e in entries]
-    )
-    actions = np.asarray(model.act_batch(states), dtype=float)
-    for entry, action in zip(entries, actions, strict=True):
+    for entry in entries:
+        if len(entry["combined_readings"]) != n_rays:
+            raise LidarCfeError(f"{path}: entry {entry['index']} has {len(entry['combined_readings'])} readings, not {n_rays}")
+    readings = np.array([entry["combined_readings"] for entry in entries], dtype=float)
+    outside = np.flatnonzero(~np.all((readings > 0.0) & (readings <= max_range), axis=1))
+    if outside.size:
+        raise LidarCfeError(f"{path}: entry {entries[outside[0]]['index']} has a reading outside (0, {max_range:g}]")
+    actions = np.asarray(model.act_batch(state_rows(readings, max_range, goal_state(goal, float(data["d_g_max"])))), dtype=float)
+    satisfied = _hinge_rows(actions, bounds) == 0.0
+    for entry, action, inside in zip(entries, actions, satisfied, strict=True):
         stored = np.array(entry["achieved_action"], dtype=float)
         if not np.array_equal(action, stored):
             raise LidarCfeError(f"{path}: entry {entry['index']} action mismatch: {action} != {stored}")
-        inside = bool(np.all((stored >= lower) & (stored <= upper)))
         if inside != entry["satisfied"]:
             raise LidarCfeError(f"{path}: entry {entry['index']} satisfied flag disagrees with bounds")
     return len(entries)

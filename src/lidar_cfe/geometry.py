@@ -256,16 +256,3 @@ def shape_overlaps_disk(shape: ObstacleShape, center: Point2, radius: float) -> 
         raise ValueError(f"disk radius must be >= 0, got {radius}")
     return bool(overlaps_disk_rows(ShapeRows.from_shapes([shape]), center, radius)[0, 0])
 
-
-def shape_contains(shape: ObstacleShape, point: Point2) -> bool:
-    """Closed-region membership test."""
-    if shape.kind == CIRCLE:
-        return math.hypot(point.x - shape.center.x, point.y - shape.center.y) <= shape.radius
-    cos_o = math.cos(shape.orientation)
-    sin_o = math.sin(shape.orientation)
-    px = point.x - shape.center.x
-    py = point.y - shape.center.y
-    lx = px * cos_o + py * sin_o
-    ly = -px * sin_o + py * cos_o
-    hx, hy = shape.half_extents
-    return abs(lx) <= hx and abs(ly) <= hy

@@ -62,7 +62,10 @@ class PolicyModel:
     output_size: int
 
     def act(self, state: ModelState) -> ActionVector:
-        raise NotImplementedError
+        """The action for one state: a one-row ``act_batch`` call."""
+        if type(self).act_batch is PolicyModel.act_batch:
+            raise NotImplementedError(f"{type(self).__name__} defines neither act nor act_batch")
+        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Actions for a (P, input_size) array of states, as a (P, output_size) array.
@@ -285,9 +288,6 @@ class NetworkPolicy(PolicyModel):
         self.weights = _checked_weights(spec, weights)
         self.input_size = spec.lidar_inputs + spec.extra_inputs
         self.output_size = spec.output_size()
-
-    def act(self, state: ModelState) -> ActionVector:
-        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         return _forward(self.spec, self.weights, states)
@@ -532,9 +532,6 @@ class _ScriptedPolicy(PolicyModel):
         off_forward = np.minimum(headings, 2.0 * math.pi - headings)
         self._cone = np.flatnonzero(off_forward <= params.cone_half_angle + 1e-12)
         self._left = np.flatnonzero((headings > 1e-12) & (headings < math.pi - 1e-12))
-
-    def act(self, state: ModelState) -> ActionVector:
-        return ActionVector(self.act_batch(state.values[np.newaxis])[0])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         if states.shape[1] != self.input_size:

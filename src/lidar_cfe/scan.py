@@ -1,4 +1,4 @@
-"""Range-scan data, the two scan-combination operators, and model-state assembly."""
+"""Range-scan data and model-state assembly."""
 
 from __future__ import annotations
 
@@ -85,31 +85,6 @@ class ModelState:
         return int(self.values.size)
 
 
-def _check_compatible(a: Scan, b: Scan) -> None:
-    if a.n != b.n:
-        raise ValueError(f"scan length mismatch: {a.n} vs {b.n}")
-    if a.max_range != b.max_range:
-        raise ValueError(f"scan max_range mismatch: {a.max_range} vs {b.max_range}")
-
-
-def combine_min_distance(base: Scan, generated: Scan) -> Scan:
-    """Merge two scans by keeping the nearer reading on every ray."""
-    _check_compatible(base, generated)
-    return Scan(np.minimum(base.readings, generated.readings), base.max_range)
-
-
-def combine_gen_priority(base: Scan, generated: Scan) -> Scan:
-    """Merge two scans, letting every actual generated return override the base.
-
-    A generated reading counts as a return when it is strictly below
-    max_range; no-return rays fall back to the base reading, even when the
-    base reading is nearer.
-    """
-    _check_compatible(base, generated)
-    merged = np.where(generated.readings < generated.max_range, generated.readings, base.readings)
-    return Scan(merged, base.max_range)
-
-
 def goal_state(goal: GoalFeatures, d_g_max: float) -> np.ndarray:
     """The last three model-state values: goal cos and sin mapped through (v + 1) / 2, and distance / d_g_max.
 
@@ -128,20 +103,15 @@ def goal_state(goal: GoalFeatures, d_g_max: float) -> np.ndarray:
     return np.clip([(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, d_part], 0.0, 1.0)
 
 
+def state_rows(readings: np.ndarray, max_range: float, goal_part: np.ndarray) -> np.ndarray:
+    """Model states for a (P, n) array of scans sharing one goal: readings
+    divided by max_range, then the :func:`goal_state` values, one row each.
+
+    The caller checks its readings; this is the scoring hot path.
+    """
+    return np.concatenate([readings / max_range, np.broadcast_to(goal_part, (len(readings), goal_part.size))], axis=1)
+
+
 def assemble_state(scan: Scan, goal: GoalFeatures, d_g_max: float) -> ModelState:
-    """Build the normalized model input from a scan and goal features.
-
-    Readings divide by max_range; the goal part is :func:`goal_state`.
-    """
-    return ModelState(np.concatenate([scan.readings / scan.max_range, goal_state(goal, d_g_max)]))
-
-
-def proximity_loss(combined: Scan, base: Scan) -> float:
-    """Mean absolute per-ray deviation between two scans, on unit-normalized readings.
-
-    Zero for identical scans and always non-negative; used as a penalty that
-    keeps generated scans close to the base scan.
-    """
-    _check_compatible(combined, base)
-    total = float(np.abs(combined.readings - base.readings).sum())
-    return total / (combined.n * combined.max_range)
+    """Build the normalized model input from a scan and goal features: one :func:`state_rows` row."""
+    return ModelState(state_rows(scan.readings[np.newaxis], scan.max_range, goal_state(goal, d_g_max))[0])

@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .errors import InputError
-from .geometry import CIRCLE, RECTANGLE, ObstacleShape, Point2, raycast_scan, shape_contains
+from .geometry import CIRCLE, RECTANGLE, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
 from .scan import GoalFeatures, Scan
 
 
@@ -40,7 +40,7 @@ class Scenario:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for shape in self.obstacles:
-            if shape_contains(shape, self.goal):
+            if shape_overlaps_disk(shape, self.goal, 0.0):
                 raise ValueError(f"goal ({self.goal.x}, {self.goal.y}) lies inside a {shape.kind} obstacle")
 
     def goal_features(self) -> GoalFeatures:

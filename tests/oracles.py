@@ -12,25 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lidar_cfe import (
-    CIRCLE,
-    ORIGIN,
-    RECTANGLE,
-    ActionVector,
-    Activation,
-    Conv1d,
-    Dense,
-    NetworkPolicy,
-    NetworkSpec,
-    ObstacleShape,
-    Point2,
-    Scan,
-    assemble_state,
-    combine_gen_priority,
-    combine_min_distance,
-    proximity_loss,
-    shape_overlaps_disk,
-)
+from lidar_cfe import ActionVector, Activation, Conv1d, Dense, ModelState, NetworkPolicy, NetworkSpec, Scan
+from lidar_cfe.geometry import CIRCLE, ORIGIN, RECTANGLE, ObstacleShape, Point2, shape_overlaps_disk
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +105,68 @@ def ray_rect_intersect(ray: Ray, rect: ObstacleShape) -> float | None:
 def rowwise(objective):
     """A population objective from a one-genome objective: one call per row."""
     return lambda pop: np.array([objective(genome) for genome in pop], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Scan merging, proximity and point containment, one scan or point at a time.
+# The library computes them only inside its batched paths.
+
+
+def _check_compatible(a: Scan, b: Scan) -> None:
+    if a.n != b.n:
+        raise ValueError(f"scan length mismatch: {a.n} vs {b.n}")
+    if a.max_range != b.max_range:
+        raise ValueError(f"scan max_range mismatch: {a.max_range} vs {b.max_range}")
+
+
+def combine_min_distance(base: Scan, generated: Scan) -> Scan:
+    """Merge two scans by keeping the nearer reading on every ray."""
+    _check_compatible(base, generated)
+    return Scan(np.minimum(base.readings, generated.readings), base.max_range)
+
+
+def combine_gen_priority(base: Scan, generated: Scan) -> Scan:
+    """Merge two scans, letting every actual generated return override the base.
+
+    A generated reading counts as a return when it is strictly below
+    max_range; no-return rays fall back to the base reading, even when the
+    base reading is nearer.
+    """
+    _check_compatible(base, generated)
+    merged = np.where(generated.readings < generated.max_range, generated.readings, base.readings)
+    return Scan(merged, base.max_range)
+
+
+def proximity_loss(combined: Scan, base: Scan) -> float:
+    """Mean absolute per-ray deviation between two scans, on unit-normalized readings.
+
+    Zero for identical scans and always non-negative; used as a penalty that
+    keeps generated scans close to the base scan.
+    """
+    _check_compatible(combined, base)
+    total = float(np.abs(combined.readings - base.readings).sum())
+    return total / (combined.n * combined.max_range)
+
+
+def shape_contains(shape: ObstacleShape, point: Point2) -> bool:
+    """Closed-region membership test."""
+    if shape.kind == CIRCLE:
+        return math.hypot(point.x - shape.center.x, point.y - shape.center.y) <= shape.radius
+    cos_o = math.cos(shape.orientation)
+    sin_o = math.sin(shape.orientation)
+    px = point.x - shape.center.x
+    py = point.y - shape.center.y
+    lx = px * cos_o + py * sin_o
+    ly = -px * sin_o + py * cos_o
+    hx, hy = shape.half_extents
+    return abs(lx) <= hx and abs(ly) <= hy
+
+
+def scalar_state(scan, goal, d_g_max):
+    """Model state: readings over max_range, then goal cos and sin through
+    (v + 1) / 2 and distance over d_g_max, each goal value clamped to [0, 1]."""
+    goal_part = [(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, goal.distance / d_g_max]
+    return ModelState(np.concatenate([scan.readings / scan.max_range, [min(max(v, 0.0), 1.0) for v in goal_part]]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +308,7 @@ def scalar_score(query, model, genome):
     crowds_sensor = any(scalar_overlaps_disk(s, query.d_min) for s in shapes)
     combine = combine_min_distance if query.combination == "min_distance" else combine_gen_priority
     combined = combine(base, Scan(scalar_raycast(shapes, base.n, base.max_range), base.max_range))
-    action = scalar_act(model, assemble_state(combined, query.goal, query.goal_distance_scale))
+    action = scalar_act(model, scalar_state(combined, query.goal, query.goal_distance_scale))
     hinge = hinge_oracle(action.values, query.bounds.lower, query.bounds.upper)
     proximity = proximity_loss(combined, base)
     fitness = -math.inf if crowds_sensor else -query.lambda_y * hinge - query.lambda_p * proximity

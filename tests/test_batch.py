@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lidar_cfe import (
-    ORIGIN,
     ActionBounds,
     ActionVector,
     Activation,
@@ -29,14 +28,12 @@ from lidar_cfe import (
     ModelState,
     NetworkPolicy,
     NetworkSpec,
-    ObstacleShape,
-    Point2,
     PolicyModel,
     fitness_for_query,
-    raycast_scan,
     scripted_policy,
 )
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _scorer
+from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 
 from oracles import scalar_score
 
@@ -238,3 +235,15 @@ def test_objective_rejects_a_single_genome():
     objective = fitness_for_query(make_query("goal_seeker", n_obstacles=1), scripted_policy("goal_seeker"))
     with pytest.raises(ValueError, match="population shape"):
         objective(np.full(GENES_PER_OBSTACLE, 0.9))
+
+
+def test_act_comes_from_act_batch_and_a_model_needs_one_of_them():
+    state = ModelState(np.full(183, 0.5))
+    assert FixedBatchPolicy([[0.25, -0.5]]).act(state).values.tolist() == [0.25, -0.5]
+
+    class Neither(PolicyModel):
+        input_size, output_size = 183, 2
+
+    for call in (lambda m: m.act(state), lambda m: m.act_batch(state.values[np.newaxis])):
+        with pytest.raises(NotImplementedError, match="Neither defines neither act nor act_batch"):
+            call(Neither())

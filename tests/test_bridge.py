@@ -304,3 +304,29 @@ def test_late_reply_never_answers_a_later_call(bridge_script):
         time.sleep(0.4)  # the late reply to 0.25 is now in the pipe
         with pytest.raises(BridgeError, match="policy process is closed"):
             policy.act(make_state(np.full(N_INPUTS, 0.75)))
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.2])
+def test_unsolicited_reply_is_rejected_before_the_next_batch(bridge_script, gap):
+    # Two lines per request. With no gap both arrive in one read, so the
+    # bridge holds the extra line; with a gap it is still in the pipe when
+    # 0.75 is asked. Either way it must not answer 0.75.
+    body = f"""
+import sys, time
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for line in sys.stdin:
+    first = float(line.split()[0])
+    sys.stdout.write(f"{{-first}} 0.0\\n")
+    if {gap}:
+        sys.stdout.flush()
+        time.sleep({gap})
+    sys.stdout.write(f"{{-first}} 0.5\\n")
+    sys.stdout.flush()
+"""
+    with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS) as policy:
+        assert policy.act(make_state(np.full(N_INPUTS, 0.25))).values.tolist() == [-0.25, 0.0]
+        time.sleep(2 * gap)
+        with pytest.raises(BridgeError, match=r"unsolicited output .*-0\.25 0\.5"):
+            policy.act(make_state(np.full(N_INPUTS, 0.75)))
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act(make_state(np.full(N_INPUTS, 0.75)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lidar_cfe import (
-    ORIGIN,
     ActionBounds,
     ActionVector,
     CfeQuery,
@@ -14,16 +13,13 @@ from lidar_cfe import (
     ModelError,
     PolicyModel,
     Scan,
-    decode_genome,
     fitness_for_query,
     generate_cfes,
-    hinge_loss,
-    raycast_scan,
     run_ga,
     scripted_policy,
-    shape_overlaps_disk,
 )
-from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, decode_genome, hinge_loss
+from lidar_cfe.geometry import ORIGIN, raycast_scan, shape_overlaps_disk
 
 from oracles import hinge_oracle
 
@@ -218,7 +214,9 @@ class TestGenerateCfes:
         assert fits == sorted(fits, reverse=True)
 
     def test_results_self_verify(self):
-        from lidar_cfe import assemble_state, combine_min_distance
+        from lidar_cfe.scan import assemble_state
+
+        from oracles import combine_min_distance
 
         query = reverse_query(n_cfes=4, lambda_p=0.05)
         model = scripted_policy("goal_seeker")
@@ -287,7 +285,7 @@ class TestGenerateCfes:
     def test_gen_priority_combination_used(self):
         query = reverse_query(n_cfes=2, combination="gen_priority")
         results = generate_cfes(query, scripted_policy("goal_seeker"))
-        from lidar_cfe import combine_gen_priority
+        from oracles import combine_gen_priority
 
         for r in results:
             regenerated = raycast_scan(ORIGIN, r.obstacles, query.base_scan.n, query.base_scan.max_range)

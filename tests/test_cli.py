@@ -160,6 +160,27 @@ class TestExplainCommand:
         with pytest.raises(LidarCfeError, match="entry 2 satisfied flag disagrees with bounds"):
             verify_results_file(path, policy)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row.__setitem__(5, 0.0), r"entry 1 has a reading outside \(0, 3.5\]"),
+            (lambda row: row.__setitem__(5, 99.0), r"entry 1 has a reading outside \(0, 3.5\]"),
+            (lambda row: row.pop(), "entry 1 has 179 readings, not 180"),
+        ],
+        ids=["zero", "beyond-max-range", "short-row"],
+    )
+    def test_verify_names_the_entry_with_malformed_readings(self, tmp_path, edit, message):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        out = tmp_path / "out"
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), *FAST_GA]) == EXIT_OK
+        path = out / "results.json"
+        data = json.loads(path.read_text())
+        edit(data["results"][1]["combined_readings"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(LidarCfeError, match=message):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
     def test_reruns_are_byte_identical(self, tmp_path):
         write_empty_room(tmp_path)
         query = write_reverse_query(tmp_path, "room.yaml")

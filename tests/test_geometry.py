@@ -2,17 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lidar_cfe import (
-    ORIGIN,
-    ObstacleShape,
-    Point2,
-    raycast_scan,
-    shape_contains,
-    shape_overlaps_disk,
-)
+from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
 
-from oracles import Ray, march_ray, march_scan, random_scene, ray_circle_intersect, ray_rect_intersect
+from oracles import Ray, march_ray, march_scan, random_scene, ray_circle_intersect, ray_rect_intersect, shape_contains
 
 
 def rotate_shape(shape, phi):
@@ -184,6 +179,34 @@ class TestRaycastScan:
             raycast_scan(ORIGIN, [], 10, 0.0)
 
 
+# Multiples of 1/64 add exactly, so edge, corner and rim points built from
+# them land exactly on the boundary of an unturned shape.
+EXACT = st.integers(-192, 192).map(lambda i: i / 64)
+COORDS = st.one_of(EXACT, st.floats(-3.0, 3.0))
+SIZES = st.one_of(st.integers(4, 64).map(lambda i: i / 64), st.floats(0.05, 1.0))
+
+
+@st.composite
+def shape_and_point(draw):
+    """A circle or rectangle, and a point on its boundary or anywhere near it."""
+    center = Point2(draw(COORDS), draw(COORDS))
+    if draw(st.booleans()):
+        radius = draw(SIZES)
+        shape = ObstacleShape.circle(center, radius)
+        angle = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]), st.floats(0.0, 2.0 * math.pi)))
+        lx, ly, turn = radius, 0.0, angle
+    else:
+        hx, hy = draw(SIZES), draw(SIZES)
+        shape = ObstacleShape.rectangle(center, (hx, hy), draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi))))
+        u = draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))  # +-1 picks a corner
+        lx, ly = draw(st.sampled_from([(hx, u * hy), (-hx, u * hy), (u * hx, hy), (u * hx, -hy)]))
+        turn = shape.orientation
+    if draw(st.booleans()):
+        c, s = math.cos(turn), math.sin(turn)
+        return shape, Point2(center.x + lx * c - ly * s, center.y + lx * s + ly * c)
+    return shape, Point2(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+
+
 class TestOverlapDisk:
     def test_near_circle(self):
         circle = ObstacleShape.circle(Point2(0.1, 0.0), 0.05)
@@ -238,6 +261,12 @@ class TestOverlapDisk:
         with pytest.raises(ValueError):
             shape_overlaps_disk(ObstacleShape.circle(Point2(1, 1), 0.1), ORIGIN, -0.1)
 
+    @settings(max_examples=400, deadline=None)
+    @given(case=shape_and_point())
+    def test_zero_radius_overlap_is_point_containment(self, case):
+        shape, point = case
+        assert shape_overlaps_disk(shape, point, 0.0) == shape_contains(shape, point)
+
 
 class TestShapeTypes:
     def test_circle_validation(self):
@@ -265,5 +294,5 @@ class TestShapeTypes:
 
     def test_contains(self):
         rect = ObstacleShape.rectangle(Point2(1.0, 0.0), (0.5, 0.25), math.pi / 2)
-        assert shape_contains(rect, Point2(1.0, 0.4))
-        assert not shape_contains(rect, Point2(1.4, 0.0))
+        assert shape_overlaps_disk(rect, Point2(1.0, 0.4), 0.0)
+        assert not shape_overlaps_disk(rect, Point2(1.4, 0.0), 0.0)

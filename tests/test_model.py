@@ -12,13 +12,12 @@ from lidar_cfe import (
     NetworkPolicy,
     NetworkSpec,
     ScriptedParams,
-    conv1d_forward,
     load_weight_file,
-    net_forward,
     save_weight_file,
     scripted_policy,
 )
 from lidar_cfe.errors import ModelError
+from lidar_cfe.model import conv1d_forward, net_forward
 
 from oracles import naive_net_forward, random_micro_net
 

@@ -4,15 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lidar_cfe import (
-    GoalFeatures,
-    ModelState,
-    Scan,
-    assemble_state,
-    combine_gen_priority,
-    combine_min_distance,
-    proximity_loss,
-)
+from lidar_cfe import GoalFeatures, ModelState, Scan
+from lidar_cfe.scan import assemble_state
+
+from oracles import combine_gen_priority, combine_min_distance, proximity_loss
 
 
 def random_scan(rng, n=180, max_range=3.5):
