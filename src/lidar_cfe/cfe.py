@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ModelError
 from .ga import GaConfig, require_int, run_ga
-from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows, scalar_math
+from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows
 from .model import ActionVector, PolicyModel, check_action_rows
 from .scan import GoalFeatures, Scan, goal_state, state_rows
 
@@ -166,8 +166,8 @@ def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRo
         size1=lo + s1 * span,
         size2=lo + s2 * span,
         orientation=orientation,
-        cos_o=scalar_math(math.cos, orientation),
-        sin_o=scalar_math(math.sin, orientation),
+        cos_o=np.cos(orientation),
+        sin_o=np.sin(orientation),
     )
 
 

@@ -266,6 +266,22 @@ def _model_hash(spec: str) -> str | None:
 # Results files
 
 
+def _query_settings(query: CfeQuery) -> dict:
+    """The search settings written to both ``results.json`` and ``manifest.json``."""
+    return {
+        "bounds": [[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)],
+        "combination": query.combination,
+        "lambda_y": query.lambda_y,
+        "lambda_p": query.lambda_p,
+        "n_obstacles": query.n_obstacles,
+        "d_min": query.d_min,
+        "world_bounds": query.world_extent,
+        "size_limits": list(query.size_limits),
+        "d_g_max": query.goal_distance_scale,
+        "n_cfes": query.n_cfes,
+    }
+
+
 def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
     goal = query.goal
     entries = []
@@ -289,46 +305,48 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
         "kind": "cfe-results",
         "n_rays": query.base_scan.n,
         "max_range": query.base_scan.max_range,
-        "d_g_max": query.goal_distance_scale,
         "goal": {"cos": goal.cos, "sin": goal.sin, "distance": goal.distance},
         "base_readings": [float(v) for v in query.base_scan.readings],
-        "bounds": [[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)],
-        "combination": query.combination,
-        "lambda_y": query.lambda_y,
-        "lambda_p": query.lambda_p,
-        "n_obstacles": query.n_obstacles,
-        "d_min": query.d_min,
-        "world_bounds": query.world_extent,
-        "size_limits": list(query.size_limits),
+        **_query_settings(query),
         "seed": query.rng_seed,
-        "n_cfes": query.n_cfes,
         "warning": None if any(r.satisfied for r in results) or not results else "no satisfied counterfactuals",
         "results": entries,
     }
 
 
 def verify_results_file(path, model: PolicyModel) -> int:
-    """Re-run the model on every stored combined state; raise on any mismatch.
+    """Re-run the model on every stored combined state.
+
+    Raises ``LidarCfeError``, naming the file and, for a per-entry field, the
+    entry, on any mismatch or malformed field.
 
     All states go to the model in one ``act_batch`` call. Returns the number
     of entries checked. Used by tests and available for scripting confidence
     checks.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
-    n_rays, max_range = int(data["n_rays"]), float(data["max_range"])
-    bounds = ActionBounds.from_pairs(data["bounds"])
-    entries = data["results"]
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
+        n_rays, max_range, d_g_max = int(data["n_rays"]), float(data["max_range"]), float(data["d_g_max"])
+        bounds = ActionBounds.from_pairs(data["bounds"])
+        entries = list(data["results"])
+    except KeyError as exc:
+        raise LidarCfeError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise LidarCfeError(f"{path}: {exc}") from None
     if not entries:
         return 0
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        missing = sorted({"index", "combined_readings", "achieved_action", "satisfied"} - set(entry))
+        if missing:
+            raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(missing)}")
         if len(entry["combined_readings"]) != n_rays:
             raise LidarCfeError(f"{path}: entry {entry['index']} has {len(entry['combined_readings'])} readings, not {n_rays}")
     readings = np.array([entry["combined_readings"] for entry in entries], dtype=float)
     outside = np.flatnonzero(~np.all((readings > 0.0) & (readings <= max_range), axis=1))
     if outside.size:
         raise LidarCfeError(f"{path}: entry {entries[outside[0]]['index']} has a reading outside (0, {max_range:g}]")
-    actions = np.asarray(model.act_batch(state_rows(readings, max_range, goal_state(goal, float(data["d_g_max"])))), dtype=float)
+    actions = np.asarray(model.act_batch(state_rows(readings, max_range, goal_state(goal, d_g_max))), dtype=float)
     satisfied = _hinge_rows(actions, bounds) == 0.0
     for entry, action, inside in zip(entries, actions, satisfied, strict=True):
         stored = np.array(entry["achieved_action"], dtype=float)
@@ -401,18 +419,7 @@ def cmd_explain(args) -> int:
         "query_file": str(args.query),
         "base_file": meta["base"],
         "model": {"spec": args.model, "sha256": _model_hash(args.model)},
-        "query": {
-            "bounds": payload["bounds"],
-            "combination": query.combination,
-            "lambda_y": query.lambda_y,
-            "lambda_p": query.lambda_p,
-            "n_obstacles": query.n_obstacles,
-            "d_min": query.d_min,
-            "world_bounds": query.world_extent,
-            "size_limits": list(query.size_limits),
-            "d_g_max": query.goal_distance_scale,
-            "n_cfes": query.n_cfes,
-        },
+        "query": _query_settings(query),
         "ga": {k: v for k, v in asdict(ga_config).items() if k != "rng_seed"},
         "seeds": [query.rng_seed + i for i in range(query.n_cfes)],
         "started_utc": started_utc,

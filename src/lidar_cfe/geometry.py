@@ -129,23 +129,11 @@ class ShapeRows:
             for s in shapes
         ]
         rect, cx, cy, size1, size2, turn = np.moveaxis(np.array(params, dtype=float).reshape(1, -1, 6), 2, 0)
-        return cls(rect == 1.0, cx, cy, size1, size2, turn, scalar_math(math.cos, turn), scalar_math(math.sin, turn))
+        return cls(rect == 1.0, cx, cy, size1, size2, turn, np.cos(turn), np.sin(turn))
 
     def take(self, index) -> "ShapeRows":
         """Every parameter array indexed by ``index``."""
         return ShapeRows(*(getattr(self, f.name)[index] for f in fields(self)))
-
-
-def scalar_math(fn, *arrays: np.ndarray) -> np.ndarray:
-    """Apply a scalar ``math`` function per element.
-
-    Transcendentals go through ``math`` one value at a time: numpy's
-    vectorized exp, atan2 and hypot can differ from ``math`` in the last
-    bit, and a score must not change with the batch it was computed in or
-    drift from the single-shape functions.
-    """
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def _circle_hit_distances(ox: float, oy: float, dx, dy, cx, cy, r) -> np.ndarray:
@@ -247,7 +235,7 @@ def overlaps_disk_rows(shapes: ShapeRows, center: Point2, radius: float) -> np.n
     gap_x = np.where(shapes.rect, lx - qx, shapes.cx - center.x)
     gap_y = np.where(shapes.rect, ly - qy, shapes.cy - center.y)
     limit = np.where(shapes.rect, radius, shapes.size1 + radius)
-    return scalar_math(math.hypot, gap_x, gap_y) <= limit
+    return np.hypot(gap_x, gap_y) <= limit
 
 
 def shape_overlaps_disk(shape: ObstacleShape, center: Point2, radius: float) -> bool:

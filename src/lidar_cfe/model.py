@@ -18,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, NetworkConfigError
-from .geometry import scalar_math
 from .scan import ModelState
 
 RELU = "relu"
@@ -241,9 +240,9 @@ def _checked_weights(spec: NetworkSpec, weights) -> list:
 def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
     """Run a network whose layer chain and weights are already checked on (P, inputs) states.
 
-    Dense layers multiply one row at a time: a matrix-vector product per row
-    gives every row the same bits as a single-state pass, where one
-    matrix-matrix product over all rows can round differently.
+    Dense layers run as a stack of matrix-vector products, one per row, so
+    every row gets the same bits as a single-state pass; one matrix-matrix
+    product over all rows (``x @ w.T``) can round differently.
     """
     expected = spec.lidar_inputs + spec.extra_inputs
     if states.shape[1] != expected:
@@ -257,24 +256,12 @@ def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray
             if x.ndim == 3:  # first dense layer: flatten the conv features, append the extra inputs
                 x = np.concatenate([x.reshape(len(x), -1), states[:, spec.lidar_inputs:]], axis=1)
             w, b = entry
-            out = np.empty((len(x), w.shape[0]))
-            for i, row in enumerate(x):
-                out[i] = w @ row
-            x = out + b
+            x = (w @ x[:, :, np.newaxis])[:, :, 0] + b
         elif layer.fn == RELU:
             x = np.maximum(x, 0.0)
         else:
             x = np.tanh(x)
     return x
-
-
-def net_forward(spec: NetworkSpec, weights, state: ModelState) -> ActionVector:
-    """Run the network on a normalized state and return the bounded action.
-
-    ``weights`` is a sequence aligned with ``spec.layers``: a ``(weight, bias)``
-    pair per conv/dense layer and None per activation.
-    """
-    return ActionVector(_forward(spec, _checked_weights(spec, weights), state.values[np.newaxis])[0])
 
 
 class NetworkPolicy(PolicyModel):
@@ -513,11 +500,10 @@ class ScriptedParams:
             raise ValueError("cone_half_angle must lie in (0, pi)")
 
 
-def _logistic(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # exp only ever sees -|x|, so it never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class _ScriptedPolicy(PolicyModel):
@@ -540,18 +526,21 @@ class _ScriptedPolicy(PolicyModel):
         lidar = states[:, : p.n_lidar]
         cos_g = 2.0 * states[:, p.n_lidar] - 1.0
         sin_g = 2.0 * states[:, p.n_lidar + 1] - 1.0
-        bearing = scalar_math(math.atan2, sin_g, cos_g)
+        bearing = np.arctan2(sin_g, cos_g)
         goal_steer = np.clip(p.turn_gain * bearing, -1.0, 1.0)
 
         min_forward = lidar[:, self._cone].min(axis=1)
-        blocked = scalar_math(_logistic, (p.block_threshold - min_forward) / p.blend_width)
+        gaps = [p.block_threshold - min_forward]
+        if self.kind == LEFT_PREFERRER:
+            gaps += [p.avoid_threshold - min_forward, lidar[:, self._left].min(axis=1) - p.side_threshold]
+        # One logistic call for every gate: a one-row act pays numpy's per-call overhead once.
+        blocked, *gates = _logistic(np.array(gaps) / p.blend_width)
         linear = (1.0 - blocked) * p.forward_speed + blocked * p.reverse_speed
 
         if self.kind == GOAL_SEEKER:
             angular = goal_steer
         else:
-            avoid = scalar_math(_logistic, (p.avoid_threshold - min_forward) / p.blend_width)
-            left_clear = scalar_math(_logistic, (lidar[:, self._left].min(axis=1) - p.side_threshold) / p.blend_width)
+            avoid, left_clear = gates
             swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
             angular = avoid * swerve + (1.0 - avoid) * goal_steer
 

@@ -151,9 +151,9 @@ def proximity_loss(combined: Scan, base: Scan) -> float:
 def shape_contains(shape: ObstacleShape, point: Point2) -> bool:
     """Closed-region membership test."""
     if shape.kind == CIRCLE:
-        return math.hypot(point.x - shape.center.x, point.y - shape.center.y) <= shape.radius
-    cos_o = math.cos(shape.orientation)
-    sin_o = math.sin(shape.orientation)
+        return np.hypot(point.x - shape.center.x, point.y - shape.center.y) <= shape.radius
+    cos_o = np.cos(shape.orientation)
+    sin_o = np.sin(shape.orientation)
     px = point.x - shape.center.x
     py = point.y - shape.center.y
     lx = px * cos_o + py * sin_o
@@ -172,7 +172,10 @@ def scalar_state(scan, goal, d_g_max):
 # ---------------------------------------------------------------------------
 # The one-genome scoring chain, written out shape by shape and state by state
 # as the library computed it before whole populations were scored together.
-# Batched scores must equal it bit for bit.
+# Batched scores must equal it bit for bit. Its transcendentals are numpy's,
+# called on one value at a time: Python's math can differ from numpy in the
+# last bit, and tests/test_invariance.py checks that numpy's bits do not
+# depend on how many values share a call.
 
 
 def scalar_decode(genome, n_obstacles, world_bounds, size_limits):
@@ -191,15 +194,15 @@ def scalar_decode(genome, n_obstacles, world_bounds, size_limits):
 def scalar_overlaps_disk(shape, radius):
     """Closed shape against the closed disk of ``radius`` around the origin."""
     if shape.kind == "circle":
-        return math.hypot(shape.center.x, shape.center.y) <= shape.radius + radius
-    cos_o = math.cos(shape.orientation)
-    sin_o = math.sin(shape.orientation)
+        return np.hypot(shape.center.x, shape.center.y) <= shape.radius + radius
+    cos_o = np.cos(shape.orientation)
+    sin_o = np.sin(shape.orientation)
     px = 0.0 - shape.center.x
     py = 0.0 - shape.center.y
     lx = px * cos_o + py * sin_o
     ly = -px * sin_o + py * cos_o
     hx, hy = shape.half_extents
-    return math.hypot(lx - min(max(lx, -hx), hx), ly - min(max(ly, -hy), hy)) <= radius
+    return np.hypot(lx - min(max(lx, -hx), hx), ly - min(max(ly, -hy), hy)) <= radius
 
 
 def _scalar_slab(o, d, h):
@@ -228,8 +231,8 @@ def scalar_raycast(shapes, n_rays, max_range):
             enter, leave = -b - root, -b + root
             t = np.where((disc >= 0.0) & (leave >= 0.0), np.where(enter >= 0.0, enter, leave), np.inf)
         else:
-            cos_o = math.cos(shape.orientation)
-            sin_o = math.sin(shape.orientation)
+            cos_o = np.cos(shape.orientation)
+            sin_o = np.sin(shape.orientation)
             lo_x, hi_x = _scalar_slab(fx * cos_o + fy * sin_o, dx * cos_o + dy * sin_o, shape.half_extents[0])
             lo_y, hi_y = _scalar_slab(-fx * sin_o + fy * cos_o, -dx * sin_o + dy * cos_o, shape.half_extents[1])
             t_enter, t_exit = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
@@ -240,8 +243,8 @@ def scalar_raycast(shapes, n_rays, max_range):
 
 def _logistic(x):
     if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
     return e / (1.0 + e)
 
 
@@ -252,7 +255,7 @@ def scalar_scripted_act(kind, p, values):
     cone = np.minimum(headings, 2.0 * math.pi - headings) <= p.cone_half_angle + 1e-12
     left = (headings > 1e-12) & (headings < math.pi - 1e-12)
     lidar = values[:n]
-    bearing = math.atan2(2.0 * values[n + 1] - 1.0, 2.0 * values[n] - 1.0)
+    bearing = np.arctan2(2.0 * values[n + 1] - 1.0, 2.0 * values[n] - 1.0)
     goal_steer = max(-1.0, min(1.0, p.turn_gain * bearing))
     min_forward = float(lidar[cone].min())
     blocked = _logistic((p.block_threshold - min_forward) / p.blend_width)

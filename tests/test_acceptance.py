@@ -20,6 +20,7 @@ from lidar_cfe import (
     BridgeTimeout,
     GaConfig,
     ModelState,
+    NetworkPolicy,
     external_policy,
     fitness_for_query,
     run_ga,
@@ -28,7 +29,6 @@ from lidar_cfe import (
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, CfeQuery, hinge_loss
 from lidar_cfe.cli import EXIT_OK, main, verify_results_file
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
-from lidar_cfe.model import net_forward
 from lidar_cfe.scan import GoalFeatures, Scan
 
 from oracles import hinge_oracle, march_headings, march_scan, naive_net_forward, random_micro_net, random_scene
@@ -174,7 +174,7 @@ def test_c04_network_inference_oracle():
     for _ in range(200):
         spec, weights = random_micro_net(rng)
         values = rng.random(spec.lidar_inputs + spec.extra_inputs)
-        got = net_forward(spec, weights, ModelState(values)).values
+        got = NetworkPolicy(spec, weights).act(ModelState(values)).values
         want = naive_net_forward(spec, weights, values)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-6

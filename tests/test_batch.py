@@ -29,13 +29,14 @@ from lidar_cfe import (
     NetworkPolicy,
     NetworkSpec,
     PolicyModel,
+    ScriptedParams,
     fitness_for_query,
     scripted_policy,
 )
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _scorer
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 
-from oracles import scalar_score
+from oracles import scalar_score, scalar_scripted_act
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -196,6 +197,25 @@ def test_scripted_act_batch_covers_the_blend_region():
     assert len(np.unique(batch[:, 0])) > 50
     single = [model.act(ModelState(row)).values for row in states]
     assert np.array_equal(bits(batch), bits(single))
+
+
+@pytest.mark.parametrize("kind", ["goal_seeker", "left_preferrer"])
+@pytest.mark.parametrize("params", [ScriptedParams(), ScriptedParams(blend_width=1.0)], ids=["default", "blend_width=1"])
+def test_scripted_act_batch_equals_the_scalar_oracle(kind, params):
+    # Goals off the x axis send the bearing through arctan2, and a wide blend
+    # keeps the logistic gates off 0 and 1, where the last bit of exp shows.
+    rng = np.random.default_rng(41)
+    goal_angle = rng.uniform(-math.pi, math.pi, 500)
+    states = np.column_stack(
+        [
+            rng.uniform(rng.uniform(0.0, 0.9, (500, 1)), 1.0, (500, 180)),  # each row its own nearest reading
+            (np.cos(goal_angle) + 1.0) / 2.0,
+            (np.sin(goal_angle) + 1.0) / 2.0,
+            rng.random(500),
+        ]
+    )
+    oracle = [scalar_scripted_act(kind, params, row) for row in states]
+    assert np.array_equal(bits(scripted_policy(kind, params).act_batch(states)), bits(oracle))
 
 
 class FixedBatchPolicy(PolicyModel):

@@ -170,16 +170,37 @@ class TestExplainCommand:
         ids=["zero", "beyond-max-range", "short-row"],
     )
     def test_verify_names_the_entry_with_malformed_readings(self, tmp_path, edit, message):
+        path = self.edited_results(tmp_path, lambda data: edit(data["results"][1]["combined_readings"]))
+        with pytest.raises(LidarCfeError, match=message):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data["goal"].__setitem__("cos", 2.0), "results.json: goal cos/sin must lie on the unit circle"),
+            (lambda data: data["bounds"].__setitem__(0, [0.5, -0.5]), "results.json: every lower bound must be <= its upper bound"),
+            (lambda data: data["results"][1].pop("achieved_action"), "results.json: entry 1 lacks achieved_action"),
+            (lambda data: data.pop("d_g_max"), "results.json: missing field 'd_g_max'"),
+        ],
+        ids=["goal-off-unit-circle", "crossed-bounds", "no-achieved-action", "no-d_g_max"],
+    )
+    def test_verify_names_the_file_or_entry_with_malformed_fields(self, tmp_path, edit, message):
+        path = self.edited_results(tmp_path, edit)
+        with pytest.raises(LidarCfeError, match=message):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
+    @staticmethod
+    def edited_results(tmp_path, edit):
+        """A fresh results.json of three entries, after ``edit`` has changed its parsed content."""
         write_empty_room(tmp_path)
         query = write_reverse_query(tmp_path, "room.yaml")
         out = tmp_path / "out"
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), *FAST_GA]) == EXIT_OK
         path = out / "results.json"
         data = json.loads(path.read_text())
-        edit(data["results"][1]["combined_readings"])
+        edit(data)
         path.write_text(json.dumps(data))
-        with pytest.raises(LidarCfeError, match=message):
-            verify_results_file(path, scripted_policy("goal_seeker"))
+        return path
 
     def test_reruns_are_byte_identical(self, tmp_path):
         write_empty_room(tmp_path)

@@ -17,7 +17,7 @@ from lidar_cfe import (
     scripted_policy,
 )
 from lidar_cfe.errors import ModelError
-from lidar_cfe.model import conv1d_forward, net_forward
+from lidar_cfe.model import conv1d_forward
 
 from oracles import naive_net_forward, random_micro_net
 
@@ -59,25 +59,28 @@ class TestConvPrimitive:
 
 
 def identity_dense_spec(n):
-    # One dense layer with identity weights over the whole (lidar + extra) input.
-    spec = NetworkSpec(n - 3, 3, (Dense(n, n),))
-    weights = [(np.eye(n), np.zeros(n))]
+    # One dense layer with identity weights over the whole (lidar + extra) input, then the tanh head.
+    spec = NetworkSpec(n - 3, 3, (Dense(n, n), Activation("tanh")))
+    weights = [(np.eye(n), np.zeros(n)), None]
     return spec, weights
+
+
+def net_act(spec, weights, values):
+    return NetworkPolicy(spec, weights).act(make_state(values)).values
 
 
 class TestNetForward:
     def test_identity_dense(self):
         spec, weights = identity_dense_spec(7)
         values = np.array([0.1, 0.2, 0.3, 0.4, 0.9, 0.5, 0.6])
-        out = net_forward(spec, weights, make_state(values))
-        assert np.allclose(out.values, values, atol=1e-15)
+        assert np.allclose(net_act(spec, weights, values), np.tanh(values), atol=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(123)
         for _ in range(40):
             spec, weights = random_micro_net(rng)
             values = rng.random(spec.lidar_inputs + spec.extra_inputs)
-            got = net_forward(spec, weights, make_state(values)).values
+            got = net_act(spec, weights, values)
             want = naive_net_forward(spec, weights, values)
             assert np.max(np.abs(got - want)) < 1e-6
 
@@ -86,7 +89,7 @@ class TestNetForward:
         for _ in range(20):
             spec, weights = random_micro_net(rng)
             values = rng.random(spec.lidar_inputs + spec.extra_inputs)
-            out = net_forward(spec, weights, make_state(values)).values
+            out = net_act(spec, weights, values)
             assert np.all(np.abs(out) < 1.0)
 
     def test_circular_rotation_equivariance(self):
@@ -109,12 +112,12 @@ class TestNetForward:
         spec = NetworkSpec(4, 3, (Dense(7, 2), Activation("tanh")))
         weights = [(np.zeros((2, 6)), np.zeros(2)), None]
         with pytest.raises(NetworkConfigError, match="layer 0 \\(dense\\)"):
-            net_forward(spec, weights, make_state(np.zeros(7)))
+            NetworkPolicy(spec, weights)
 
     def test_state_length_checked(self):
         spec, weights = identity_dense_spec(7)
         with pytest.raises(NetworkConfigError):
-            net_forward(spec, weights, make_state(np.zeros(9)))
+            net_act(spec, weights, np.zeros(9))
 
     def test_spec_rejects_incompatible_chain(self):
         with pytest.raises(NetworkConfigError, match="layer 1"):
@@ -134,8 +137,8 @@ class TestWeightFile:
         spec2, weights2 = load_weight_file(path)
         assert spec2 == spec
         values = rng.random(spec.lidar_inputs + spec.extra_inputs)
-        out1 = net_forward(spec, weights, make_state(values)).values
-        out2 = net_forward(spec2, weights2, make_state(values)).values
+        out1 = net_act(spec, weights, values)
+        out2 = net_act(spec2, weights2, values)
         assert np.array_equal(out1, out2)
 
     def test_policy_from_file(self, tmp_path):
@@ -147,7 +150,7 @@ class TestWeightFile:
         assert policy.input_size == spec.lidar_inputs + spec.extra_inputs
         assert policy.output_size == 2
         state = make_state(rng.random(policy.input_size))
-        assert np.array_equal(policy.act(state).values, net_forward(spec, weights, state).values)
+        assert np.array_equal(policy.act(state).values, net_act(spec, weights, state.values))
 
     def test_truncated_weights_name_the_layer(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -194,8 +197,8 @@ class TestWeightFile:
             "layer: activation tanh\n"
         )
         spec, weights = load_weight_file(path)
-        out = net_forward(spec, weights, make_state([0.1, 0.2, 0.3, 0.1]))
-        assert out.values[0] == pytest.approx(math.tanh(0.1 + 0.4 + 0.9 + 0.4 + 0.5), abs=1e-12)
+        out = net_act(spec, weights, [0.1, 0.2, 0.3, 0.1])
+        assert out[0] == pytest.approx(math.tanh(0.1 + 0.4 + 0.9 + 0.4 + 0.5), abs=1e-12)
 
     def test_policy_requires_tanh_head(self):
         spec = NetworkSpec(4, 3, (Dense(7, 2),))
