@@ -251,7 +251,10 @@ def _scorer(query: CfeQuery, model: PolicyModel):
         actions = np.asarray(model.act_batch(state_rows(merged, max_range, goal)), dtype=float)
         if actions.shape != (len(rows), model.output_size):
             raise ModelError(f"act_batch returned shape {actions.shape} for {len(rows)} states")
-        check_action_rows(actions)
+        try:
+            check_action_rows(actions)
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
         hinge = _hinge_rows(actions, query.bounds)
         if full or query.lambda_p != 0.0:
             proximity = np.abs(merged - readings).sum(axis=1) / (base.n * max_range)

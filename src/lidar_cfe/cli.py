@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -139,29 +139,26 @@ def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, flo
         try:
             scan = Scan(np.array(data["readings"], dtype=float), float(data["max_range"]))
             goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
+            d_g_max = None if data.get("d_g_max") is None else float(data["d_g_max"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{base_path}: {exc}") from None
-        d_g_max = data.get("d_g_max")
-        return scan, goal, (float(d_g_max) if d_g_max is not None else None), str(base_path)
+        return scan, goal, d_g_max, str(base_path)
     scenario = load_scenario(base_path)
     return scenario.base_scan(), scenario.goal_features(), scenario.goal_distance_scale(), str(base_path)
 
 
-_QUERY_FIELDS = {
-    "base",
-    "bounds",
-    "combination",
-    "lambda_y",
-    "lambda_p",
-    "n_obstacles",
-    "d_min",
-    "world_bounds",
-    "size_limits",
-    "d_g_max",
-    "n_cfes",
-    "seed",
-    "ga",
-}
+def _query_keys() -> dict[str, str]:
+    """The ``CfeQuery`` field each query-file key sets.
+
+    The keys are the field names, except that ``seed`` sets ``rng_seed`` and
+    ``base`` names the file that gives ``base_scan`` and ``goal``. The file
+    also takes ``ga``, the ``GaConfig`` fields.
+    """
+    return {
+        ("seed" if f.name == "rng_seed" else f.name): f.name
+        for f in fields(CfeQuery)
+        if f.name not in ("base_scan", "goal")
+    }
 
 
 def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
@@ -171,7 +168,8 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     where = str(query_path)
     for dotted, raw_value in overrides or []:
         _apply_override(data, dotted, raw_value)
-    unknown = set(data) - _QUERY_FIELDS
+    keys = _query_keys()
+    unknown = set(data) - set(keys) - {"base", "ga"}
     if unknown:
         raise InputError(f"{where}: unknown fields {sorted(unknown)}")
 
@@ -179,31 +177,17 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     if not isinstance(base_ref, str):
         raise InputError(f"{where}: 'base' must name a scenario (.yaml) or scan (.json) file")
     scan, goal, base_d_g_max, base_path = _load_base(base_ref, query_path)
-    bounds = _parse_bounds(data.get("bounds"), where)
 
-    kwargs = {}
-    for field, key in [
-        ("combination", "combination"),
-        ("lambda_y", "lambda_y"),
-        ("lambda_p", "lambda_p"),
-        ("n_obstacles", "n_obstacles"),
-        ("d_min", "d_min"),
-        ("world_bounds", "world_bounds"),
-        ("d_g_max", "d_g_max"),
-        ("n_cfes", "n_cfes"),
-        ("rng_seed", "seed"),
-    ]:
-        if key in data and data[key] is not None:
-            kwargs[field] = data[key]
-    if "size_limits" in data and data["size_limits"] is not None:
-        raw_sizes = data["size_limits"]
+    kwargs = {name: data[key] for key, name in keys.items() if data.get(key) is not None}
+    kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
+    if "size_limits" in kwargs:
+        raw_sizes = kwargs["size_limits"]
         if not isinstance(raw_sizes, (list, tuple)) or len(raw_sizes) != 2:
             raise InputError(f"{where}: size_limits must be [min, max]")
         kwargs["size_limits"] = _floats(raw_sizes, f"{where}: size_limits")
-    if "d_g_max" not in kwargs and base_d_g_max is not None:
-        kwargs["d_g_max"] = base_d_g_max
+    kwargs.setdefault("d_g_max", base_d_g_max)
     try:
-        query = CfeQuery(base_scan=scan, goal=goal, bounds=bounds, **kwargs)
+        query = CfeQuery(base_scan=scan, goal=goal, **kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from None
 
@@ -225,25 +209,32 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
 # Model loading
 
 
+def _split_model_spec(spec: str) -> tuple[str, str]:
+    """The form (``scripted``, ``exec`` or ``weights``) and argument of a model spec."""
+    form, sep, argument = spec.partition(":")
+    if sep and form in ("scripted", "exec", "weights"):
+        return form, argument
+    return "weights", spec  # a bare weight-file path
+
+
 def load_model(spec: str, n_inputs: int, n_outputs: int, timeout: float = 5.0) -> PolicyModel:
     """Resolve a model spec string.
 
     Forms: ``scripted:goal_seeker``, ``scripted:left_preferrer``,
     ``weights:<path>`` (or a bare weight-file path), ``exec:<command>``.
     """
-    if spec.startswith("scripted:"):
-        kind = spec.split(":", 1)[1]
-        if kind not in (GOAL_SEEKER, LEFT_PREFERRER):
-            raise ModelError(f"unknown scripted policy {kind!r}")
+    form, argument = _split_model_spec(spec)
+    if form == "scripted":
+        if argument not in (GOAL_SEEKER, LEFT_PREFERRER):
+            raise ModelError(f"unknown scripted policy {argument!r}")
         try:
-            model: PolicyModel = scripted_policy(kind, ScriptedParams(n_lidar=n_inputs - 3))
+            model: PolicyModel = scripted_policy(argument, ScriptedParams(n_lidar=n_inputs - 3))
         except ValueError as exc:
             raise ModelError(str(exc)) from None
-    elif spec.startswith("exec:"):
-        model = external_policy(spec.split(":", 1)[1], n_inputs, n_outputs, timeout=timeout)
+    elif form == "exec":
+        model = external_policy(argument, n_inputs, n_outputs, timeout=timeout)
     else:
-        path = spec.split(":", 1)[1] if spec.startswith("weights:") else spec
-        model = NetworkPolicy.from_file(path)
+        model = NetworkPolicy.from_file(argument)
     if model.input_size != n_inputs or model.output_size != n_outputs:
         raise ModelError(
             f"model is {model.input_size}->{model.output_size}, run needs {n_inputs}->{n_outputs}"
@@ -252,12 +243,8 @@ def load_model(spec: str, n_inputs: int, n_outputs: int, timeout: float = 5.0) -
 
 
 def _model_hash(spec: str) -> str | None:
-    path = None
-    if spec.startswith("weights:"):
-        path = spec.split(":", 1)[1]
-    elif not spec.startswith(("scripted:", "exec:")):
-        path = spec
-    if path and Path(path).exists():
+    form, path = _split_model_spec(spec)
+    if form == "weights" and path and Path(path).exists():
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return None
 
@@ -267,19 +254,18 @@ def _model_hash(spec: str) -> str | None:
 
 
 def _query_settings(query: CfeQuery) -> dict:
-    """The search settings written to both ``results.json`` and ``manifest.json``."""
-    return {
-        "bounds": [[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)],
-        "combination": query.combination,
-        "lambda_y": query.lambda_y,
-        "lambda_p": query.lambda_p,
-        "n_obstacles": query.n_obstacles,
-        "d_min": query.d_min,
-        "world_bounds": query.world_extent,
-        "size_limits": list(query.size_limits),
-        "d_g_max": query.goal_distance_scale,
-        "n_cfes": query.n_cfes,
-    }
+    """The query's settings under their query-file keys, with defaults resolved.
+
+    Written to ``results.json``, and apart from ``seed`` to ``manifest.json``.
+    """
+    settings = {key: getattr(query, name) for key, name in _query_keys().items()}
+    settings.update(
+        bounds=[[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)],
+        world_bounds=query.world_extent,
+        size_limits=list(query.size_limits),
+        d_g_max=query.goal_distance_scale,
+    )
+    return settings
 
 
 def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
@@ -308,7 +294,6 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
         "goal": {"cos": goal.cos, "sin": goal.sin, "distance": goal.distance},
         "base_readings": [float(v) for v in query.base_scan.readings],
         **_query_settings(query),
-        "seed": query.rng_seed,
         "warning": None if any(r.satisfied for r in results) or not results else "no satisfied counterfactuals",
         "results": entries,
     }
@@ -419,7 +404,7 @@ def cmd_explain(args) -> int:
         "query_file": str(args.query),
         "base_file": meta["base"],
         "model": {"spec": args.model, "sha256": _model_hash(args.model)},
-        "query": _query_settings(query),
+        "query": {key: value for key, value in _query_settings(query).items() if key != "seed"},
         "ga": {k: v for k, v in asdict(ga_config).items() if k != "rng_seed"},
         "seeds": [query.rng_seed + i for i in range(query.n_cfes)],
         "started_utc": started_utc,
@@ -523,6 +508,9 @@ def main(argv=None) -> int:
     except LidarCfeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        print(f"input error: the input's sizes need more memory than is available ({exc})", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # stable exit-code contract over raw tracebacks
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -34,10 +34,6 @@ class GaConfig:
     without best-fitness improvement (exact comparison), or as soon as the
     best fitness reaches zero when ``reach_zero`` is set (for penalty-style
     objectives whose optimum is 0).
-
-    ``keep_selected_parents`` switches elitism from carrying the globally
-    best individuals to carrying the first ``keep_parents`` selected
-    parents; the default preserves monotone best fitness.
     """
 
     generations: int = 100
@@ -49,16 +45,14 @@ class GaConfig:
     saturate_k: int | None = 10
     reach_zero: bool = True
     rng_seed: int = 0
-    keep_selected_parents: bool = False
 
     def __post_init__(self) -> None:
         for name in ("generations", "population", "parents_mating", "keep_parents", "tournament_size", "rng_seed"):
             require_int(name, getattr(self, name))
         if self.saturate_k is not None:
             require_int("saturate_k", self.saturate_k)
-        for name in ("reach_zero", "keep_selected_parents"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.reach_zero, bool):
+            raise ValueError(f"reach_zero must be true or false, got {self.reach_zero!r}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
         if self.population < 1:
@@ -142,7 +136,7 @@ def mutate_rows(genomes, fraction: float, rng: np.random.Generator) -> np.ndarra
 
 def _next_generation(pop: np.ndarray, fits: np.ndarray, order: np.ndarray, config: GaConfig, rng) -> np.ndarray:
     parents = pop[tournament_rows(fits, config.parents_mating, config.tournament_size, rng)]
-    elites = parents[: config.keep_parents] if config.keep_selected_parents else pop[order[: config.keep_parents]]
+    elites = pop[order[: config.keep_parents]]
     n_children = config.population - config.keep_parents
     pair = np.arange((n_children + 1) // 2)  # pair p mates parents p and p + 1, wrapping around
     c1, c2 = crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar, get_args
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,12 +81,18 @@ class PolicyModel:
 # Network engine
 
 
+# Each layer type declares its weight-file line: ``kind`` names it, each field
+# is written ``key=value`` under its ``key`` metadata (default: the field name;
+# key "" writes the bare value), and ``param_shapes`` gives the arrays after it.
+
+
 @dataclass(frozen=True)
 class Conv1d:
     """1-d convolution layer; ``circular`` pads by wrapping the signal."""
 
-    in_channels: int
-    out_channels: int
+    kind: ClassVar[str] = "conv1d"
+    in_channels: int = field(metadata={"key": "in"})
+    out_channels: int = field(metadata={"key": "out"})
     kernel: int
     stride: int = 1
     padding: int = 0
@@ -97,32 +104,43 @@ class Conv1d:
         if self.padding < 0:
             raise ValueError("conv padding must be >= 0")
 
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return (self.out_channels, self.in_channels, self.kernel), (self.out_channels,)
+
 
 @dataclass(frozen=True)
 class Dense:
-    in_size: int
-    out_size: int
+    kind: ClassVar[str] = "dense"
+    in_size: int = field(metadata={"key": "in"})
+    out_size: int = field(metadata={"key": "out"})
 
     def __post_init__(self) -> None:
         if min(self.in_size, self.out_size) < 1:
             raise ValueError("dense sizes must be >= 1")
 
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return (self.out_size, self.in_size), (self.out_size,)
+
 
 @dataclass(frozen=True)
 class Activation:
-    fn: str  # "relu" or "tanh"
+    kind: ClassVar[str] = "activation"
+    fn: str = field(metadata={"key": ""})  # "relu" or "tanh"
 
     def __post_init__(self) -> None:
         if self.fn not in (RELU, TANH):
             raise ValueError(f"unknown activation {self.fn!r}")
 
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return ()
+
 
 Layer = Conv1d | Dense | Activation
+_PARAMS = ("weights", "bias")
 
 
 def _layer_name(idx: int, layer: Layer) -> str:
-    kind = {Conv1d: "conv1d", Dense: "dense", Activation: "activation"}[type(layer)]
-    return f"layer {idx} ({kind})"
+    return f"layer {idx} ({layer.kind})"
 
 
 @dataclass(frozen=True)
@@ -206,35 +224,27 @@ def conv1d_forward(
     return np.einsum("...ink,oik->...on", windows, weight) + bias[:, None]
 
 
-def _layer_weights(weights, idx: int, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
-    where = _layer_name(idx, layer)
-    entry = weights[idx]
-    if entry is None:
-        raise NetworkConfigError(f"{where}: missing weights")
-    w, b = entry
-    w = np.asarray(w, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if isinstance(layer, Conv1d):
-        expect_w = (layer.out_channels, layer.in_channels, layer.kernel)
-        expect_b = (layer.out_channels,)
-    else:
-        expect_w = (layer.out_size, layer.in_size)
-        expect_b = (layer.out_size,)
-    if w.shape != expect_w:
-        raise NetworkConfigError(f"{where}: weight shape {w.shape} does not match spec {expect_w}")
-    if b.shape != expect_b:
-        raise NetworkConfigError(f"{where}: bias shape {b.shape} does not match spec {expect_b}")
-    return w, b
-
-
 def _checked_weights(spec: NetworkSpec, weights) -> list:
-    """The weight list as float arrays, every shape checked against ``spec``."""
+    """The weight list as float arrays, every shape checked against ``spec`` and every value finite."""
     if len(weights) != len(spec.layers):
         raise NetworkConfigError(f"{len(weights)} weight entries for {len(spec.layers)} layers")
-    return [
-        None if isinstance(layer, Activation) else _layer_weights(weights, idx, layer)
-        for idx, layer in enumerate(spec.layers)
-    ]
+    checked = []
+    for idx, (layer, entry) in enumerate(zip(spec.layers, weights)):
+        shapes = layer.param_shapes()
+        if not shapes:
+            checked.append(None)
+            continue
+        where = _layer_name(idx, layer)
+        if entry is None:
+            raise NetworkConfigError(f"{where}: missing weights")
+        arrays = tuple(np.asarray(a, dtype=float) for a in entry)
+        for name, array, shape in zip(_PARAMS, arrays, shapes, strict=True):
+            if array.shape != shape:
+                raise NetworkConfigError(f"{where}: {name} shape {array.shape} does not match spec {shape}")
+            if not np.all(np.isfinite(array)):
+                raise NetworkConfigError(f"{where}: {name} values must be finite")
+        checked.append(arrays)
+    return checked
 
 
 def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
@@ -303,43 +313,28 @@ class NetworkPolicy(PolicyModel):
 # '#' starts a comment; blank lines are ignored.
 
 _KEY_RE = re.compile(r"^([a-z_][a-z_0-9]*):\s*(.*)$")
-_FLAG_TRUE = {"yes", "true", "1"}
-_FLAG_FALSE = {"no", "false", "0"}
+_LAYER_TYPES = {layer_type.kind: layer_type for layer_type in get_args(Layer)}
+_FLAG_TEXT = {True: "yes", False: "no"}
 
 
-def _format_floats(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values.reshape(-1))
+def _file_keys(layer_type) -> dict:
+    """The layer line's keys, in writing order, each mapped to its dataclass field."""
+    return {f.metadata.get("key", f.name): f for f in fields(layer_type)}
 
 
 def save_weight_file(path, spec: NetworkSpec, weights) -> None:
     """Write the self-describing plain-text weight format."""
     lines = ["format: 1", f"lidar: {spec.lidar_inputs}", f"extra: {spec.extra_inputs}"]
-    for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, Conv1d):
-            flag = "yes" if layer.circular else "no"
-            lines.append(
-                f"layer: conv1d in={layer.in_channels} out={layer.out_channels} "
-                f"kernel={layer.kernel} stride={layer.stride} padding={layer.padding} circular={flag}"
-            )
-        elif isinstance(layer, Dense):
-            lines.append(f"layer: dense in={layer.in_size} out={layer.out_size}")
-        else:
-            lines.append(f"layer: activation {layer.fn}")
-        if isinstance(layer, (Conv1d, Dense)):
-            w, b = _layer_weights(weights, idx, layer)
-            lines.append("weights: " + _format_floats(w))
-            lines.append("bias: " + _format_floats(b))
+    for layer, arrays in zip(spec.layers, _checked_weights(spec, weights)):
+        tokens = [layer.kind]
+        for key, f in _file_keys(type(layer)).items():
+            value = getattr(layer, f.name)
+            text = _FLAG_TEXT[value] if isinstance(value, bool) else str(value)
+            tokens.append(f"{key}={text}" if key else text)
+        lines.append("layer: " + " ".join(tokens))
+        for name, array in zip(_PARAMS, arrays or ()):
+            lines.append(f"{name}: " + " ".join(repr(float(v)) for v in array.reshape(-1)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _parse_kv(text: str, where: str) -> dict[str, str]:
-    out = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ModelError(f"{where}: expected key=value tokens, got {token!r}")
-        key, value = token.split("=", 1)
-        out[key] = value
-    return out
 
 
 def _parse_int(raw: str | None, name: str, where: str) -> int:
@@ -351,14 +346,31 @@ def _parse_int(raw: str | None, name: str, where: str) -> int:
         raise ModelError(f"{where}: {name} must be an integer, got {raw!r}") from None
 
 
-def _parse_floats(text: str, count: int, where: str) -> np.ndarray:
-    tokens = text.split()
-    if len(tokens) != count:
-        raise NetworkConfigError(f"{where}: expected {count} values, got {len(tokens)}")
+def _parse_value(text: str, f, name: str, where: str):
+    # Annotations are postponed in this module, so f.type is the annotation's text.
+    if f.type == "bool":
+        if text not in _FLAG_TEXT.values():
+            raise ModelError(f"{where}: {name} must be yes or no, got {text!r}")
+        return text == _FLAG_TEXT[True]
+    return _parse_int(text, name, where) if f.type == "int" else text
+
+
+def _parse_layer(layer_type, tokens: list[str], where: str) -> Layer:
+    keys = _file_keys(layer_type)
+    kwargs = {}
+    for token in tokens:
+        key, _, text = token.rpartition("=")  # a bare token is the value of the field keyed ""
+        f = keys.get(key)
+        if f is None or f.name in kwargs:
+            raise ModelError(f"{where}: unexpected {token!r}")
+        kwargs[f.name] = _parse_value(text, f, key, where)
+    for key, f in keys.items():
+        if f.name not in kwargs and f.default is MISSING:
+            raise ModelError(f"{where}: missing {key or f.name}")
     try:
-        return np.array([float(t) for t in tokens])
+        return layer_type(**kwargs)
     except ValueError as exc:
-        raise ModelError(f"{where}: bad number ({exc})") from None
+        raise ModelError(f"{where}: {exc}") from None
 
 
 def load_weight_file(path) -> tuple[NetworkSpec, list]:
@@ -399,59 +411,26 @@ def load_weight_file(path) -> tuple[NetworkSpec, list]:
         key, value = entries[pos]
         if key != "layer":
             raise ModelError(f"{path}: unexpected field {key!r}, expected a layer line")
-        head, _, rest = value.strip().partition(" ")
-        idx = len(layers)
-        where = f"{path}: layer {idx} ({head})"
-        if head == "conv1d":
-            kv = _parse_kv(rest, where)
-            flag = kv.get("circular", "yes").lower()
-            if flag not in _FLAG_TRUE | _FLAG_FALSE:
-                raise ModelError(f"{where}: circular must be yes/no, got {flag!r}")
+        kind, *tokens = value.split() or [""]
+        where = f"{path}: layer {len(layers)} ({kind})"
+        if kind not in _LAYER_TYPES:
+            raise ModelError(f"{where}: unknown layer type {kind!r}")
+        layer = _parse_layer(_LAYER_TYPES[kind], tokens, where)
+        pos += 1
+        arrays = []
+        for name, shape in zip(_PARAMS, layer.param_shapes()):
+            if pos >= len(entries) or entries[pos][0] != name:
+                raise NetworkConfigError(f"{where}: missing {name}")
+            values = entries[pos][1].split()
+            if len(values) != math.prod(shape):
+                raise NetworkConfigError(f"{where} {name}: expected {math.prod(shape)} values, got {len(values)}")
             try:
-                layer: Layer = Conv1d(
-                    in_channels=_parse_int(kv.get("in"), "in", where),
-                    out_channels=_parse_int(kv.get("out"), "out", where),
-                    kernel=_parse_int(kv.get("kernel"), "kernel", where),
-                    stride=_parse_int(kv.get("stride", "1"), "stride", where),
-                    padding=_parse_int(kv.get("padding", "0"), "padding", where),
-                    circular=flag in _FLAG_TRUE,
-                )
+                arrays.append(np.array(values, dtype=float).reshape(shape))
             except ValueError as exc:
-                raise ModelError(f"{where}: {exc}") from None
-        elif head == "dense":
-            kv = _parse_kv(rest, where)
-            try:
-                layer = Dense(in_size=_parse_int(kv.get("in"), "in", where), out_size=_parse_int(kv.get("out"), "out", where))
-            except ValueError as exc:
-                raise ModelError(f"{where}: {exc}") from None
-        elif head == "activation":
-            try:
-                layer = Activation(rest.strip())
-            except ValueError as exc:
-                raise ModelError(f"{where}: {exc}") from None
-        else:
-            raise ModelError(f"{where}: unknown layer type {head!r}")
+                raise ModelError(f"{where} {name}: bad number ({exc})") from None
+            pos += 1
         layers.append(layer)
-        pos += 1
-
-        if isinstance(layer, Activation):
-            weights.append(None)
-            continue
-        if isinstance(layer, Conv1d):
-            w_shape = (layer.out_channels, layer.in_channels, layer.kernel)
-            b_count = layer.out_channels
-        else:
-            w_shape = (layer.out_size, layer.in_size)
-            b_count = layer.out_size
-        if pos >= len(entries) or entries[pos][0] != "weights":
-            raise NetworkConfigError(f"{where}: missing weights")
-        w = _parse_floats(entries[pos][1], int(np.prod(w_shape)), f"{where} weights").reshape(w_shape)
-        pos += 1
-        if pos >= len(entries) or entries[pos][0] != "bias":
-            raise NetworkConfigError(f"{where}: missing bias")
-        b = _parse_floats(entries[pos][1], b_count, f"{where} bias")
-        pos += 1
-        weights.append((w, b))
+        weights.append(tuple(arrays) or None)
 
     spec = NetworkSpec(lidar_inputs=lidar, extra_inputs=extra, layers=tuple(layers))
     return spec, weights

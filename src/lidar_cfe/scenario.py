@@ -34,8 +34,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_rays < 1:
             raise ValueError(f"n_rays must be >= 1, got {self.n_rays}")
-        if not self.max_range > 0.0:
-            raise ValueError(f"max_range must be > 0, got {self.max_range}")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         if self.d_g_max is not None and not self.d_g_max > 0.0:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))

@@ -240,7 +240,7 @@ def test_batched_actions_keep_action_vector_checks(actions, message):
         ActionVector(np.asarray(actions[0]))
     assert str(single.value) == message
     objective = fitness_for_query(make_query("goal_seeker", n_obstacles=1), FixedBatchPolicy(actions))
-    with pytest.raises(ValueError) as batched:
+    with pytest.raises(ModelError) as batched:
         objective(np.full((1, GENES_PER_OBSTACLE), 0.9))
     assert str(batched.value) == message
 

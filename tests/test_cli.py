@@ -1,12 +1,14 @@
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from lidar_cfe import LidarCfeError, PolicyModel, scripted_policy
+from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, scripted_policy
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -321,6 +323,39 @@ class TestExplainCommand:
         query.write_text("base: room.yaml\nbounds: [[-1, 0], [-0.2, 0.2]]\nturbo: true\n")
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("key, value", [("rng_seed", 3), ("base_scan", "room.yaml"), ("goal", [1.0, 0.0])])
+    def test_field_names_that_are_not_query_keys_are_unknown(self, tmp_path, capsys, key, value):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml")
+        query.write_text(query.read_text() + yaml.safe_dump({key: value}))
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path)]) == EXIT_INPUT
+        assert f"unknown fields ['{key}']" in capsys.readouterr().err
+
+    def test_every_query_key_is_written_back_under_its_name(self, tmp_path):
+        # One value off the default for each settable CfeQuery field; the
+        # file calls rng_seed "seed", and base_scan and goal come from "base".
+        values = {
+            "bounds": [[-1.0, 0.0], [-0.25, 0.25]],
+            "combination": "gen_priority",
+            "lambda_y": 2.0,
+            "lambda_p": 0.5,
+            "n_obstacles": 2,
+            "d_min": 0.3,
+            "world_bounds": 3.0,
+            "size_limits": [0.1, 0.5],
+            "d_g_max": 9.0,
+            "n_cfes": 1,
+            "seed": 11,
+        }
+        assert set(values) == {f.name for f in fields(CfeQuery)} - {"base_scan", "goal", "rng_seed"} | {"seed"}
+        write_empty_room(tmp_path)
+        query = tmp_path / "query.yaml"
+        query.write_text(yaml.safe_dump({"base": "room.yaml", **values}))
+        out = tmp_path / "out"
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--no-plots", *FAST_GA]) == EXIT_OK
+        header = json.loads((out / "results.json").read_text())
+        assert {key: header[key] for key in values} == values
+
     def test_missing_base_is_input_error(self, tmp_path):
         query = tmp_path / "query.yaml"
         query.write_text("base: nowhere.yaml\nbounds: [[-1, 0], [-0.2, 0.2]]\n")
@@ -425,6 +460,55 @@ class TestValidateModelCommand:
         # Model is 19->2 but the default probe expects 183->2.
         assert main(["validate-model", "--model", f"weights:{path}"]) == EXIT_MODEL
         assert main(["validate-model", "--model", f"weights:{path}", "--n-rays", "16"]) == EXIT_OK
+
+
+def write_nan_net(tmp_path):
+    path = tmp_path / "nan.txt"
+    weights = " ".join(["0.0"] * 365 + ["nan"])
+    path.write_text(f"format: 1\nlidar: 180\nextra: 3\nlayer: dense in=183 out=2\nweights: {weights}\nbias: 0 0\nlayer: activation tanh\n")
+    return path
+
+
+def scan_of_scenario(tmp_path, **keys):
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump({"goal": [1.0, 0.0], **keys}))
+    return ["scan", str(path)]
+
+
+def explain_with_scan_base(tmp_path, **keys):
+    write_empty_room(tmp_path)
+    assert main(["scan", str(tmp_path / "room.yaml"), "-o", str(tmp_path)]) == EXIT_OK
+    scan_path = tmp_path / "room.scan.json"
+    scan_path.write_text(json.dumps({**json.loads(scan_path.read_text()), **keys}))
+    return ["explain", str(write_reverse_query(tmp_path, scan_path.name)), "--model", "scripted:goal_seeker"]
+
+
+def explain_reverse(tmp_path, *args):
+    write_empty_room(tmp_path)
+    return ["explain", str(write_reverse_query(tmp_path, "room.yaml")), *args]
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        (lambda tmp: scan_of_scenario(tmp, max_range=math.inf), EXIT_INPUT, "max_range must be positive and finite"),
+        (lambda tmp: explain_with_scan_base(tmp, d_g_max="x"), EXIT_INPUT, "room.scan.json"),
+        # Sizes of 10**15 or more are refused by numpy before anything is allocated.
+        (lambda tmp: scan_of_scenario(tmp, n_rays=10**15), EXIT_INPUT, "more memory than is available"),
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", f"ga.population={10**15}"),
+            EXIT_INPUT,
+            "more memory than is available",
+        ),
+        (lambda tmp: ["validate-model", "--model", f"weights:{write_nan_net(tmp)}"], EXIT_MODEL, "layer 0 (dense)"),
+        (lambda tmp: explain_reverse(tmp, "--model", f"weights:{write_nan_net(tmp)}"), EXIT_MODEL, "must be finite"),
+    ],
+    ids=["scenario-max-range-inf", "scan-d-g-max-text", "scenario-n-rays-1e15", "ga-population-1e15", "validate-nan-weight", "explain-nan-weight"],
+)
+def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
+    monkeypatch.setenv("LIDAR_CFE_OUT", str(tmp_path / "out"))
+    assert main(command(tmp_path)) == code
+    assert message in capsys.readouterr().err
 
 
 def test_unusable_out_dir_is_internal_error(tmp_path):

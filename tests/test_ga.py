@@ -176,7 +176,7 @@ class TestTournament:
             tournament_rows(np.zeros(4), 1, 5, rng)
 
 
-def breed(population: int, keep_parents: int, genome_length: int, keep_selected_parents: bool = False, seed: int = 0):
+def breed(population: int, keep_parents: int, genome_length: int, seed: int = 0):
     """One generation from a population whose row i holds the constant i.
 
     The mutation fraction rounds to zero resampled genes, so every child gene
@@ -192,7 +192,6 @@ def breed(population: int, keep_parents: int, genome_length: int, keep_selected_
         parents_mating=4,
         keep_parents=keep_parents,
         mutation_fraction=0.01,
-        keep_selected_parents=keep_selected_parents,
     )
     return pop, order, _next_generation(pop, fits, order, config, rng)
 
@@ -223,14 +222,9 @@ class TestNextGeneration:
         for p in range(len(children) // 2):
             assert children[2 * p + 1] == parents[(p + 1) % 4]
 
-    @pytest.mark.parametrize("keep_selected_parents", [False, True])
-    def test_elites_copied_unchanged(self, keep_selected_parents):
-        pop, order, nxt = breed(30, keep_parents=3, genome_length=6, keep_selected_parents=keep_selected_parents)
-        if keep_selected_parents:
-            expected = nxt[3:][0::2][:3, 0]  # the first three selected parents
-        else:
-            expected = order[:3].astype(float)  # the three fittest
-        assert np.array_equal(nxt[:3], pop[expected.astype(int)])
+    def test_elites_copied_unchanged(self):
+        pop, order, nxt = breed(30, keep_parents=3, genome_length=6)
+        assert np.array_equal(nxt[:3], pop[order[:3]])  # the three fittest
 
 
 class TestRunGa:
@@ -330,11 +324,6 @@ class TestRunGa:
         for seed in range(5):
             run = run_ga(GaConfig(rng_seed=seed, saturate_k=None), 6, l1_objective)
             assert run.best_fitness >= -0.05
-
-    def test_keep_selected_parents_mode_runs(self):
-        config = GaConfig(rng_seed=5, generations=10, saturate_k=None, reach_zero=False, keep_selected_parents=True)
-        run = run_ga(config, 6, l1_objective)
-        assert run.generations_run == 10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidar_cfe import (
     Activation,
@@ -140,6 +142,52 @@ class TestWeightFile:
         out1 = net_act(spec, weights, values)
         out2 = net_act(spec2, weights2, values)
         assert np.array_equal(out1, out2)
+
+    def test_save_load_save_is_exact(self, tmp_path):
+        path = tmp_path / "net.txt"
+
+        @settings(max_examples=60, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1))
+        def check(seed):
+            spec, weights = random_micro_net(np.random.default_rng(seed))
+            save_weight_file(path, spec, weights)
+            text = path.read_bytes()
+            spec2, weights2 = load_weight_file(path)
+            assert spec2 == spec
+            for entry, entry2 in zip(weights, weights2, strict=True):
+                assert (entry is None) == (entry2 is None)
+                for a, a2 in zip(entry or (), entry2 or (), strict=True):
+                    assert a2.dtype == float and a2.shape == a.shape and a2.tobytes() == a.tobytes()
+            save_weight_file(path, spec2, weights2)
+            assert path.read_bytes() == text
+
+        check()
+
+    def test_conv1d_line_may_omit_stride_padding_and_circular(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(
+            "format: 1\nlidar: 4\nextra: 3\n"
+            "layer: conv1d in=1 out=1 kernel=3\nweights: 1 2 3\nbias: 0\n"
+            "layer: dense in=5 out=1\nweights: 1 1 1 1 1\nbias: 0\n"
+            "layer: activation tanh\n"
+        )
+        spec, _ = load_weight_file(path)
+        assert spec.layers[0] == Conv1d(in_channels=1, out_channels=1, kernel=3)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("in=1 out=1 kernel=3 strde=2", "unexpected 'strde=2'"),
+            ("in=1 in=1 out=1 kernel=3", "unexpected 'in=1'"),
+            ("in=1 out=1 kernel=3 circular=true", "circular must be yes or no"),
+            ("out=1 kernel=3", "missing in"),
+        ],
+    )
+    def test_malformed_conv1d_line_names_the_key(self, tmp_path, line, message):
+        path = tmp_path / "net.txt"
+        path.write_text(f"format: 1\nlidar: 4\nextra: 3\nlayer: conv1d {line}\n")
+        with pytest.raises(ModelError, match=f"layer 0 \\(conv1d\\): {message}"):
+            load_weight_file(path)
 
     def test_policy_from_file(self, tmp_path):
         rng = np.random.default_rng(6)
