@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ModelError
-from .ga import GaConfig, require_int, run_ga
+from .ga import GaConfig, require_int, require_real, run_ga
 from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows
 from .model import ActionVector, PolicyModel, check_action_rows
 from .scan import GoalFeatures, Scan, goal_state, state_rows
@@ -86,9 +85,10 @@ class CfeQuery:
             require_int(name, getattr(self, name))
         for name in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if value is not None and not (real and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value is not None:
+                require_real(name, value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         if self.combination not in (MIN_DISTANCE, GEN_PRIORITY):
             raise ValueError(f"combination must be {MIN_DISTANCE!r} or {GEN_PRIORITY!r}, got {self.combination!r}")
         if self.lambda_y < 0.0 or self.lambda_p < 0.0:
@@ -182,11 +182,6 @@ def decode_genome(genome, n_obstacles: int, world_bounds: float, size_limits=(0.
     genes = np.asarray(genome, dtype=float)
     if genes.ndim != 1 or genes.size != GENES_PER_OBSTACLE * n_obstacles:
         raise ValueError(f"genome length {genes.size} != {GENES_PER_OBSTACLE} * {n_obstacles}")
-    if not world_bounds > 0.0:
-        raise ValueError(f"world_bounds must be > 0, got {world_bounds}")
-    lo, hi = size_limits
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"size_limits must satisfy 0 < lo <= hi, got {size_limits}")
     rows = _decode_rows(genes[np.newaxis], world_bounds, size_limits).take(0)
     shapes = []
     for k in range(n_obstacles):
@@ -210,6 +205,19 @@ def _hinge_rows(actions: np.ndarray, bounds: ActionBounds) -> np.ndarray:
     inside = (actions >= bounds.lower) & (actions <= bounds.upper)
     nearest_edge = np.minimum(np.abs(actions - bounds.lower), np.abs(actions - bounds.upper))
     return np.where(inside, 0.0, nearest_edge).sum(axis=1)
+
+
+def _act_rows(model: PolicyModel, states: np.ndarray) -> np.ndarray:
+    """The model's (P, m) actions for (P, n) states; a wrong shape, or a value
+    that is not finite or lies outside [-1, 1], raises ModelError."""
+    actions = np.asarray(model.act_batch(states), dtype=float)
+    if actions.shape != (len(states), model.output_size):
+        raise ModelError(f"act_batch returned shape {actions.shape} for {len(states)} states")
+    try:
+        check_action_rows(actions)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+    return actions
 
 
 def _scorer(query: CfeQuery, model: PolicyModel):
@@ -248,13 +256,7 @@ def _scorer(query: CfeQuery, model: PolicyModel):
             merged = np.minimum(readings, scans)
         else:  # every actual generated return overrides the base
             merged = np.where(scans < max_range, scans, readings)
-        actions = np.asarray(model.act_batch(state_rows(merged, max_range, goal)), dtype=float)
-        if actions.shape != (len(rows), model.output_size):
-            raise ModelError(f"act_batch returned shape {actions.shape} for {len(rows)} states")
-        try:
-            check_action_rows(actions)
-        except ValueError as exc:
-            raise ModelError(str(exc)) from None
+        actions = _act_rows(model, state_rows(merged, max_range, goal))
         hinge = _hinge_rows(actions, query.bounds)
         if full or query.lambda_p != 0.0:
             proximity = np.abs(merged - readings).sum(axis=1) / (base.n * max_range)

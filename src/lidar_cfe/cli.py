@@ -23,10 +23,9 @@ import yaml
 
 from . import __version__
 from .bridge import external_policy
-from .cfe import ActionBounds, CfeQuery, CfeResult, _hinge_rows, generate_cfes
+from .cfe import ActionBounds, CfeQuery, CfeResult, _act_rows, _hinge_rows, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
-from .ga import GaConfig
-from .geometry import CIRCLE, ObstacleShape
+from .ga import GaConfig, require_real
 from .model import (
     GOAL_SEEKER,
     LEFT_PREFERRER,
@@ -36,8 +35,8 @@ from .model import (
     scripted_policy,
 )
 from .plot import cfe_plot_svg, scan_plot_svg, write_svg
-from .scan import GoalFeatures, ModelState, Scan, goal_state, state_rows
-from .scenario import load_scenario, load_yaml_mapping, parse_yaml
+from .scan import GoalFeatures, Scan, goal_state, state_rows
+from .scenario import _obstacle_entry, _pair, load_scenario, load_yaml_mapping, parse_yaml
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
 
@@ -66,17 +65,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _obstacle_payload(shape: ObstacleShape) -> dict:
-    if shape.kind == CIRCLE:
-        return {"kind": shape.kind, "center": [shape.center.x, shape.center.y], "radius": shape.radius}
-    return {
-        "kind": shape.kind,
-        "center": [shape.center.x, shape.center.y],
-        "half_extents": list(shape.half_extents),
-        "orientation": shape.orientation,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Query loading
 
@@ -95,16 +83,6 @@ def _apply_override(data: dict, dotted: str, raw_value: str) -> None:
     node[keys[-1]] = value
 
 
-def _floats(raw, where: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in raw if not isinstance(v, bool))
-    except (TypeError, ValueError):
-        values = ()
-    if len(values) != len(raw):
-        raise InputError(f"{where} must be numbers, got {raw!r}")
-    return values
-
-
 def _parse_bounds(raw, where: str) -> ActionBounds:
     if isinstance(raw, dict):
         if set(raw) != {"linear", "angular"}:
@@ -112,11 +90,7 @@ def _parse_bounds(raw, where: str) -> ActionBounds:
         raw = [raw["linear"], raw["angular"]]
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: bounds must be a list of [lower, upper] pairs")
-    pairs = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InputError(f"{where}: bounds[{i}] must be [lower, upper]")
-        pairs.append(_floats(pair, f"{where}: bounds[{i}]"))
+    pairs = [_pair(pair, f"{where}: bounds[{i}]") for i, pair in enumerate(raw)]
     try:
         return ActionBounds.from_pairs(pairs)
     except ValueError as exc:
@@ -138,8 +112,9 @@ def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, flo
             raise InputError(f"{base_path}: not a scan file (kind != 'scan')")
         try:
             scan = Scan(np.array(data["readings"], dtype=float), float(data["max_range"]))
-            goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
-            d_g_max = None if data.get("d_g_max") is None else float(data["d_g_max"])
+            goal, d_g_max = GoalFeatures(**data["goal"]), data.get("d_g_max")
+            if d_g_max is not None:
+                require_real("d_g_max", d_g_max)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{base_path}: {exc}") from None
         return scan, goal, d_g_max, str(base_path)
@@ -171,7 +146,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     keys = _query_keys()
     unknown = set(data) - set(keys) - {"base", "ga"}
     if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown)}")
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
 
     base_ref = data.get("base")
     if not isinstance(base_ref, str):
@@ -181,10 +156,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     kwargs = {name: data[key] for key, name in keys.items() if data.get(key) is not None}
     kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
     if "size_limits" in kwargs:
-        raw_sizes = kwargs["size_limits"]
-        if not isinstance(raw_sizes, (list, tuple)) or len(raw_sizes) != 2:
-            raise InputError(f"{where}: size_limits must be [min, max]")
-        kwargs["size_limits"] = _floats(raw_sizes, f"{where}: size_limits")
+        kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
     kwargs.setdefault("d_g_max", base_d_g_max)
     try:
         query = CfeQuery(base_scan=scan, goal=goal, **kwargs)
@@ -269,7 +241,6 @@ def _query_settings(query: CfeQuery) -> dict:
 
 
 def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
-    goal = query.goal
     entries = []
     for i, r in enumerate(results):
         entries.append(
@@ -280,7 +251,7 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
                 "hinge": r.hinge_component,
                 "proximity": r.proximity_component,
                 "achieved_action": [float(v) for v in r.achieved_action.values],
-                "obstacles": [_obstacle_payload(s) for s in r.obstacles],
+                "obstacles": [_obstacle_entry(s) for s in r.obstacles],
                 "genome": [float(g) for g in r.genome],
                 "combined_readings": [float(v) for v in r.combined_scan.readings],
                 "search": asdict(r.search),
@@ -291,7 +262,7 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
         "kind": "cfe-results",
         "n_rays": query.base_scan.n,
         "max_range": query.base_scan.max_range,
-        "goal": {"cos": goal.cos, "sin": goal.sin, "distance": goal.distance},
+        "goal": asdict(query.goal),
         "base_readings": [float(v) for v in query.base_scan.readings],
         **_query_settings(query),
         "warning": None if any(r.satisfied for r in results) or not results else "no satisfied counterfactuals",
@@ -311,7 +282,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        goal = GoalFeatures(data["goal"]["cos"], data["goal"]["sin"], data["goal"]["distance"])
+        goal = GoalFeatures(**data["goal"])
         n_rays, max_range, d_g_max = int(data["n_rays"]), float(data["max_range"]), float(data["d_g_max"])
         bounds = ActionBounds.from_pairs(data["bounds"])
         entries = list(data["results"])
@@ -359,7 +330,7 @@ def cmd_scan(args) -> int:
         "n_rays": scan.n,
         "max_range": scan.max_range,
         "readings": [float(v) for v in scan.readings],
-        "goal": {"cos": goal.cos, "sin": goal.sin, "distance": goal.distance},
+        "goal": asdict(goal),
         "d_g_max": scenario.goal_distance_scale(),
     }
     scan_path = out_dir / f"{stem}.scan.json"
@@ -426,10 +397,9 @@ def cmd_validate_model(args) -> int:
     try:
         # Probe with the range-clear state: every ray at max range, goal dead
         # ahead at half the distance scale.
-        values = np.concatenate([np.ones(args.n_rays), [1.0, 0.5, 0.5]])
-        state = ModelState(values)
+        state = np.concatenate([np.ones(args.n_rays), [1.0, 0.5, 0.5]])
         t0 = time.perf_counter()
-        action = model.act(state)
+        (action,) = _act_rows(model, state[np.newaxis])
         latency = time.perf_counter() - t0
     finally:
         close = getattr(model, "close", None)
@@ -437,7 +407,7 @@ def cmd_validate_model(args) -> int:
             close()
     print(f"model: {args.model}")
     print(f"inputs: {model.input_size}  outputs: {model.output_size}")
-    print("probe action: [" + ", ".join(f"{v:.4f}" for v in action.values) + "]")
+    print("probe action: [" + ", ".join(f"{v:.4f}" for v in action) + "]")
     print(f"probe latency: {latency * 1000.0:.1f} ms")
     print("ok")
     return EXIT_OK
@@ -510,6 +480,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except MemoryError as exc:
         print(f"input error: the input's sizes need more memory than is available ({exc})", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:
+        print(f"input error: a number in the input is too large ({exc})", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # stable exit-code contract over raw tracebacks
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

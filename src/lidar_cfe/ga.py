@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ def require_int(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,8 @@ class GaConfig:
             raise ValueError(f"reach_zero must be true or false, got {self.reach_zero!r}")
         if self.generations < 1:
             raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
+        if not 1 <= self.population <= sys.maxsize:
+            raise ValueError(f"population must lie in [1, {sys.maxsize}], got {self.population}")
         if not 1 <= self.parents_mating <= self.population:
             raise ValueError(f"parents_mating must lie in [1, population], got {self.parents_mating}")
         if not 0 <= self.keep_parents <= self.parents_mating:

@@ -183,6 +183,7 @@ def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, 
     return np.where(hit, t, np.inf)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a shape so far away that its squared distance overflows is a miss
 def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float) -> np.ndarray:
     """Scan readings of every scene in ``shapes``, one (n_rays,) row per scene.
 

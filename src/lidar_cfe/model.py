@@ -287,7 +287,8 @@ class NetworkPolicy(PolicyModel):
         self.output_size = spec.output_size()
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
-        return _forward(self.spec, self.weights, states)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite action, a model error
+            return _forward(self.spec, self.weights, states)
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":

@@ -32,7 +32,8 @@ class _Frame:
         self.max_range = max_range
 
     def pt(self, x: float, y: float) -> tuple[float, float]:
-        return self.cx + x * self.scale, self.cy - y * self.scale
+        # As Python floats, a point too far off the canvas maps to inf without a warning.
+        return self.cx + float(x) * self.scale, self.cy - float(y) * self.scale
 
 
 def _svg_open(label: str | None) -> list[str]:

@@ -1,47 +1,63 @@
 """Scene descriptions: named obstacle layouts around a sensor, plus a goal.
 
-Scenario files are YAML; walls are just thin rectangles. The sensor's
-forward axis is world +x (no robot pose rotation is modeled), so goal
-features derive directly from the origin-to-goal vector.
+Scenario files are YAML whose keys are the fields of ``Scenario``; walls are
+just thin rectangles. The sensor's forward axis is world +x (no robot pose
+rotation is modeled), so goal features derive directly from the
+origin-to-goal vector.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import InputError
-from .geometry import CIRCLE, RECTANGLE, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
+from .ga import require_int, require_real
+from .geometry import CIRCLE, ORIGIN, RECTANGLE, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
 from .scan import GoalFeatures, Scan
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named scene used to produce base scans and goal features."""
+    """A named scene used to produce base scans and goal features.
+
+    ``name`` is the stem of the files ``lidar-cfe scan`` writes. Neither the
+    sensor origin nor the goal may lie inside an obstacle.
+    """
 
     name: str
-    origin: Point2
     goal: Point2
-    obstacles: tuple[ObstacleShape, ...]
+    origin: Point2 = ORIGIN
+    obstacles: tuple[ObstacleShape, ...] = ()
     n_rays: int = 180
     max_range: float = 3.5
     d_g_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_rays < 1:
-            raise ValueError(f"n_rays must be >= 1, got {self.n_rays}")
+        if not isinstance(self.name, str) or not 0 < len(os.fsencode(self.name)) <= 200 or set("/\0") & set(self.name):
+            raise ValueError(f"name must be a file name stem of 1 to 200 bytes without '/' or NUL, got {self.name!r}")
+        require_int("n_rays", self.n_rays)
+        if not 1 <= self.n_rays <= sys.maxsize:
+            raise ValueError(f"n_rays must lie in [1, {sys.maxsize}], got {self.n_rays}")
+        for name in ("max_range", "d_g_max"):
+            if getattr(self, name) is not None:
+                require_real(name, getattr(self, name))
         if not 0.0 < self.max_range < math.inf:
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
-        if self.d_g_max is not None and not self.d_g_max > 0.0:
-            raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
+        if not 0.0 < self.goal_distance_scale() < math.inf:
+            raise ValueError(f"goal-distance scale must be finite and > 0: d_g_max {self.d_g_max}, max_range {self.max_range}")
+        self.goal_features()  # raises for a goal too far to measure
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         for shape in self.obstacles:
-            if shape_overlaps_disk(shape, self.goal, 0.0):
-                raise ValueError(f"goal ({self.goal.x}, {self.goal.y}) lies inside a {shape.kind} obstacle")
+            for what, point in (("goal", self.goal), ("sensor origin", self.origin)):
+                if shape_overlaps_disk(shape, point, 0.0):
+                    raise ValueError(f"{what} ({point.x}, {point.y}) lies inside a {shape.kind} obstacle")
 
     def goal_features(self) -> GoalFeatures:
         """Bearing and distance to the goal as seen from the sensor."""
@@ -58,50 +74,63 @@ class Scenario:
     def goal_distance_scale(self) -> float:
         """Goal-distance normalizer; defaults to the diagonal of the scan's square extent."""
         if self.d_g_max is not None:
-            return self.d_g_max
+            return float(self.d_g_max)
         return 2.0 * math.sqrt(2.0) * self.max_range
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise InputError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InputError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _point(value, where: str) -> Point2:
+def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InputError(f"{where}: expected [x, y]")
-    try:
-        return Point2(_number(value[0], where), _number(value[1], where))
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from None
+        raise InputError(f"{where}: expected a pair of numbers, got {value!r}")
+    return _number(value[0], where), _number(value[1], where)
+
+
+def _point(value, where: str) -> Point2:
+    return Point2(*_pair(value, where))
 
 
 def _obstacle(entry, where: str) -> ObstacleShape:
     if not isinstance(entry, dict):
         raise InputError(f"{where}: expected a mapping with a 'kind' field")
-    kind = _require(entry, "kind", where)
-    center = _point(_require(entry, "center", where), f"{where}.center")
+    kind = entry.get("kind")
+    if kind not in (CIRCLE, RECTANGLE):
+        raise InputError(f"{where}: unknown obstacle kind {kind!r}")
+    unknown = set(entry) - {"kind", *_OBSTACLE_KEYS[kind]}
+    if unknown:
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)} for a {kind}")
+    values = {key: _READERS[key](value, f"{where}.{key}") for key, value in entry.items() if key != "kind" and value is not None}
     try:
-        if kind == CIRCLE:
-            return ObstacleShape.circle(center, _number(_require(entry, "radius", where), f"{where}.radius"))
-        if kind == RECTANGLE:
-            extents = _require(entry, "half_extents", where)
-            if not isinstance(extents, (list, tuple)) or len(extents) != 2:
-                raise InputError(f"{where}.half_extents: expected [hx, hy]")
-            hx = _number(extents[0], f"{where}.half_extents")
-            hy = _number(extents[1], f"{where}.half_extents")
-            orientation = _number(entry.get("orientation", 0.0), f"{where}.orientation")
-            return ObstacleShape.rectangle(center, (hx, hy), orientation)
-    except ValueError as exc:
+        return ObstacleShape(kind, **values)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from None
-    raise InputError(f"{where}: unknown obstacle kind {kind!r}")
+
+
+def _obstacles(value, where: str) -> tuple[ObstacleShape, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list")
+    return tuple(_obstacle(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+
+# An obstacle entry holds ``kind`` and the ObstacleShape fields of that kind. A
+# null or missing field takes the ObstacleShape default, so a rectangle may
+# omit ``orientation``.
+_OBSTACLE_KEYS = {CIRCLE: ("center", "radius"), RECTANGLE: ("center", "half_extents", "orientation")}
+
+# How each scenario-file value that is not stored as written is read, and how
+# an obstacle value is written back (default: as a float).
+_READERS = {"origin": _point, "goal": _point, "obstacles": _obstacles, "center": _point, "radius": _number,
+            "half_extents": _pair, "orientation": _number}
+_WRITERS = {"center": lambda point: [point.x, point.y], "half_extents": list}
+
+
+def _obstacle_entry(shape: ObstacleShape) -> dict:
+    """The scenario-file entry of ``shape``; results.json writes obstacles in this form too."""
+    return {"kind": shape.kind, **{key: _WRITERS.get(key, float)(getattr(shape, key)) for key in _OBSTACLE_KEYS[shape.kind]}}
 
 
 class _Yaml12Loader(yaml.SafeLoader):
@@ -141,35 +170,20 @@ def load_yaml_mapping(path) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a YAML scenario file."""
+    """Parse and validate a YAML scenario file, whose keys are the fields of ``Scenario``.
+
+    A missing or null key takes the field's default (``name``: the file stem); an unknown key is an input error.
+    """
     path = Path(path)
-    data = load_yaml_mapping(path)
     where = str(path)
-    raw_obstacles = data.get("obstacles", [])
-    if raw_obstacles is None:
-        raw_obstacles = []
-    if not isinstance(raw_obstacles, list):
-        raise InputError(f"{where}: obstacles must be a list")
-    obstacles = tuple(_obstacle(entry, f"{where}: obstacles[{i}]") for i, entry in enumerate(raw_obstacles))
-    name = data.get("name", path.stem)
-    origin = _point(data.get("origin", [0.0, 0.0]), f"{where}: origin")
-    goal = _point(_require(data, "goal", where), f"{where}: goal")
-    n_rays = data.get("n_rays", 180)
-    if not isinstance(n_rays, int) or isinstance(n_rays, bool):
-        raise InputError(f"{where}: n_rays must be an integer")
-    max_range = _number(data.get("max_range", 3.5), f"{where}: max_range")
-    d_g_max = data.get("d_g_max")
-    if d_g_max is not None:
-        d_g_max = _number(d_g_max, f"{where}: d_g_max")
+    data = load_yaml_mapping(path)
+    unknown = set(data) - {f.name for f in fields(Scenario)}
+    if unknown:
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
+    kwargs = {key: _READERS[key](value, f"{where}: {key}") if key in _READERS else value
+              for key, value in data.items() if value is not None}
+    kwargs.setdefault("name", path.stem)
     try:
-        return Scenario(
-            name=str(name),
-            origin=origin,
-            goal=goal,
-            obstacles=obstacles,
-            n_rays=n_rays,
-            max_range=max_range,
-            d_g_max=d_g_max,
-        )
-    except ValueError as exc:
+        return Scenario(**kwargs)
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from None

@@ -7,6 +7,7 @@ without calling the code paths under test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -332,15 +333,32 @@ def shape_inside_mask(shape, xs, ys):
     return (np.abs(lx) <= hx) & (np.abs(ly) <= hy)
 
 
-def march_headings(shapes, headings, max_range, step=1e-3, origin=(0.0, 0.0)):
-    """Walk each heading in fixed steps; distance of the first occupied sample."""
-    headings = np.asarray(headings, dtype=float)
+@functools.lru_cache(maxsize=8)
+def _march_grid(headings, max_range, step, origin):
+    """Sample distances and the (heading, distance) sample points, read-only."""
+    headings = np.array(headings, dtype=float)
     ts = np.arange(0.0, max_range + step / 2, step)
     xs = origin[0] + np.cos(headings)[:, None] * ts[None, :]
     ys = origin[1] + np.sin(headings)[:, None] * ts[None, :]
+    for array in (ts, xs, ys):
+        array.flags.writeable = False
+    return ts, xs, ys
+
+
+def march_headings(shapes, headings, max_range, step=1e-3, origin=(0.0, 0.0)):
+    """Walk each heading in fixed steps; distance of the first occupied sample.
+
+    A shape is tested only on the samples whose distance t from the origin
+    lies within its bounding radius, plus two steps, of its center's
+    distance: by the triangle inequality no other sample can be inside it.
+    """
+    ts, xs, ys = _march_grid(tuple(np.asarray(headings, dtype=float).tolist()), max_range, step, tuple(origin))
     inside = np.zeros(xs.shape, dtype=bool)
     for shape in shapes:
-        inside |= shape_inside_mask(shape, xs, ys)
+        reach = (shape.radius if shape.kind == "circle" else math.hypot(*shape.half_extents)) + 2 * step
+        gap = math.hypot(shape.center.x - origin[0], shape.center.y - origin[1])
+        near = slice(np.searchsorted(ts, gap - reach, side="left"), np.searchsorted(ts, gap + reach, side="right"))
+        inside[:, near] |= shape_inside_mask(shape, xs[:, near], ys[:, near])
     any_hit = inside.any(axis=1)
     first = np.argmax(inside, axis=1)
     return np.where(any_hit, first * step, max_range)

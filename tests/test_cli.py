@@ -1,14 +1,17 @@
 import json
 import math
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, scripted_policy
+from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, Scenario, scripted_policy
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -469,6 +472,21 @@ def write_nan_net(tmp_path):
     return path
 
 
+def write_overflowing_net(tmp_path):
+    """A 183->2->2 net, tanh head, whose first layer overflows to +inf and -inf on the probe state."""
+    from lidar_cfe import Activation, Dense, NetworkSpec, save_weight_file
+
+    first = np.zeros((2, 183))
+    first[0, :2], first[1, :2] = 1e308, -1e308
+    path = tmp_path / "overflow.txt"
+    spec = NetworkSpec(180, 3, (Dense(183, 2), Dense(2, 2), Activation("tanh")))
+    save_weight_file(path, spec, [(first, np.zeros(2)), (np.ones((2, 2)), np.zeros(2)), None])
+    return path
+
+
+CIRCLE_AHEAD = {"kind": "circle", "center": [2.0, 1.0], "radius": 0.5}
+
+
 def scan_of_scenario(tmp_path, **keys):
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump({"goal": [1.0, 0.0], **keys}))
@@ -502,8 +520,39 @@ def explain_reverse(tmp_path, *args):
         ),
         (lambda tmp: ["validate-model", "--model", f"weights:{write_nan_net(tmp)}"], EXIT_MODEL, "layer 0 (dense)"),
         (lambda tmp: explain_reverse(tmp, "--model", f"weights:{write_nan_net(tmp)}"), EXIT_MODEL, "must be finite"),
+        (
+            lambda tmp: ["validate-model", "--model", f"weights:{write_overflowing_net(tmp)}"],
+            EXIT_MODEL,
+            "action values must be finite",
+        ),
+        (lambda tmp: scan_of_scenario(tmp, max_range=1.0e308), EXIT_INPUT, "goal-distance scale must be finite and > 0"),
+        (lambda tmp: explain_with_scan_base(tmp, d_g_max=True), EXIT_INPUT, "room.scan.json: d_g_max must be a number, got True"),
+        (lambda tmp: scan_of_scenario(tmp, max_rang=5.0), EXIT_INPUT, "unknown fields ['max_rang']"),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "colour": "red"}]),
+            EXIT_INPUT,
+            "obstacles[0]: unknown fields ['colour'] for a circle",
+        ),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "half_extents": [0.1, 0.1]}]),
+            EXIT_INPUT,
+            "obstacles[0]: unknown fields ['half_extents'] for a circle",
+        ),
     ],
-    ids=["scenario-max-range-inf", "scan-d-g-max-text", "scenario-n-rays-1e15", "ga-population-1e15", "validate-nan-weight", "explain-nan-weight"],
+    ids=[
+        "scenario-max-range-inf",
+        "scan-d-g-max-text",
+        "scenario-n-rays-1e15",
+        "ga-population-1e15",
+        "validate-nan-weight",
+        "explain-nan-weight",
+        "validate-overflowing-net",
+        "scenario-max-range-1e308",
+        "scan-d-g-max-bool",
+        "scenario-unknown-key",
+        "circle-unknown-key",
+        "circle-with-half-extents",
+    ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
     monkeypatch.setenv("LIDAR_CFE_OUT", str(tmp_path / "out"))
@@ -537,3 +586,67 @@ def test_samples_ship_and_scan(tmp_path):
     assert main(["scan", str(SAMPLES / "box_ahead.yaml"), "-o", str(tmp_path)]) == EXIT_OK
     data = json.loads((tmp_path / "box-ahead.scan.json").read_text())
     assert data["readings"][0] == pytest.approx(2.5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under drawn input: 0, 2 or 3, never 4.
+
+NUMBERS = (
+    st.integers(-5, 400)
+    | st.sampled_from([0.0, -1.0, 0.5, 3.5, math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400])
+    | st.floats(-10.0, 10.0)
+)
+SCALARS = st.none() | st.booleans() | NUMBERS | st.text(max_size=8)
+VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.lists(NUMBERS, min_size=2, max_size=2)
+OBSTACLE_KEYS = ["kind", "center", "radius", "half_extents", "orientation", "colour", "raduis"]
+SCENARIO_KEYS = [f.name for f in fields(Scenario)] + ["max_rang", "nrays", "origen", "obstacle"]
+VALID_SCENE = {
+    "goal": [2.0, 0.0],
+    "obstacles": [CIRCLE_AHEAD, {"kind": "rectangle", "center": [-2.0, 0.0], "half_extents": [0.1, 1.0]}],
+}
+
+
+@st.composite
+def scenario_mappings(draw):
+    """A valid scene with some keys, its obstacles' keys too, replaced by drawn values."""
+    obstacle = st.builds(
+        lambda base, edits: {**base, **edits},
+        st.sampled_from(VALID_SCENE["obstacles"]),
+        st.dictionaries(st.sampled_from(OBSTACLE_KEYS), VALUES | st.sampled_from(["circle", "rectangle"]), max_size=2),
+    )
+    edits = st.dictionaries(st.sampled_from(SCENARIO_KEYS), VALUES | st.lists(obstacle, max_size=3), max_size=3)
+    return {**VALID_SCENE, **draw(edits)}
+
+
+YAML_VALUES = (
+    st.sampled_from(["null", "true", "abc", ".nan", ".inf", "-.inf", "1e308", str(10**400)])
+    | st.sampled_from(["[]", "[0.1, 0.2]", "[[-1, 0], [0, 1]]", "{}"])
+    | st.integers(-5, 400).map(str)
+    | st.floats(-10.0, 10.0).map(repr)
+)
+QUERY_KEYS = [f.name for f in fields(CfeQuery) if f.name not in ("base_scan", "goal", "rng_seed", "n_cfes")]
+SET_KEYS = QUERY_KEYS + ["seed", "base", "lambda", "ga.mutation_fraction", "ga.saturate_k", "ga.reach_zero", "ga.crossover"]
+TINY_GA = ["n_cfes=1", "ga.population=6", "ga.parents_mating=2", "ga.keep_parents=1", "ga.tournament_size=2"]  # set last, so they win
+EXIT_CODE_PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@EXIT_CODE_PROPERTY
+@given(scene=scenario_mappings())
+def test_scan_of_any_scenario_exits_0_or_2(scene):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.yaml"
+        path.write_text(yaml.safe_dump(scene))
+        code = main(["scan", str(path), "-o", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_INPUT)
+    if set(scene) - {f.name for f in fields(Scenario)}:  # even with a null value
+        assert code == EXIT_INPUT
+
+
+@EXIT_CODE_PROPERTY
+@given(overrides=st.lists(st.tuples(st.sampled_from(SET_KEYS), YAML_VALUES), max_size=3), generations=st.integers(1, 2))
+def test_explain_with_any_overrides_exits_0_2_or_3(overrides, generations):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = explain_reverse(Path(tmp), "--model", "scripted:goal_seeker", "-o", str(Path(tmp) / "out"))
+        for setting in [f"{key}={value}" for key, value in overrides] + TINY_GA + [f"ga.generations={generations}"]:
+            args += ["--set", setting]
+        assert main(args) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL)
