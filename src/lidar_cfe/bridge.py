@@ -187,12 +187,6 @@ class ExternalPolicy(PolicyModel):
                 proc.wait()
         self._proc = None
 
-    def __enter__(self) -> "ExternalPolicy":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __del__(self) -> None:
         try:
             self.close()

@@ -283,6 +283,27 @@ def fitness_for_query(query: CfeQuery, model: PolicyModel):
     return lambda pop: score(pop, False)[0]
 
 
+def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches: list[SearchFacts]) -> list[CfeResult]:
+    """One result per row of a (P, 6K) gene matrix, in row order, all rows scored in one batch."""
+    if len(genomes) == 0:
+        return []  # _decode_rows cannot reshape an empty matrix
+    scores = _scorer(query, model)(genomes, True)
+    return [
+        CfeResult(
+            obstacles=tuple(decode_genome(genome, query.n_obstacles, query.world_extent, query.size_limits)),
+            combined_scan=Scan(merged, query.base_scan.max_range),
+            achieved_action=ActionVector(action),
+            fitness=float(fitness),
+            hinge_component=float(hinge),
+            proximity_component=float(proximity),
+            satisfied=bool(hinge == 0.0),
+            genome=genome,
+            search=search,
+        )
+        for genome, search, fitness, merged, action, hinge, proximity in zip(genomes, searches, *scores, strict=True)
+    ]
+
+
 def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | None = None) -> list[CfeResult]:
     """Run ``query.n_cfes`` independent seeded searches and package the results.
 
@@ -293,26 +314,13 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
     """
     config = ga_config if ga_config is not None else GaConfig()
     objective = fitness_for_query(query, model)
-    score = _scorer(query, model)
     length = GENES_PER_OBSTACLE * query.n_obstacles
-    results = []
-    for seed in range(query.rng_seed, query.rng_seed + query.n_cfes):
-        run = run_ga(replace(config, rng_seed=seed), length, objective)
-        genome = run.best_genome
-        fitness, merged, actions, hinge, proximity = (part[0] for part in score(genome[np.newaxis], True))
-        results.append(
-            CfeResult(
-                obstacles=tuple(decode_genome(genome, query.n_obstacles, query.world_extent, query.size_limits)),
-                combined_scan=Scan(merged, query.base_scan.max_range),
-                achieved_action=ActionVector(actions),
-                fitness=float(fitness),
-                hinge_component=float(hinge),
-                proximity_component=float(proximity),
-                satisfied=bool(hinge == 0.0),
-                genome=genome,
-                search=SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population),
-            )
-        )
+    genomes, searches = np.empty((query.n_cfes, length)), []
+    for i, seed in enumerate(range(query.rng_seed, query.rng_seed + query.n_cfes)):
+        run = run_ga(replace(config, rng_seed=seed), length, objective)  # a GaRun holds its population; keep none
+        genomes[i] = run.best_genome
+        searches.append(SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population))
+    results = _package(query, model, genomes, searches)
     results.sort(key=lambda r: r.fitness, reverse=True)  # stable, ties keep run order
     if results and not any(r.satisfied for r in results):
         logger.warning("no generated counterfactual landed inside the requested action bounds")

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__
 from .bridge import external_policy
-from .cfe import ActionBounds, CfeQuery, CfeResult, _act_rows, _hinge_rows, generate_cfes
+from .cfe import ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_real
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
     scripted_policy,
 )
 from .plot import cfe_plot_svg, scan_plot_svg, write_svg
-from .scan import GoalFeatures, Scan, goal_state, state_rows
+from .scan import GoalFeatures, Scan
 from .scenario import _obstacle_entry, _pair, load_scenario, load_yaml_mapping, parse_yaml
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
@@ -136,6 +136,22 @@ def _query_keys() -> dict[str, str]:
     }
 
 
+def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str, d_g_max: float | None = None) -> CfeQuery:
+    """The query that ``data``'s query-file keys set, for query files and ``results.json`` headers.
+
+    Other keys are ignored. A missing or null key takes the ``CfeQuery``
+    default, or for ``d_g_max`` the given one.
+    """
+    kwargs = {"d_g_max": d_g_max, **{name: data[key] for key, name in _query_keys().items() if data.get(key) is not None}}
+    kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
+    if "size_limits" in kwargs:
+        kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
+    try:
+        return CfeQuery(base_scan=scan, goal=goal, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     """Build the query and GA config from a YAML query file plus --set overrides."""
     query_path = Path(path)
@@ -143,8 +159,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     where = str(query_path)
     for dotted, raw_value in overrides or []:
         _apply_override(data, dotted, raw_value)
-    keys = _query_keys()
-    unknown = set(data) - set(keys) - {"base", "ga"}
+    unknown = set(data) - set(_query_keys()) - {"base", "ga"}
     if unknown:
         raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
 
@@ -152,16 +167,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     if not isinstance(base_ref, str):
         raise InputError(f"{where}: 'base' must name a scenario (.yaml) or scan (.json) file")
     scan, goal, base_d_g_max, base_path = _load_base(base_ref, query_path)
-
-    kwargs = {name: data[key] for key, name in keys.items() if data.get(key) is not None}
-    kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
-    if "size_limits" in kwargs:
-        kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
-    kwargs.setdefault("d_g_max", base_d_g_max)
-    try:
-        query = CfeQuery(base_scan=scan, goal=goal, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+    query = _build_query(data, scan, goal, where, base_d_g_max)
 
     ga_raw = data.get("ga") or {}
     if not isinstance(ga_raw, dict):
@@ -173,8 +179,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: ga: {exc}") from None
 
-    meta = {"base": base_path}
-    return query, ga_config, meta
+    return query, ga_config, {"base": base_path}
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +246,16 @@ def _query_settings(query: CfeQuery) -> dict:
 
 
 def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
-    entries = []
-    for i, r in enumerate(results):
-        entries.append(
+    return {
+        "format": 1,
+        "kind": "cfe-results",
+        "n_rays": query.base_scan.n,
+        "max_range": query.base_scan.max_range,
+        "goal": asdict(query.goal),
+        "base_readings": [float(v) for v in query.base_scan.readings],
+        **_query_settings(query),
+        "warning": None if any(r.satisfied for r in results) or not results else "no satisfied counterfactuals",
+        "results": [
             {
                 "index": i,
                 "satisfied": r.satisfied,
@@ -256,60 +268,43 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
                 "combined_readings": [float(v) for v in r.combined_scan.readings],
                 "search": asdict(r.search),
             }
-        )
-    return {
-        "format": 1,
-        "kind": "cfe-results",
-        "n_rays": query.base_scan.n,
-        "max_range": query.base_scan.max_range,
-        "goal": asdict(query.goal),
-        "base_readings": [float(v) for v in query.base_scan.readings],
-        **_query_settings(query),
-        "warning": None if any(r.satisfied for r in results) or not results else "no satisfied counterfactuals",
-        "results": entries,
+            for i, r in enumerate(results)
+        ],
     }
 
 
 def verify_results_file(path, model: PolicyModel) -> int:
-    """Re-run the model on every stored combined state.
+    """Re-package every stored genome, in one batch, under the query the header gives.
 
-    Raises ``LidarCfeError``, naming the file and, for a per-entry field, the
-    entry, on any mismatch or malformed field.
-
-    All states go to the model in one ``act_batch`` call. Returns the number
-    of entries checked. Used by tests and available for scripting confidence
-    checks.
+    Each entry's ``search`` block is taken as stored; the file must equal the
+    re-packaging field by field. Raises ``LidarCfeError`` naming the file and
+    the header field, or the entry and its field, that is malformed or differs.
+    Returns the number of entries checked.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        goal = GoalFeatures(**data["goal"])
-        n_rays, max_range, d_g_max = int(data["n_rays"]), float(data["max_range"]), float(data["d_g_max"])
-        bounds = ActionBounds.from_pairs(data["bounds"])
+        query = _build_query(data, Scan(data["base_readings"], data["max_range"]), GoalFeatures(**data["goal"]), str(path))
         entries = list(data["results"])
+        for i, entry in enumerate(entries):
+            lacking = sorted({"genome", "search"} - set(entry))
+            if lacking:
+                raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(lacking)}")
+        searches = [SearchFacts(**entry["search"]) for entry in entries]
+        results = _package(query, model, np.array([entry["genome"] for entry in entries], dtype=float), searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise LidarCfeError(f"{path}: {exc}") from None
-    if not entries:
-        return 0
-    for i, entry in enumerate(entries):
-        missing = sorted({"index", "combined_readings", "achieved_action", "satisfied"} - set(entry))
-        if missing:
-            raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(missing)}")
-        if len(entry["combined_readings"]) != n_rays:
-            raise LidarCfeError(f"{path}: entry {entry['index']} has {len(entry['combined_readings'])} readings, not {n_rays}")
-    readings = np.array([entry["combined_readings"] for entry in entries], dtype=float)
-    outside = np.flatnonzero(~np.all((readings > 0.0) & (readings <= max_range), axis=1))
-    if outside.size:
-        raise LidarCfeError(f"{path}: entry {entries[outside[0]]['index']} has a reading outside (0, {max_range:g}]")
-    actions = np.asarray(model.act_batch(state_rows(readings, max_range, goal_state(goal, d_g_max))), dtype=float)
-    satisfied = _hinge_rows(actions, bounds) == 0.0
-    for entry, action, inside in zip(entries, actions, satisfied, strict=True):
-        stored = np.array(entry["achieved_action"], dtype=float)
-        if not np.array_equal(action, stored):
-            raise LidarCfeError(f"{path}: entry {entry['index']} action mismatch: {action} != {stored}")
-        if inside != entry["satisfied"]:
-            raise LidarCfeError(f"{path}: entry {entry['index']} satisfied flag disagrees with bounds")
+    if len(entries) != query.n_cfes:
+        raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")
+    fresh = _results_payload(query, results)  # each field is compared as JSON text below
+    places = [("", data, fresh)] + [(f"entry {i} ", *pair) for i, pair in enumerate(zip(entries, fresh["results"]))]
+    for name, stored, expected in places:
+        for key in sorted((stored.keys() | expected.keys()) - {"results"}):
+            if key not in stored:
+                raise LidarCfeError(f"{path}: {name}lacks {key}" if name else f"{path}: missing field {key!r}")
+            if key not in expected or json.dumps(stored[key], sort_keys=True) != json.dumps(expected[key], sort_keys=True):
+                raise LidarCfeError(f"{path}: {name or 'header field '}{key} differs from its re-packaging")
     return len(entries)
 
 
@@ -319,24 +314,27 @@ def verify_results_file(path, model: PolicyModel) -> int:
 
 def cmd_scan(args) -> int:
     scenario = load_scenario(args.scenario)
+    try:
+        scenario = replace(scenario, name=args.name or scenario.name)
+    except ValueError as exc:
+        raise InputError(f"--name: {exc}") from None
     scan = scenario.base_scan()
     goal = scenario.goal_features()
     out_dir = _out_dir(args)
-    stem = args.name or scenario.name
     payload = {
         "format": 1,
         "kind": "scan",
-        "name": stem,
+        "name": scenario.name,
         "n_rays": scan.n,
         "max_range": scan.max_range,
         "readings": [float(v) for v in scan.readings],
         "goal": asdict(goal),
         "d_g_max": scenario.goal_distance_scale(),
     }
-    scan_path = out_dir / f"{stem}.scan.json"
+    scan_path = out_dir / f"{scenario.name}.scan.json"
     _write_json(scan_path, payload)
-    svg_path = out_dir / f"{stem}.scan.svg"
-    write_svg(svg_path, scan_plot_svg(scan, goal, label=stem))
+    svg_path = out_dir / f"{scenario.name}.scan.svg"
+    write_svg(svg_path, scan_plot_svg(scan, goal, label=scenario.name))
     print(f"wrote {scan_path}")
     print(f"wrote {svg_path}")
     return EXIT_OK
@@ -349,13 +347,8 @@ def cmd_explain(args) -> int:
     if args.seed is not None:
         overrides.append(("seed", str(args.seed)))
     query, ga_config, meta = _load_query(args.query, overrides)
-    model = load_model(args.model, query.base_scan.n + 3, len(query.bounds), timeout=args.timeout)
-    try:
+    with load_model(args.model, query.base_scan.n + 3, len(query.bounds), timeout=args.timeout) as model:
         results = generate_cfes(query, model, ga_config)
-    finally:
-        close = getattr(model, "close", None)
-        if close is not None:
-            close()
 
     out_dir = _out_dir(args)
     payload = _results_payload(query, results)
@@ -393,18 +386,13 @@ def cmd_explain(args) -> int:
 
 def cmd_validate_model(args) -> int:
     n_inputs = args.n_rays + 3
-    model = load_model(args.model, n_inputs, args.outputs, timeout=args.timeout)
-    try:
+    with load_model(args.model, n_inputs, args.outputs, timeout=args.timeout) as model:
         # Probe with the range-clear state: every ray at max range, goal dead
         # ahead at half the distance scale.
         state = np.concatenate([np.ones(args.n_rays), [1.0, 0.5, 0.5]])
         t0 = time.perf_counter()
         (action,) = _act_rows(model, state[np.newaxis])
         latency = time.perf_counter() - t0
-    finally:
-        close = getattr(model, "close", None)
-        if close is not None:
-            close()
     print(f"model: {args.model}")
     print(f"inputs: {model.input_size}  outputs: {model.output_size}")
     print("probe action: [" + ", ".join(f"{v:.4f}" for v in action) + "]")

@@ -76,6 +76,15 @@ class PolicyModel:
         actions = [self.act(ModelState(row)).values for row in states]
         return np.array(actions, dtype=float).reshape(len(states), self.output_size)
 
+    def close(self) -> None:
+        """Release what the model holds, such as a child process; by default nothing."""
+
+    def __enter__(self) -> "PolicyModel":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 # ---------------------------------------------------------------------------
 # Network engine

@@ -20,6 +20,7 @@ _COLOR_COMBINED = "#15507a"
 _COLOR_OBSTACLE = "#c0392b"
 _COLOR_GOAL = "#f28c28"
 _COLOR_RING = "#b5b5b5"
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 class _Frame:
@@ -43,7 +44,7 @@ def _svg_open(label: str | None) -> list[str]:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     if label:
-        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{label}</text>')
+        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{label.translate(_XML_ESCAPES)}</text>')
     return parts
 
 
@@ -70,16 +71,17 @@ def _scan_points(frame: _Frame, scan: Scan, color: str) -> list[str]:
     return parts
 
 
-def _obstacle_outline(frame: _Frame, shape: ObstacleShape) -> str:
+def _obstacle_outline(frame: _Frame, shape: ObstacleShape) -> str | None:
+    # None when a screen coordinate or size is not finite: the obstacle lies far beyond the range ring.
     cx, cy = frame.pt(shape.center.x, shape.center.y)
+    w, h = (2 * v * frame.scale for v in shape.half_extents or (shape.radius, shape.radius))
+    if not all(map(math.isfinite, (cx, cy, w, h))):
+        return None
     if shape.kind == CIRCLE:
         return (
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{shape.radius * frame.scale:.2f}" fill="none" '
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{w / 2:.2f}" fill="none" '
             f'stroke="{_COLOR_OBSTACLE}" stroke-width="1.5"/>'
         )
-    hx, hy = shape.half_extents
-    w = 2 * hx * frame.scale
-    h = 2 * hy * frame.scale
     # Screen y points down, so a counter-clockwise world rotation is negative here.
     deg = -math.degrees(shape.orientation)
     return (
@@ -122,8 +124,7 @@ def cfe_plot_svg(
     parts.append(_ring(frame))
     parts.extend(_scan_points(frame, base, _COLOR_BASE))
     parts.extend(_scan_points(frame, combined, _COLOR_COMBINED))
-    for shape in obstacles:
-        parts.append(_obstacle_outline(frame, shape))
+    parts.extend(filter(None, (_obstacle_outline(frame, shape) for shape in obstacles)))
     if goal is not None:
         parts.append(_goal_marker(frame, goal))
     parts.append(_sensor_dot(frame))

@@ -236,6 +236,38 @@ class TestGenerateCfes:
             assert r.satisfied == query.bounds.contains(r.achieved_action)
             assert r.satisfied == (r.hinge_component == 0.0)
 
+    def test_packaging_scores_every_best_genome_in_one_batch(self, monkeypatch):
+        from lidar_cfe import cfe
+
+        query = reverse_query(n_cfes=4, lambda_p=0.05)
+        policy = scripted_policy("goal_seeker")
+        calls = []
+
+        class Counting(PolicyModel):
+            input_size, output_size = policy.input_size, policy.output_size
+
+            def act_batch(self, states):
+                calls.append(len(states))
+                return policy.act_batch(states)
+
+        def marked_run_ga(*args):
+            run = run_ga(*args)
+            calls.append("search done")
+            return run
+
+        monkeypatch.setattr(cfe, "run_ga", marked_run_ga)
+        results = generate_cfes(query, Counting())
+        assert calls.count("search done") == 4
+        assert calls[len(calls) - calls[::-1].index("search done"):] == [4]
+        # Each row packages as it would alone.
+        for r in results:
+            (alone,) = cfe._package(query, policy, r.genome[np.newaxis], [r.search])
+            assert alone.obstacles == r.obstacles
+            assert np.array_equal(alone.combined_scan.readings, r.combined_scan.readings)
+            assert np.array_equal(alone.achieved_action.values, r.achieved_action.values)
+            parts = ("fitness", "hinge_component", "proximity_component", "satisfied", "search")
+            assert [getattr(alone, name) for name in parts] == [getattr(r, name) for name in parts]
+
     def test_combined_scan_never_deeper_than_base_under_min_distance(self):
         query = reverse_query(n_cfes=3)
         base = query.base_scan

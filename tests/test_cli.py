@@ -157,20 +157,20 @@ class TestExplainCommand:
         data = json.loads(text)
         data["results"][1]["achieved_action"][0] += 0.001
         path.write_text(json.dumps(data))
-        with pytest.raises(LidarCfeError, match="entry 1 action mismatch"):
+        with pytest.raises(LidarCfeError, match="entry 1 achieved_action differs from its re-packaging"):
             verify_results_file(path, policy)
         data = json.loads(text)
         data["results"][2]["satisfied"] = not data["results"][2]["satisfied"]
         path.write_text(json.dumps(data))
-        with pytest.raises(LidarCfeError, match="entry 2 satisfied flag disagrees with bounds"):
+        with pytest.raises(LidarCfeError, match="entry 2 satisfied differs from its re-packaging"):
             verify_results_file(path, policy)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda row: row.__setitem__(5, 0.0), r"entry 1 has a reading outside \(0, 3.5\]"),
-            (lambda row: row.__setitem__(5, 99.0), r"entry 1 has a reading outside \(0, 3.5\]"),
-            (lambda row: row.pop(), "entry 1 has 179 readings, not 180"),
+            (lambda row: row.__setitem__(5, 0.0), "entry 1 combined_readings differs from its re-packaging"),
+            (lambda row: row.__setitem__(5, 99.0), "entry 1 combined_readings differs from its re-packaging"),
+            (lambda row: row.pop(), "entry 1 combined_readings differs from its re-packaging"),
         ],
         ids=["zero", "beyond-max-range", "short-row"],
     )
@@ -192,6 +192,44 @@ class TestExplainCommand:
     def test_verify_names_the_file_or_entry_with_malformed_fields(self, tmp_path, edit, message):
         path = self.edited_results(tmp_path, edit)
         with pytest.raises(LidarCfeError, match=message):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data["results"][1].__setitem__("hinge", 0.25), "entry 1 hinge differs"),
+            (lambda data: data["results"][1].__setitem__("fitness", -0.25), "entry 1 fitness differs"),
+            (lambda data: data["results"][1].__setitem__("proximity", 0.25), "entry 1 proximity differs"),
+            (lambda data: data["results"][1]["obstacles"][0]["center"].__setitem__(0, 9.0), "entry 1 obstacles differs"),
+            (lambda data: data["results"][1]["obstacles"][0].__setitem__("colour", "red"), "entry 1 obstacles differs"),
+            (lambda data: data["results"][1]["genome"].__setitem__(1, 0.5), r"entry 1 \w+ differs"),
+            (lambda data: data["results"][1].__setitem__("index", 0), "entry 1 index differs"),
+            (lambda data: data["results"][1].__setitem__("note", 1), "entry 1 note differs"),
+            (lambda data: data["results"][1].pop("genome"), "entry 1 lacks genome"),
+            (lambda data: data["results"].pop(), "2 entries for n_cfes 3"),
+            (lambda data: data["base_readings"].__setitem__(0, 3.0), r"entry 0 \w+ differs"),
+            (lambda data: data.__setitem__("warning", "no satisfied counterfactuals"), "header field warning differs"),
+            (lambda data: data.__setitem__("n_rays", 179), "header field n_rays differs"),
+        ],
+        ids=[
+            "hinge", "fitness", "proximity", "obstacle-center", "obstacle-extra-key", "genome",
+            "index", "extra-entry-field", "no-genome", "dropped-entry", "base-reading", "warning", "n-rays",
+        ],
+    )
+    def test_verify_names_the_header_field_or_entry_field_that_differs(self, tmp_path, edit, message):
+        path = self.edited_results(tmp_path, edit)
+        with pytest.raises(LidarCfeError, match=message):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
+    def test_verify_of_zero_results_checks_the_header(self, tmp_path):
+        write_empty_room(tmp_path)
+        out = tmp_path / "out"
+        query = write_reverse_query(tmp_path, "room.yaml", n_cfes=0)
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out)]) == EXIT_OK
+        path = out / "results.json"
+        assert verify_results_file(path, scripted_policy("goal_seeker")) == 0
+        path.write_text(path.read_text().replace('"n_rays": 180', '"n_rays": 179'))
+        with pytest.raises(LidarCfeError, match="header field n_rays differs"):
             verify_results_file(path, scripted_policy("goal_seeker"))
 
     @staticmethod
@@ -538,6 +576,11 @@ def explain_reverse(tmp_path, *args):
             EXIT_INPUT,
             "obstacles[0]: unknown fields ['half_extents'] for a circle",
         ),
+        (
+            lambda tmp: ["scan", str(SAMPLES / "empty_room.yaml"), "--name", "a/b"],
+            EXIT_INPUT,
+            "--name: name must be a file name stem",
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -552,6 +595,7 @@ def explain_reverse(tmp_path, *args):
         "scenario-unknown-key",
         "circle-unknown-key",
         "circle-with-half-extents",
+        "scan-name-with-slash",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -578,6 +622,30 @@ def test_svg_outputs_are_well_formed_xml(tmp_path):
     for svg in out.glob("*.svg"):
         root = ET.fromstring(svg.read_text())
         assert root.tag.endswith("svg")
+
+
+def test_svg_label_is_escaped(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    scenario = write_empty_room(tmp_path)
+    scenario.write_text(scenario.read_text().replace("name: room", "name: a<b&c"))
+    assert main(["scan", str(scenario), "-o", str(tmp_path)]) == EXIT_OK
+    root = ET.fromstring((tmp_path / "a<b&c.scan.svg").read_text())
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "a<b&c"
+
+
+def test_obstacles_far_off_the_canvas_write_no_non_finite_numbers(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    out = tmp_path / "out"
+    args = ["explain", str(SAMPLES / "reverse_query.yaml"), "--model", "scripted:goal_seeker", "-o", str(out)]
+    assert main([*args, "--set", "world_bounds=1e308", "--set", "n_cfes=2", "--set", "ga.generations=3"]) == EXIT_OK
+    svgs = sorted(out.glob("cfe_*.svg"))
+    assert len(svgs) == 2
+    for svg in svgs:
+        for element in ET.fromstring(svg.read_text()).iter():
+            assert not any("inf" in value or "nan" in value for value in element.attrib.values()), svg.name
+    assert verify_results_file(out / "results.json", scripted_policy("goal_seeker")) == 2
 
 
 def test_samples_ship_and_scan(tmp_path):
