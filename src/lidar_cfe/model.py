@@ -204,6 +204,31 @@ class NetworkSpec:
         return dense_size
 
 
+ROW_FLOOR = 16  # _forward never runs fewer states
+GEMM_MIN_OUTPUTS = 128  # values a product must give each state to run as gemm
+
+
+def _row_products(rows: np.ndarray, w: np.ndarray, per_state: int) -> np.ndarray:
+    """``rows @ w.T`` for an (n, in) array of rows, ``per_state`` consecutive rows for each state.
+
+    Each conv and dense layer of the engine runs through here: its rows are
+    a state's convolution windows or its one input row. The product runs as
+    one matrix-matrix product (gemm) when ``w`` has at least two rows and
+    each state gets at least GEMM_MIN_OUTPUTS values from it; otherwise as
+    one matrix-vector product (gemv) per row. With at least ROW_FLOOR
+    states, every gemm then makes at least ROW_FLOOR * GEMM_MIN_OUTPUTS
+    values. BLAS picks its kernel by the size of a product, and a product
+    this large keeps one kernel however many rows share it, so a row gets
+    the same bits in any batch. A one-column product would go to a gemv over
+    all rows, whose tail rows round differently; a stacked gemv makes the
+    same call for every row. tests/test_invariance.py checks every shape the
+    engine and its tests use, on the BLAS build that runs them.
+    """
+    if len(w) > 1 and per_state * len(w) >= GEMM_MIN_OUTPUTS:
+        return rows @ w.T
+    return (w @ rows[:, :, np.newaxis])[:, :, 0]
+
+
 def conv1d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -216,10 +241,13 @@ def conv1d_forward(
 
     Leading axes of ``x`` are batch axes. Output length is
     ``(length + 2*padding - kernel) // stride + 1``; circular padding wraps
-    the signal ends before the sweep.
+    the signal ends before the sweep. The sweep is one product (im2col):
+    each output position's window is a row of ``in * kernel`` values, and
+    the rows of all signals are multiplied by ``weight.reshape(out, -1).T``
+    together, by the rule of ``_row_products``.
     """
     length = x.shape[-1]
-    kernel = weight.shape[2]
+    out_channels, in_channels, kernel = weight.shape
     if padding:
         if circular:
             if padding > length:
@@ -230,7 +258,12 @@ def conv1d_forward(
     if x.shape[-1] < kernel:
         raise ValueError(f"kernel {kernel} wider than padded signal {x.shape[-1]}")
     windows = sliding_window_view(x, kernel, axis=-1)[..., ::stride, :]  # (..., in, n_out, kernel)
-    return np.einsum("...ink,oik->...on", windows, weight) + bias[:, None]
+    windows = np.swapaxes(windows, -3, -2)  # (..., n_out, in, kernel)
+    batch_shape, n_out = x.shape[:-2], windows.shape[-3]
+    y = _row_products(windows.reshape(-1, in_channels * kernel), weight.reshape(out_channels, -1), n_out)
+    # The bias is added along whole rows of n_out * out values: numpy's per-row overhead then counts once per signal.
+    y = y.reshape(*batch_shape, n_out * out_channels) + np.tile(bias, n_out)
+    return np.swapaxes(y.reshape(*batch_shape, n_out, out_channels), -1, -2)
 
 
 def _checked_weights(spec: NetworkSpec, weights) -> list:
@@ -259,28 +292,31 @@ def _checked_weights(spec: NetworkSpec, weights) -> list:
 def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
     """Run a network whose layer chain and weights are already checked on (P, inputs) states.
 
-    Dense layers run as a stack of matrix-vector products, one per row, so
-    every row gets the same bits as a single-state pass; one matrix-matrix
-    product over all rows (``x @ w.T``) can round differently.
+    A batch of fewer than ROW_FLOOR states runs padded with copies of its
+    first state, which are dropped from the result. With the product rule of
+    ``_row_products`` every row gets the same bits whatever batch it sits in.
     """
     expected = spec.lidar_inputs + spec.extra_inputs
     if states.shape[1] != expected:
         raise NetworkConfigError(f"state length {states.shape[1]} does not match spec inputs {expected}")
+    n = len(states)
+    if 0 < n < ROW_FLOOR:
+        states = np.concatenate([states, np.repeat(states[:1], ROW_FLOOR - n, axis=0)])
     x = states[:, np.newaxis, : spec.lidar_inputs]
     for layer, entry in zip(spec.layers, weights):
         if isinstance(layer, Conv1d):
             w, b = entry
             x = conv1d_forward(x, w, b, layer.stride, layer.padding, layer.circular)
         elif isinstance(layer, Dense):
-            if x.ndim == 3:  # first dense layer: flatten the conv features, append the extra inputs
-                x = np.concatenate([x.reshape(len(x), -1), states[:, spec.lidar_inputs:]], axis=1)
+            if x.ndim == 3:  # first dense layer: flatten the conv features (width spelt out for 0 states), append the extras
+                x = np.concatenate([x.reshape(len(x), x.shape[1] * x.shape[2]), states[:, spec.lidar_inputs:]], axis=1)
             w, b = entry
-            x = (w @ x[:, :, np.newaxis])[:, :, 0] + b
+            x = _row_products(x, w, 1) + b
         elif layer.fn == RELU:
             x = np.maximum(x, 0.0)
         else:
             x = np.tanh(x)
-    return x
+    return x[:n]
 
 
 class NetworkPolicy(PolicyModel):
@@ -516,7 +552,7 @@ class _ScriptedPolicy(PolicyModel):
         cos_g = 2.0 * states[:, p.n_lidar] - 1.0
         sin_g = 2.0 * states[:, p.n_lidar + 1] - 1.0
         bearing = np.arctan2(sin_g, cos_g)
-        goal_steer = np.clip(p.turn_gain * bearing, -1.0, 1.0)
+        goal_steer = np.minimum(np.maximum(p.turn_gain * bearing, -1.0), 1.0)  # np.clip's bits, with less call overhead
 
         min_forward = lidar[:, self._cone].min(axis=1)
         gaps = [p.block_threshold - min_forward]
@@ -533,7 +569,7 @@ class _ScriptedPolicy(PolicyModel):
             swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
             angular = avoid * swerve + (1.0 - avoid) * goal_steer
 
-        return np.stack([linear, angular], axis=1)
+        return np.column_stack([linear, angular])
 
 
 def scripted_policy(kind: str, params: ScriptedParams | None = None) -> PolicyModel:

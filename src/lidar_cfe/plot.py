@@ -7,6 +7,7 @@ at max range (no return) are drawn faint so real hits stand out.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .geometry import CIRCLE, ObstacleShape
@@ -21,6 +22,7 @@ _COLOR_OBSTACLE = "#c0392b"
 _COLOR_GOAL = "#f28c28"
 _COLOR_RING = "#b5b5b5"
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")  # outside XML 1.0's Char
 
 
 class _Frame:
@@ -44,7 +46,7 @@ def _svg_open(label: str | None) -> list[str]:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     if label:
-        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{label.translate(_XML_ESCAPES)}</text>')
+        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{_NOT_XML_CHAR.sub("", label).translate(_XML_ESCAPES)}</text>')
     return parts
 
 

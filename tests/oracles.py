@@ -15,6 +15,7 @@ import numpy as np
 
 from lidar_cfe import ActionVector, Activation, Conv1d, Dense, ModelState, NetworkPolicy, NetworkSpec, Scan
 from lidar_cfe.geometry import CIRCLE, ORIGIN, RECTANGLE, ObstacleShape, Point2, shape_overlaps_disk
+from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +270,33 @@ def scalar_scripted_act(kind, p, values):
     return np.array([linear, avoid * swerve + (1.0 - avoid) * goal_steer])
 
 
-def scalar_net_act(spec, weights, values):
-    """The network engine on one state: 2-d einsum convolutions, matrix-vector dense layers."""
-    from numpy.lib.stride_tricks import sliding_window_view
+def _one_state_product(rows, w):
+    """``rows @ w.T`` for one state's rows, by the engine's product rule: a
+    gemm on the state repeated to the engine's row floor, or one
+    matrix-vector product per row."""
+    if len(w) > 1 and len(rows) * len(w) >= GEMM_MIN_OUTPUTS:
+        return (np.concatenate([rows] * ROW_FLOOR) @ w.T)[: len(rows)]
+    return np.array([w @ row for row in rows]).reshape(len(rows), len(w))
 
+
+def scalar_net_act(spec, weights, values):
+    """The network engine on one state: im2col convolutions and dense layers, each
+    product run as the engine runs it, with windows gathered by index arithmetic."""
     x = values[: spec.lidar_inputs][np.newaxis, :]
     for layer, entry in zip(spec.layers, weights):
         if isinstance(layer, Conv1d):
             w, b = entry
             p = layer.padding
             x = np.concatenate([x[:, x.shape[1] - p:], x, x[:, :p]], axis=1) if layer.circular else np.pad(x, ((0, 0), (p, p)))
-            windows = sliding_window_view(x, layer.kernel, axis=1)[:, :: layer.stride, :]
-            x = np.einsum("ink,oik->on", windows, w) + b[:, None]
+            n_out = (x.shape[1] - layer.kernel) // layer.stride + 1
+            at = np.arange(n_out)[:, np.newaxis] * layer.stride + np.arange(layer.kernel)
+            rows = x[:, at].transpose(1, 0, 2).reshape(n_out, -1)  # (n_out, in * kernel)
+            x = (_one_state_product(rows, w.reshape(len(w), -1)) + b).T
         elif isinstance(layer, Dense):
             if x.ndim == 2:
                 x = np.concatenate([x.reshape(-1), values[spec.lidar_inputs:]])
             w, b = entry
-            x = w @ x + b
+            x = _one_state_product(x[np.newaxis], w)[0] + b
         else:
             x = np.maximum(x, 0.0) if layer.fn == "relu" else np.tanh(x)
     return x
@@ -556,3 +567,21 @@ def random_micro_net(rng, n_outputs=2):
     layers.append(Activation("tanh"))
     weights.append(None)
     return NetworkSpec(n_lidar, extra, tuple(layers)), weights
+
+
+def random_wide_net(rng):
+    """A random net wide enough that its convolutions and first dense layer run as gemm."""
+    n_lidar = int(rng.integers(32, 65))
+    c1, kernel = int(rng.integers(4, 9)), int(rng.choice([3, 5]))
+    layers = (
+        Conv1d(1, c1, kernel, 1, (kernel - 1) // 2, bool(rng.random() < 0.5)),
+        Activation("relu"),
+        Conv1d(c1, 8, 3, 2, 1, bool(rng.random() < 0.5)),
+        Activation("relu"),
+        Dense(8 * ((n_lidar - 1) // 2 + 1) + 3, 128),
+        Activation("relu"),
+        Dense(128, 2),
+        Activation("tanh"),
+    )
+    weights = [tuple(rng.normal(0.0, 0.3, shape) for shape in layer.param_shapes()) or None for layer in layers]
+    return NetworkSpec(n_lidar, 3, layers), weights

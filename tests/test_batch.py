@@ -36,7 +36,7 @@ from lidar_cfe import (
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _scorer
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 
-from oracles import scalar_score, scalar_scripted_act
+from oracles import random_micro_net, random_wide_net, scalar_net_act, scalar_score, scalar_scripted_act
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -183,6 +183,27 @@ def test_act_batch_rows_equal_act(model_name):
         assert np.array_equal(bits(batch), bits(single))
 
     check()
+
+
+NETS = {
+    "bench_conv_net": MODELS["conv_net"][0],
+    **{f"micro_{seed}": NetworkPolicy(*random_micro_net(np.random.default_rng(seed))) for seed in range(4)},
+    **{f"wide_{seed}": NetworkPolicy(*random_wide_net(np.random.default_rng(seed))) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_net_rows_equal_the_one_state_oracle_in_any_batch(name):
+    # Batches below and above the row floor, at offsets and as strided views, and a one-row act.
+    model = NETS[name]
+    states = np.random.default_rng(8).random((403, model.input_size))
+    alone = bits([scalar_net_act(model.spec, model.weights, row) for row in states])
+    for n in (1, 2, 15, 16, 17, 100, 101, 400):
+        for offset in (0, 1, 3):
+            assert np.array_equal(bits(model.act_batch(states[offset : offset + n])), alone[offset : offset + n]), (n, offset)
+    for step in (2, 3):
+        assert np.array_equal(bits(model.act_batch(states[1::step])), alone[1::step]), step
+    assert np.array_equal(bits(model.act(ModelState(states[5])).values), alone[5])
 
 
 def test_scripted_act_batch_covers_the_blend_region():

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, Scenario, scripted_policy
+from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, Scan, Scenario, scripted_policy
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -632,6 +632,31 @@ def test_svg_label_is_escaped(tmp_path):
     assert main(["scan", str(scenario), "-o", str(tmp_path)]) == EXIT_OK
     root = ET.fromstring((tmp_path / "a<b&c.scan.svg").read_text())
     assert root.find("{http://www.w3.org/2000/svg}text").text == "a<b&c"
+
+
+def test_svg_label_drops_control_characters(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    scenario = write_empty_room(tmp_path)
+    scenario.write_text(scenario.read_text().replace("name: room", 'name: "a\\x01b"'))
+    assert main(["scan", str(scenario), "-o", str(tmp_path)]) == EXIT_OK
+    root = ET.fromstring((tmp_path / "a\x01b.scan.svg").read_text())
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "ab"
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.text(st.characters(min_codepoint=0, max_codepoint=sys.maxunicode, exclude_categories=())))
+def test_svg_parses_with_any_label(label):
+    import xml.etree.ElementTree as ET
+
+    from lidar_cfe.plot import cfe_plot_svg, scan_plot_svg
+
+    scan = Scan(np.full(8, 3.5), 3.5)
+    for svg in (scan_plot_svg(scan, label=label), cfe_plot_svg(scan, scan, [], label=label)):
+        text = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+        kept = "".join(c for c in label if c in "\t\n\r" or "\x20" <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000")
+        shown = "" if text is None else text.text or ""  # no text element for an empty label
+        assert shown == kept.replace("\r\n", "\n").replace("\r", "\n")  # XML reads every line end as \n
 
 
 def test_obstacles_far_off_the_canvas_write_no_non_finite_numbers(tmp_path):

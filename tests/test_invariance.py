@@ -3,16 +3,23 @@
 A population is scored in one pass, and each row must score exactly as it
 does alone: in the one-genome oracle chain, in a one-row ``act``, or in a
 batch of any size. That holds only while every numpy transcendental the
-library uses (exp, cos, sin, arctan2, hypot, tanh), and the stacked
-matrix-vector product of the dense layers, gives a value the same bits at
-any length, offset, stride or shape of the array around it. SIMD kernels
-treat a vector's head and tail apart from its body, so this is a property
-of the numpy build and the CPU it dispatches to; these tests check it on
-the machine that runs them.
+library uses (exp, cos, sin, arctan2, hypot, tanh), and every product of
+the network engine, gives a value the same bits at any length, offset,
+stride or shape of the array around it. SIMD kernels treat a vector's head
+and tail apart from its body, and BLAS picks its matrix-product kernel by
+the size of the product, so this is a property of the numpy and BLAS build
+and the CPU they dispatch to; these tests check it on the machine that runs
+them.
 """
 
 import numpy as np
 import pytest
+
+from lidar_cfe import Conv1d, Dense, NetworkPolicy
+from lidar_cfe.model import ROW_FLOOR, _row_products
+
+from oracles import random_micro_net
+from test_batch import bench_conv_net
 
 N = 4099
 LENGTHS = range(1, 41)
@@ -97,3 +104,81 @@ def test_stacked_matvec_rows_match_one_row_products(out_size, in_size):
             batch = x[offset : offset + rows]
             assert np.array_equal(bits((w @ batch[:, :, np.newaxis])[:, :, 0]), single[offset : offset + rows]), (rows, offset)
     assert np.array_equal(bits((w @ x[::2, :, np.newaxis])[:, :, 0]), single[::2])
+
+
+# ---------------------------------------------------------------------------
+# The network engine's products. Each layer multiplies ``per_state`` rows of
+# every state by its weight matrix (model._row_products): gemm for wide
+# products, one gemv per row for narrow ones. A state's rows must come out
+# as they do when the state runs alone, padded to the row floor.
+
+
+def blas_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):  # numpy releases before 1.25 report their build otherwise
+        return f"numpy {np.__version__}"
+
+
+def product_shapes(spec):
+    """``(per_state, in, out)`` of each conv and dense product the engine runs for ``spec``."""
+    shapes, length = [], spec.lidar_inputs
+    for layer in spec.layers:
+        if isinstance(layer, Conv1d):
+            length = (length + 2 * layer.padding - layer.kernel) // layer.stride + 1
+            shapes.append((length, layer.in_channels * layer.kernel, layer.out_channels))
+        elif isinstance(layer, Dense):
+            shapes.append((1, layer.in_size, layer.out_size))
+    return shapes
+
+
+BENCH_SHAPES = product_shapes(bench_conv_net().spec)
+# Shapes at the edges of the rule. One output channel, or half of GEMM_MIN_OUTPUTS per state,
+# runs as one gemv per row: run as one product, such shapes change a row's bits with the batch
+# size on some BLAS builds. Exactly GEMM_MIN_OUTPUTS per state, over two or more columns, is a gemm.
+EDGE_SHAPES = [(180, 5, 1), (180, 40, 1), (16, 40, 4), (1, 75, 64), (16, 40, 8), (64, 40, 2), (1, 75, 128)]
+MICRO_SHAPES = sorted({shape for seed in range(40) for shape in product_shapes(random_micro_net(np.random.default_rng(seed))[0])})
+BENCH_BATCHES = [1, 2, 3, 7, 15, 16, 17, 31, 33, 64, 99, 100, 101, 250, 400, 1000, 2000]
+MICRO_BATCHES = [1, 2, 5, 16, 17, 40, 101, 400]
+
+
+def padded(rows, per_state):
+    """The rows of a batch below the row floor, padded with copies of its first state as ``_forward`` pads them."""
+    missing = ROW_FLOOR - len(rows) // per_state
+    return np.concatenate([rows] + [rows[:per_state]] * missing) if missing > 0 else rows
+
+
+def check_product_rows(shape, batches):
+    per_state, size_in, size_out = shape
+    rng = np.random.default_rng(list(shape))
+    w = rng.normal(size=(size_out, size_in))
+    n_states = max(batches) + 3
+    states = rng.normal(size=(n_states, per_state, size_in))
+    alone = np.stack([bits(_row_products(padded(s, per_state), w, per_state)[:per_state]) for s in states])
+    views = [(n, slice(offset, offset + n)) for n in batches for offset in (0, 1)]
+    views += [(len(range(start, n_states, step)), slice(start, None, step)) for step in (2, 3) for start in (0, 1)]
+    for n, view in views:
+        batch = states[view].reshape(-1, size_in)  # a strided view of states with one row each stays a view
+        got = bits(_row_products(padded(batch, per_state), w, per_state)[: n * per_state]).reshape(n, per_state, size_out)
+        differ = np.flatnonzero(~np.all(got == alone[view], axis=(1, 2)))
+        assert not differ.size, (
+            f"{blas_build()}: the {per_state}x{size_in} -> {size_out} product gives {differ.size} of {n} states "
+            f"other bits in batch {view} than alone, first at state {differ[0]}: rows are not batch-invariant on this build"
+        )
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES + EDGE_SHAPES, ids=str)
+def test_bench_and_edge_products_give_each_state_its_bits_alone(shape):
+    check_product_rows(shape, BENCH_BATCHES)
+
+
+@pytest.mark.parametrize("shape", MICRO_SHAPES, ids=str)
+def test_micro_net_products_give_each_state_its_bits_alone(shape):
+    check_product_rows(shape, MICRO_BATCHES)
+
+
+@pytest.mark.parametrize("make", [bench_conv_net, lambda: NetworkPolicy(*random_micro_net(np.random.default_rng(3), n_outputs=3))])
+def test_zero_states_give_zero_actions(make):
+    model = make()
+    assert model.act_batch(np.empty((0, model.input_size))).shape == (0, model.output_size)

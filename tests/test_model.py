@@ -21,7 +21,7 @@ from lidar_cfe import (
 from lidar_cfe.errors import ModelError
 from lidar_cfe.model import conv1d_forward
 
-from oracles import naive_net_forward, random_micro_net
+from oracles import naive_net_forward, random_micro_net, random_wide_net
 
 
 def make_state(values):
@@ -84,6 +84,16 @@ class TestNetForward:
             values = rng.random(spec.lidar_inputs + spec.extra_inputs)
             got = net_act(spec, weights, values)
             want = naive_net_forward(spec, weights, values)
+            assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_wide_nets_match_naive_oracle(self):
+        # These run their convolutions and 128-wide dense layer as gemm, with both padding modes.
+        rng = np.random.default_rng(124)
+        for _ in range(10):
+            spec, weights = random_wide_net(rng)
+            states = rng.random((5, spec.lidar_inputs + spec.extra_inputs))
+            got = NetworkPolicy(spec, weights).act_batch(states)
+            want = [naive_net_forward(spec, weights, values) for values in states]
             assert np.max(np.abs(got - want)) < 1e-6
 
     def test_tanh_head_stays_bounded(self):
