@@ -155,7 +155,8 @@ class CfeResult:
 
 def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRows:
     """Decode a (P, 6K) gene matrix into (P, K) shape parameter arrays."""
-    t, x, y, theta, s1, s2 = np.moveaxis(genes.reshape(len(genes), -1, GENES_PER_OBSTACLE), 2, 0)
+    n_slots = genes.shape[1] // GENES_PER_OBSTACLE  # explicit, so that zero genomes reshape too
+    t, x, y, theta, s1, s2 = np.moveaxis(genes.reshape(len(genes), n_slots, GENES_PER_OBSTACLE), 2, 0)
     lo, hi = size_limits
     span = hi - lo
     orientation = np.remainder(theta * math.pi, math.pi)  # normalized to [0, pi) as ObstacleShape does
@@ -286,7 +287,7 @@ def fitness_for_query(query: CfeQuery, model: PolicyModel):
 def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches: list[SearchFacts]) -> list[CfeResult]:
     """One result per row of a (P, 6K) gene matrix, in row order, all rows scored in one batch."""
     if len(genomes) == 0:
-        return []  # _decode_rows cannot reshape an empty matrix
+        return []  # spares the model a call on zero states
     scores = _scorer(query, model)(genomes, True)
     return [
         CfeResult(

@@ -137,7 +137,7 @@ class ShapeRows:
 
 
 def _circle_hit_distances(ox: float, oy: float, dx, dy, cx, cy, r) -> np.ndarray:
-    # One row per circle: centers and radii are (P, 1) columns, directions (R,) rows.
+    # Elementwise: centers, radii and ray directions broadcast against each other.
     fx = ox - cx
     fy = oy - cy
     b = fx * dx + fy * dy
@@ -167,7 +167,7 @@ def _slab_interval(o, d: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, hy) -> np.ndarray:
-    # One row per rectangle, parameters as (P, 1) columns; slab test in its local frame.
+    # Elementwise, as for circles; slab test in the rectangle's local frame.
     px = ox - cx
     py = oy - cy
     lox = px * cos_o + py * sin_o
@@ -183,25 +183,60 @@ def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, 
     return np.where(hit, t, np.inf)
 
 
+def _ray_windows(origin: Point2, shapes: ShapeRows, n_rays: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ray and ray count of the window of each (scene, slot) pair, flattened scene-major.
+
+    A shape lies inside its bounding circle: radius rho (a circle's radius, a
+    rectangle's half diagonal) at distance d from the origin. Only rays within
+    asin(rho / d) of the direction to its center can hit it. A window covers
+    those rays and one more on each side, which absorbs the rounding of the
+    hit kernels; it may run past ray 0. Every ray is cast when the origin
+    lies inside or on the bounding circle, when the center lies within 1e-100
+    of the origin (nearer, the kernels' squares lose their precision), when a
+    bound is not finite, or when the window would be as wide as the scan.
+    """
+    ex = (shapes.cx - origin.x).ravel()
+    ey = (shapes.cy - origin.y).ravel()
+    d = np.hypot(ex, ey)
+    rho = np.where(shapes.rect, np.hypot(shapes.size1, shapes.size2), shapes.size1).ravel()
+    near = (d <= rho * (1.0 + 1e-9)) | (d < 1e-100)
+    step = 2.0 * math.pi / n_rays
+    half = np.arcsin(np.divide(rho, d, out=np.ones_like(d), where=~near)) / step
+    center = np.arctan2(ey, ex) / step
+    first = np.floor(center - half) - 1.0
+    width = np.floor(center + half) + 2.0 - first
+    every = near | ~np.isfinite(width) | (width >= n_rays)
+    return np.where(every, 0.0, first).astype(np.int64), np.where(every, n_rays, width).astype(np.int64)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a shape so far away that its squared distance overflows is a miss
 def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float) -> np.ndarray:
     """Scan readings of every scene in ``shapes``, one (n_rays,) row per scene.
 
-    Loops over the obstacle slots, so temporaries stay (P, n_rays).
+    Each obstacle is cast only against the rays of its window
+    (``_ray_windows``), outside of which no ray can hit it. The windows of
+    all slots run as one flat list of (slot, ray) elements through each hit
+    kernel once, and their distances are scatter-minimized into the rows in
+    slot order, so that even a tie of +0 and -0 resolves as in a sweep. A
+    reading therefore has the bits a sweep of every ray over every slot
+    gives it.
     """
+    n_scenes, n_slots = shapes.rect.shape
+    first, width = _ray_windows(origin, shapes, n_rays)
+    pair = np.repeat(np.arange(first.size), width)
+    ray = (np.arange(pair.size) + np.repeat(first - (np.cumsum(width) - width), width)) % n_rays
     dx, dy = _ray_directions(n_rays)
-    best = np.full((shapes.rect.shape[0], n_rays), np.inf)
-    for k in range(shapes.rect.shape[1]):
-        for rows in (np.flatnonzero(~shapes.rect[:, k]), np.flatnonzero(shapes.rect[:, k])):
-            if rows.size == 0:
-                continue
-            s = shapes.take((rows, k, np.newaxis))  # (n, 1) columns of one slot, one kind
-            if s.rect[0, 0]:
-                t = _rect_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.cos_o, s.sin_o, s.size1, s.size2)
-            else:
-                t = _circle_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.size1)
-            best[rows] = np.minimum(best[rows], t)
-    return np.minimum(best, max_range)
+    t = np.empty(pair.size)
+    rect = shapes.rect.ravel()[pair]
+    for hits, kernel, params in (
+        (np.flatnonzero(~rect), _circle_hit_distances, ("cx", "cy", "size1")),
+        (np.flatnonzero(rect), _rect_hit_distances, ("cx", "cy", "cos_o", "sin_o", "size1", "size2")),
+    ):
+        at = pair[hits]
+        t[hits] = kernel(origin.x, origin.y, dx[ray[hits]], dy[ray[hits]], *(getattr(shapes, p).ravel()[at] for p in params))
+    best = np.full(n_scenes * n_rays, np.inf)
+    np.minimum.at(best, pair // n_slots * n_rays + ray, t)
+    return np.minimum(best.reshape(n_scenes, n_rays), max_range)
 
 
 def raycast_scan(

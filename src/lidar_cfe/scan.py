@@ -57,11 +57,6 @@ class GoalFeatures:
         if not (math.isfinite(self.distance) and self.distance >= 0.0):
             raise ValueError(f"goal distance must be non-negative, got {self.distance}")
 
-    @property
-    def bearing(self) -> float:
-        """Goal bearing in radians, counter-clockwise from the sensor's +x axis."""
-        return math.atan2(self.sin, self.cos)
-
 
 @dataclass(frozen=True, eq=False)
 class ModelState:

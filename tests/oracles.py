@@ -2,7 +2,9 @@
 
 Everything here re-derives results from first principles (occupancy
 marching, naive nested-loop network passes, literal piecewise formulas)
-without calling the code paths under test.
+without calling the code paths under test. The one exception is
+``full_sweep_raycast_rows``: it runs the library's hit kernels on every ray,
+to check which rays ``raycast_rows`` leaves out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from lidar_cfe import ActionVector, Activation, Conv1d, Dense, ModelState, NetworkPolicy, NetworkSpec, Scan
-from lidar_cfe.geometry import CIRCLE, ORIGIN, RECTANGLE, ObstacleShape, Point2, shape_overlaps_disk
+from lidar_cfe.geometry import (
+    CIRCLE,
+    ORIGIN,
+    RECTANGLE,
+    ObstacleShape,
+    Point2,
+    _circle_hit_distances,
+    _ray_directions,
+    _rect_hit_distances,
+    shape_overlaps_disk,
+)
 from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR
 
 
@@ -240,6 +252,28 @@ def scalar_raycast(shapes, n_rays, max_range):
             t_enter, t_exit = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
             t = np.where((t_enter <= t_exit) & (t_exit >= 0.0), np.where(t_enter >= 0.0, t_enter, t_exit), np.inf)
         best = np.minimum(best, t)
+    return np.minimum(best, max_range)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def full_sweep_raycast_rows(origin, shapes, n_rays, max_range):
+    """``raycast_rows`` without windows: every slot against every ray, one slot and kind at a time.
+
+    It runs the library's own hit kernels, so it checks the windows and the
+    scatter-min of ``raycast_rows``, not the kernels.
+    """
+    dx, dy = _ray_directions(n_rays)
+    best = np.full((shapes.rect.shape[0], n_rays), np.inf)
+    for k in range(shapes.rect.shape[1]):
+        for rows in (np.flatnonzero(~shapes.rect[:, k]), np.flatnonzero(shapes.rect[:, k])):
+            if rows.size == 0:
+                continue
+            s = shapes.take((rows, k, np.newaxis))  # (n, 1) columns of one slot, one kind
+            if s.rect[0, 0]:
+                t = _rect_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.cos_o, s.sin_o, s.size1, s.size2)
+            else:
+                t = _circle_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.size1)
+            best[rows] = np.minimum(best[rows], t)
     return np.minimum(best, max_range)
 
 

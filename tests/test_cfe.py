@@ -188,6 +188,11 @@ class TestFitness:
         assert values.shape == (100,)
         assert np.all(values <= 0.0)
 
+    def test_empty_population_scores_empty(self):
+        query = reverse_query()
+        fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
+        assert fitness(np.empty((0, GENES_PER_OBSTACLE * query.n_obstacles))).shape == (0,)
+
     def test_model_shape_mismatch_rejected(self):
         query = reverse_query()
         with pytest.raises(ModelError):

@@ -5,9 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
+from lidar_cfe.cfe import _decode_rows
+from lidar_cfe.geometry import (
+    ORIGIN,
+    ObstacleShape,
+    Point2,
+    ShapeRows,
+    _ray_windows,
+    raycast_rows,
+    raycast_scan,
+    shape_overlaps_disk,
+)
 
-from oracles import Ray, march_ray, march_scan, random_scene, ray_circle_intersect, ray_rect_intersect, shape_contains
+from oracles import (
+    Ray,
+    full_sweep_raycast_rows,
+    march_ray,
+    march_scan,
+    random_scene,
+    ray_circle_intersect,
+    ray_rect_intersect,
+    shape_contains,
+)
 
 
 def rotate_shape(shape, phi):
@@ -296,3 +315,108 @@ class TestShapeTypes:
         rect = ObstacleShape.rectangle(Point2(1.0, 0.0), (0.5, 0.25), math.pi / 2)
         assert shape_overlaps_disk(rect, Point2(1.0, 0.4), 0.0)
         assert not shape_overlaps_disk(rect, Point2(1.4, 0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# raycast_rows casts each obstacle only against the rays of its window. Its
+# readings must keep the bits of a sweep of every ray over every slot.
+
+RAY_COUNTS = st.sampled_from([1, 2, 3, 7, 180, 360])
+ORIGINS = st.one_of(st.just(ORIGIN), st.builds(Point2, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+# Powers of ten for distances and sizes: 1e-200 squares to zero, 1e160 squares
+# to infinity, 1e-101 and 1e-99 sit either side of the smallest distance a
+# window is cut for.
+SCALES = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-200.0, -101.0, -99.0, -60.0, 60.0, 150.0, 160.0, 300.0]))
+
+
+def assert_same_bits(origin, shapes, n_rays, max_range=3.5):
+    got = raycast_rows(origin, shapes, n_rays, max_range)
+    want = full_sweep_raycast_rows(origin, shapes, n_rays, max_range)
+    assert got.shape == want.shape
+    differ = np.argwhere(got.view(np.uint64) != want.view(np.uint64))
+    if differ.size:
+        first = tuple(differ[0])
+        pytest.fail(f"{len(differ)} readings differ from the full sweep, first at (scene, ray) {first}: {got[first]!r} != {want[first]!r}")
+
+
+@st.composite
+def decoded_scenes(draw):
+    """Genomes decoded as a search decodes them, with the decode square and the sizes at any scale."""
+    n_scenes, n_slots = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    genes = draw(st.lists(st.floats(0.0, 1.0), min_size=6 * n_slots * n_scenes, max_size=6 * n_slots * n_scenes))
+    world = 10.0 ** draw(SCALES)
+    lo = 10.0 ** draw(SCALES)
+    hi = lo * 10.0 ** draw(st.floats(0.0, 2.0))
+    return _decode_rows(np.reshape(genes, (n_scenes, 6 * n_slots)), world, (lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=decoded_scenes(), origin=ORIGINS, n_rays=RAY_COUNTS)
+def test_windowed_readings_of_decoded_scenes_equal_the_full_sweep(shapes, origin, n_rays):
+    assert_same_bits(origin, shapes, n_rays)
+
+
+@st.composite
+def window_edge_scenes(draw):
+    """Scenes of slots placed on the window rule's edges, with one origin and ray count.
+
+    Each slot's center lies on a ray, halfway between two rays or anywhere,
+    often near ray 0 so that windows wrap. Its bounding radius rho over its
+    distance d is sin(k * step), so that tangent rays fall on a window edge,
+    or close to 1, so that the bounding circle holds the origin, passes
+    through it or just misses it, or anything up to 3. Few distinct angles
+    make the windows of a scene's slots overlap.
+    """
+    origin, n_rays = draw(ORIGINS), draw(RAY_COUNTS)
+    n_scenes, n_slots = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    step = 2.0 * math.pi / n_rays
+    angles = st.one_of(
+        st.integers(-3, 3).map(lambda i: i * step),
+        st.integers(-3, 3).map(lambda i: (i + 0.5) * step),
+        st.floats(-4.0, 4.0),
+    )
+    ratios = st.one_of(
+        st.integers(0, max(1, n_rays // 4)).map(lambda k: math.sin(k * step)),
+        st.sampled_from([1.0 - 1e-12, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 2e-9, 2.0]),
+        st.floats(1e-6, 3.0),
+    )
+    columns = {name: np.empty((n_scenes, n_slots)) for name in ("cx", "cy", "size1", "size2", "orientation")}
+    rect = np.zeros((n_scenes, n_slots), dtype=bool)
+    for i in range(n_scenes):
+        for k in range(n_slots):
+            angle, d = draw(angles), 10.0 ** draw(SCALES)
+            rho = draw(ratios) * d
+            columns["cx"][i, k] = origin.x + d * math.cos(angle)
+            columns["cy"][i, k] = origin.y + d * math.sin(angle)
+            rect[i, k] = draw(st.booleans())
+            if rect[i, k]:  # half extents with a half diagonal of rho
+                split = draw(st.floats(0.01, math.pi / 2 - 0.01))
+                columns["size1"][i, k], columns["size2"][i, k] = rho * math.cos(split), rho * math.sin(split)
+                columns["orientation"][i, k] = draw(st.floats(0.0, math.pi, exclude_max=True))
+            else:
+                columns["size1"][i, k] = columns["size2"][i, k] = rho
+                columns["orientation"][i, k] = 0.0
+    turn = columns["orientation"]
+    return origin, ShapeRows(rect=rect, **columns, cos_o=np.cos(turn), sin_o=np.sin(turn)), n_rays
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_edge_scenes())
+def test_windowed_readings_on_window_edges_equal_the_full_sweep(case):
+    assert_same_bits(*case)
+
+
+def test_window_covers_the_bounding_circle_and_a_ray_either_side():
+    # Radius 0.1 at distance 2 on ray 0: asin(0.05) is 1.43 ray steps of 180, so
+    # the window runs from ray -3 (177) to ray 2.
+    shapes = ShapeRows.from_shapes([ObstacleShape.circle(Point2(2.0, 0.0), 0.1)])
+    first, width = _ray_windows(ORIGIN, shapes, 180)
+    assert (first[0], width[0]) == (-3, 6)
+    # A bounding circle through the origin casts every ray.
+    shapes = ShapeRows.from_shapes([ObstacleShape.rectangle(Point2(0.3, 0.4), (0.3, 0.4))])
+    assert tuple(_ray_windows(ORIGIN, shapes, 180)[1]) == (180,)
+
+
+def test_zero_scenes_give_zero_rows():
+    shapes = _decode_rows(np.empty((0, 12)), 3.5, (0.05, 1.0))
+    assert raycast_rows(ORIGIN, shapes, 180, 3.5).shape == (0, 180)

@@ -116,9 +116,6 @@ class TestGoalFeatures:
         with pytest.raises(ValueError):
             GoalFeatures(1.0, 0.0, -0.1)
 
-    def test_bearing(self):
-        assert GoalFeatures(0.0, 1.0, 2.0).bearing == pytest.approx(math.pi / 2)
-
 
 class TestAssembleState:
     def test_boundary_values(self):
