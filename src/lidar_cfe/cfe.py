@@ -232,6 +232,13 @@ def _scorer(query: CfeQuery, model: PolicyModel):
     the other parts hold only the accepted rows (None when there are none),
     and proximity is only computed when ``lambda_p`` weights it. With
     ``full`` (packaging) every part of every row is computed.
+
+    Without ``full`` the scans, the merge and the proximity differences are
+    written into two (P, n_rays) arrays that ``score`` keeps between calls
+    and grows only for a larger P, so a search does not allocate them anew
+    in every generation. The returned ``merged`` is then a view of that
+    workspace, valid until the next call; the fitness array is the
+    caller's. With ``full`` every returned array is new.
     """
     base = query.base_scan
     if model.input_size != base.n + 3:
@@ -241,8 +248,10 @@ def _scorer(query: CfeQuery, model: PolicyModel):
     readings, max_range = base.readings, base.max_range
     goal = goal_state(query.goal, query.goal_distance_scale)
     length = GENES_PER_OBSTACLE * query.n_obstacles
+    workspace = (np.empty((0, base.n)),) * 2  # scans (then merged) and proximity differences
 
     def score(pop, full: bool) -> tuple:
+        nonlocal workspace
         pop = np.asarray(pop, dtype=float)
         if pop.ndim != 2 or pop.shape[1] != length:
             raise ValueError(f"population shape {pop.shape} is not (P, {length})")
@@ -252,15 +261,22 @@ def _scorer(query: CfeQuery, model: PolicyModel):
         rows = np.arange(len(pop)) if full else np.flatnonzero(~rejected)
         if rows.size == 0:
             return fitness, None, None, None, None
-        scans = raycast_rows(ORIGIN, shapes.take(rows), base.n, max_range)
+        if full:
+            merged, diff = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
+        else:
+            if len(workspace[0]) < rows.size:
+                workspace = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
+            merged, diff = (buffer[: rows.size] for buffer in workspace)
+        raycast_rows(ORIGIN, shapes.take(rows), base.n, max_range, out=merged)
         if query.combination == MIN_DISTANCE:
-            merged = np.minimum(readings, scans)
+            np.minimum(readings, merged, out=merged)
         else:  # every actual generated return overrides the base
-            merged = np.where(scans < max_range, scans, readings)
+            np.copyto(merged, readings, where=~(merged < max_range))
         actions = _act_rows(model, state_rows(merged, max_range, goal))
         hinge = _hinge_rows(actions, query.bounds)
         if full or query.lambda_p != 0.0:
-            proximity = np.abs(merged - readings).sum(axis=1) / (base.n * max_range)
+            np.subtract(merged, readings, out=diff)
+            proximity = np.abs(diff, out=diff).sum(axis=1) / (base.n * max_range)
         else:
             proximity = np.zeros(len(rows))
         fitness[rows] = -query.lambda_y * hinge - query.lambda_p * proximity
@@ -279,6 +295,10 @@ def fitness_for_query(query: CfeQuery, model: PolicyModel):
     obstacles, merges them with the base scan, runs the model, and scores
     ``-lambda_y * hinge - lambda_p * proximity`` (never positive). Each row's
     value is the same whatever the other rows are.
+
+    The objective keeps its scratch arrays between calls, so one objective
+    must not be called from two threads at once; the fitness array it
+    returns is the caller's.
     """
     score = _scorer(query, model)
     return lambda pop: score(pop, False)[0]

@@ -7,7 +7,8 @@ Conventions, used consistently across the package:
 * a ray cast from inside a shape returns the exit distance,
 * scan rays that hit nothing read exactly ``max_range``.
 
-All functions are pure and safe for concurrent use.
+All functions are pure and safe for concurrent use: ``raycast_rows`` writes
+only to the ``out`` array its caller gives it.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _ray_windows(origin: Point2, shapes: ShapeRows, n_rays: int) -> tuple[np.nda
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a shape so far away that its squared distance overflows is a miss
-def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float) -> np.ndarray:
+def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float, out: np.ndarray | None = None) -> np.ndarray:
     """Scan readings of every scene in ``shapes``, one (n_rays,) row per scene.
 
     Each obstacle is cast only against the rays of its window
@@ -220,8 +221,16 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     slot order, so that even a tie of +0 and -0 resolves as in a sweep. A
     reading therefore has the bits a sweep of every ray over every slot
     gives it.
+
+    The readings are written into ``out``, a C-contiguous (scenes, n_rays)
+    float array, when one is given, and into a new array otherwise; the
+    array written is returned.
     """
     n_scenes, n_slots = shapes.rect.shape
+    if out is None:
+        out = np.empty((n_scenes, n_rays))
+    elif out.shape != (n_scenes, n_rays) or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {(n_scenes, n_rays)}")
     first, width = _ray_windows(origin, shapes, n_rays)
     pair = np.repeat(np.arange(first.size), width)
     ray = (np.arange(pair.size) + np.repeat(first - (np.cumsum(width) - width), width)) % n_rays
@@ -234,9 +243,9 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     ):
         at = pair[hits]
         t[hits] = kernel(origin.x, origin.y, dx[ray[hits]], dy[ray[hits]], *(getattr(shapes, p).ravel()[at] for p in params))
-    best = np.full(n_scenes * n_rays, np.inf)
-    np.minimum.at(best, pair // n_slots * n_rays + ray, t)
-    return np.minimum(best.reshape(n_scenes, n_rays), max_range)
+    out.fill(np.inf)
+    np.minimum.at(out.reshape(-1), pair // n_slots * n_rays + ray, t)
+    return np.minimum(out, max_range, out=out)
 
 
 def raycast_scan(

@@ -9,6 +9,7 @@ without any ML framework.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import ClassVar, get_args
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, NetworkConfigError
 from .scan import ModelState
@@ -229,6 +229,49 @@ def _row_products(rows: np.ndarray, w: np.ndarray, per_state: int) -> np.ndarray
     return (w @ rows[:, :, np.newaxis])[:, :, 0]
 
 
+@functools.lru_cache(maxsize=32)
+def _window_index(length: int, in_channels: int, kernel: int, stride: int, padding: int, circular: bool) -> np.ndarray:
+    """The (n_out, in * kernel) gather index of one convolution's im2col matrix.
+
+    A signal is a row of ``length * in_channels`` values, channels-last:
+    position p of channel c sits at ``p * in_channels + c``. Window row i,
+    column ``c * kernel + k`` reads position ``i * stride - padding + k``.
+    Circular padding wraps that position around the signal; zero padding
+    points it at index ``length * in_channels``, a zero column appended to
+    the signal.
+    """
+    n_out = (length + 2 * padding - kernel) // stride + 1
+    position = np.arange(n_out)[:, np.newaxis, np.newaxis] * stride - padding + np.arange(kernel)
+    index = (position % length) * in_channels + np.arange(in_channels)[:, np.newaxis]  # (n_out, in, kernel)
+    if not circular:
+        index = np.where((position < 0) | (position >= length), length * in_channels, index)
+    index = index.reshape(n_out, in_channels * kernel)
+    index.flags.writeable = False
+    return index
+
+
+def _conv_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int, padding: int, circular: bool) -> np.ndarray:
+    """One 1-d convolution of channels-last signals: ``x`` is (P, length * in), the result (P, n_out * out).
+
+    The windows of all signals are gathered into one (P * n_out, in * kernel)
+    matrix through ``_window_index`` and multiplied by
+    ``weight.reshape(out, -1).T``, by the rule of ``_row_products``.
+    """
+    out_channels, in_channels, kernel = weight.shape
+    length = x.shape[1] // in_channels
+    if circular and padding > length:
+        raise ValueError(f"circular padding {padding} wider than signal {length}")
+    if length + 2 * padding < kernel:
+        raise ValueError(f"kernel {kernel} wider than padded signal {length + 2 * padding}")
+    index = _window_index(length, in_channels, kernel, stride, padding, circular)
+    if padding and not circular:
+        x = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+    windows = np.take(x, index, axis=1)  # (P, n_out, in * kernel)
+    y = _row_products(windows.reshape(-1, in_channels * kernel), weight.reshape(out_channels, -1), len(index))
+    y += bias
+    return y.reshape(len(x), len(index) * out_channels)
+
+
 def conv1d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -246,24 +289,11 @@ def conv1d_forward(
     the rows of all signals are multiplied by ``weight.reshape(out, -1).T``
     together, by the rule of ``_row_products``.
     """
-    length = x.shape[-1]
-    out_channels, in_channels, kernel = weight.shape
-    if padding:
-        if circular:
-            if padding > length:
-                raise ValueError(f"circular padding {padding} wider than signal {length}")
-            x = np.concatenate([x[..., length - padding:], x, x[..., :padding]], axis=-1)
-        else:
-            x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(padding, padding)])
-    if x.shape[-1] < kernel:
-        raise ValueError(f"kernel {kernel} wider than padded signal {x.shape[-1]}")
-    windows = sliding_window_view(x, kernel, axis=-1)[..., ::stride, :]  # (..., in, n_out, kernel)
-    windows = np.swapaxes(windows, -3, -2)  # (..., n_out, in, kernel)
-    batch_shape, n_out = x.shape[:-2], windows.shape[-3]
-    y = _row_products(windows.reshape(-1, in_channels * kernel), weight.reshape(out_channels, -1), n_out)
-    # The bias is added along whole rows of n_out * out values: numpy's per-row overhead then counts once per signal.
-    y = y.reshape(*batch_shape, n_out * out_channels) + np.tile(bias, n_out)
-    return np.swapaxes(y.reshape(*batch_shape, n_out, out_channels), -1, -2)
+    *batch_shape, in_channels, length = x.shape
+    if in_channels != weight.shape[1]:
+        raise ValueError(f"signal has {in_channels} channels, weight expects {weight.shape[1]}")
+    y = _conv_rows(np.swapaxes(x, -1, -2).reshape(-1, length * in_channels), weight, bias, stride, padding, circular)
+    return np.swapaxes(y.reshape(*batch_shape, -1, len(weight)), -1, -2)
 
 
 def _checked_weights(spec: NetworkSpec, weights) -> list:
@@ -302,14 +332,14 @@ def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray
     n = len(states)
     if 0 < n < ROW_FLOOR:
         states = np.concatenate([states, np.repeat(states[:1], ROW_FLOOR - n, axis=0)])
-    x = states[:, np.newaxis, : spec.lidar_inputs]
+    x, channels = states[:, : spec.lidar_inputs], 1  # convolutions run on channels-last rows
     for layer, entry in zip(spec.layers, weights):
         if isinstance(layer, Conv1d):
-            w, b = entry
-            x = conv1d_forward(x, w, b, layer.stride, layer.padding, layer.circular)
+            x, channels = _conv_rows(x, *entry, layer.stride, layer.padding, layer.circular), layer.out_channels
         elif isinstance(layer, Dense):
-            if x.ndim == 3:  # first dense layer: flatten the conv features (width spelt out for 0 states), append the extras
-                x = np.concatenate([x.reshape(len(x), x.shape[1] * x.shape[2]), states[:, spec.lidar_inputs:]], axis=1)
+            if channels:  # first dense layer: the conv features in (channel, position) order, then the extras
+                features = x.reshape(len(x), x.shape[1] // channels, channels).transpose(0, 2, 1).reshape(len(x), x.shape[1])
+                x, channels = np.concatenate([features, states[:, spec.lidar_inputs:]], axis=1), 0
             w, b = entry
             x = _row_products(x, w, 1) + b
         elif layer.fn == RELU:

@@ -6,6 +6,7 @@ at max range (no return) are drawn faint so real hits stand out.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from pathlib import Path
@@ -62,15 +63,26 @@ def _sensor_dot(frame: _Frame) -> str:
     return f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="4" fill="black"/>'
 
 
+@functools.lru_cache(maxsize=4)
+def _ray_units(n: int) -> tuple[tuple[float, float], ...]:
+    """Cosine and sine of each of ``n`` scan headings."""
+    return tuple((math.cos(2.0 * math.pi * i / n), math.sin(2.0 * math.pi * i / n)) for i in range(n))
+
+
 def _scan_points(frame: _Frame, scan: Scan, color: str) -> list[str]:
     parts = []
-    n = scan.n
-    for i, reading in enumerate(scan.readings):
-        theta = 2.0 * math.pi * i / n
-        x, y = frame.pt(reading * math.cos(theta), reading * math.sin(theta))
+    for reading, (cos_t, sin_t) in zip(scan.readings.tolist(), _ray_units(scan.n)):
+        x, y = frame.pt(reading * cos_t, reading * sin_t)
         opacity = 0.22 if reading >= scan.max_range else 0.9
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.7" fill="{color}" fill-opacity="{opacity}"/>')
     return parts
+
+
+@functools.lru_cache(maxsize=1)
+def _base_points(base: Scan) -> tuple[str, ...]:
+    # An explain plots every counterfactual over one base scan object, so its
+    # points are formatted once; the cache holds only the last base.
+    return tuple(_scan_points(_Frame(base.max_range), base, _COLOR_BASE))
 
 
 def _obstacle_outline(frame: _Frame, shape: ObstacleShape) -> str | None:
@@ -124,7 +136,7 @@ def cfe_plot_svg(
     frame = _Frame(base.max_range)
     parts = _svg_open(label)
     parts.append(_ring(frame))
-    parts.extend(_scan_points(frame, base, _COLOR_BASE))
+    parts.extend(_base_points(base))
     parts.extend(_scan_points(frame, combined, _COLOR_COMBINED))
     parts.extend(filter(None, (_obstacle_outline(frame, shape) for shape in obstacles)))
     if goal is not None:

@@ -150,6 +150,29 @@ class CountingPolicy(PolicyModel):
         return self.inner.act(state)
 
 
+@pytest.mark.parametrize("combination", ["min_distance", "gen_priority"])
+@pytest.mark.parametrize("lambda_p", [0.0, 0.3])
+def test_an_objective_scores_each_population_as_a_fresh_one_would(combination, lambda_p):
+    # The objective keeps its scan and difference arrays between calls. The
+    # populations grow past them, shrink, are all rejected, are empty and grow again.
+    query = make_query("left_preferrer", n_obstacles=2, combination=combination, lambda_p=lambda_p)
+    model = MODELS["left_preferrer"][0]
+    rng = np.random.default_rng(11)
+    length = GENES_PER_OBSTACLE * 2
+    pops = [rng.random((p, length)) for p in (5, 40, 3, 7, 0, 60, 1)]
+    pops[1][::3, 1:3] = 0.5  # some rows rejected: fewer scans than genomes
+    pops[3][:, 1:3] = 0.5  # every row rejected
+    objective = fitness_for_query(query, model)
+    returned = []
+    for pop in pops:
+        fitness = objective(pop)
+        assert np.array_equal(bits(fitness), bits(fitness_for_query(query, model)(pop)))
+        returned.append((fitness, fitness.copy()))
+    assert np.all(returned[3][0] == -math.inf)
+    for fitness, kept in returned:  # later calls leave the arrays handed out alone
+        assert np.array_equal(bits(fitness), bits(kept))
+
+
 @PROPERTY
 @given(pop=populations(2))
 def test_every_genome_rejected_skips_the_model(pop):
@@ -190,6 +213,13 @@ NETS = {
     **{f"micro_{seed}": NetworkPolicy(*random_micro_net(np.random.default_rng(seed))) for seed in range(4)},
     **{f"wide_{seed}": NetworkPolicy(*random_wide_net(np.random.default_rng(seed))) for seed in range(3)},
 }
+
+
+def test_nets_cover_each_padding_with_each_stride():
+    # Zero padding gathers from an appended zero column and circular padding
+    # wraps; both with and without a stride.
+    layers = [layer for net in NETS.values() for layer in net.spec.layers if isinstance(layer, Conv1d) and layer.padding]
+    assert {(layer.circular, layer.stride > 1) for layer in layers} == {(True, False), (True, True), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("name", sorted(NETS))

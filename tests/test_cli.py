@@ -659,6 +659,20 @@ def test_svg_parses_with_any_label(label):
         assert shown == kept.replace("\r\n", "\n").replace("\r", "\n")  # XML reads every line end as \n
 
 
+def test_counterfactual_plots_draw_their_own_base_scan():
+    from lidar_cfe.plot import _COLOR_BASE, _COLOR_COMBINED, cfe_plot_svg, scan_plot_svg
+
+    def points(svg, color):
+        return [line for line in svg.splitlines() if f'r="1.7" fill="{color}"' in line]
+
+    near, far = Scan(np.full(180, 1.0), 3.5), Scan(np.linspace(0.5, 3.5, 180), 3.5)
+    for base, combined in ((near, far), (far, near), (Scan(near.readings, 3.5), far), (near, near)):
+        svg = cfe_plot_svg(base, combined, [])
+        want = [line.replace(_COLOR_COMBINED, _COLOR_BASE) for line in points(scan_plot_svg(base), _COLOR_COMBINED)]
+        assert points(svg, _COLOR_BASE) == want
+        assert points(svg, _COLOR_COMBINED) == points(scan_plot_svg(combined), _COLOR_COMBINED)
+
+
 def test_obstacles_far_off_the_canvas_write_no_non_finite_numbers(tmp_path):
     import xml.etree.ElementTree as ET
 

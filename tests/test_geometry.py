@@ -417,6 +417,17 @@ def test_window_covers_the_bounding_circle_and_a_ray_either_side():
     assert tuple(_ray_windows(ORIGIN, shapes, 180)[1]) == (180,)
 
 
+def test_readings_written_into_a_given_array_keep_their_bits():
+    shapes = _decode_rows(np.random.default_rng(2).random((6, 12)), 3.5, (0.05, 1.0))
+    want = raycast_rows(ORIGIN, shapes, 180, 3.5)
+    out = np.full((6, 180), np.nan)
+    assert raycast_rows(ORIGIN, shapes, 180, 3.5, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    for bad in (np.empty((6, 181)), np.empty((6, 180), dtype=np.float32), np.empty((180, 6)).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            raycast_rows(ORIGIN, shapes, 180, 3.5, out=bad)
+
+
 def test_zero_scenes_give_zero_rows():
     shapes = _decode_rows(np.empty((0, 12)), 3.5, (0.05, 1.0))
     assert raycast_rows(ORIGIN, shapes, 180, 3.5).shape == (0, 180)
