@@ -7,6 +7,11 @@ Conventions, used consistently across the package:
 * a ray cast from inside a shape returns the exit distance,
 * scan rays that hit nothing read exactly ``max_range``.
 
+``raycast_rows`` works per obstacle, then per ray: terms that do not need the
+ray (a circle's center offset and ``|f|^2 - r^2``, a rectangle's local
+origin, slab numerators and inside flags) are computed once per (scene, slot)
+pair, and each (pair, ray) element does only the ray-dependent arithmetic.
+
 All functions are pure and safe for concurrent use: ``raycast_rows`` writes
 only to the ``out`` array its caller gives it.
 """
@@ -137,53 +142,6 @@ class ShapeRows:
         return ShapeRows(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _circle_hit_distances(ox: float, oy: float, dx, dy, cx, cy, r) -> np.ndarray:
-    # Elementwise: centers, radii and ray directions broadcast against each other.
-    fx = ox - cx
-    fy = oy - cy
-    b = fx * dx + fy * dy
-    c = fx * fx + fy * fy - r * r
-    disc = b * b - c
-    hit = disc >= 0.0
-    root = np.sqrt(np.where(hit, disc, 0.0))
-    enter = -b - root
-    leave = -b + root
-    t = np.where(enter >= 0.0, enter, leave)
-    return np.where(hit & (leave >= 0.0), t, np.inf)
-
-
-def _slab_interval(o, d: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    # Entry/exit parameters of the slab |o + t d| <= h; rays parallel to the
-    # slab map to (-inf, inf) when inside it and to an empty interval otherwise.
-    parallel = d == 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ta = (-h - o) / d
-        tb = (h - o) / d
-    lo = np.minimum(ta, tb)
-    hi = np.maximum(ta, tb)
-    inside = np.abs(o) <= h
-    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
-    return lo, hi
-
-
-def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, hy) -> np.ndarray:
-    # Elementwise, as for circles; slab test in the rectangle's local frame.
-    px = ox - cx
-    py = oy - cy
-    lox = px * cos_o + py * sin_o
-    loy = -px * sin_o + py * cos_o
-    ldx = dx * cos_o + dy * sin_o
-    ldy = -dx * sin_o + dy * cos_o
-    lo_x, hi_x = _slab_interval(lox, ldx, hx)
-    lo_y, hi_y = _slab_interval(loy, ldy, hy)
-    t_enter = np.maximum(lo_x, lo_y)
-    t_exit = np.minimum(hi_x, hi_y)
-    hit = (t_enter <= t_exit) & (t_exit >= 0.0)
-    t = np.where(t_enter >= 0.0, t_enter, t_exit)
-    return np.where(hit, t, np.inf)
-
-
 def _ray_windows(origin: Point2, shapes: ShapeRows, n_rays: int) -> tuple[np.ndarray, np.ndarray]:
     """First ray and ray count of the window of each (scene, slot) pair, flattened scene-major.
 
@@ -210,17 +168,55 @@ def _ray_windows(origin: Point2, shapes: ShapeRows, n_rays: int) -> tuple[np.nda
     return np.where(every, 0.0, first).astype(np.int64), np.where(every, n_rays, width).astype(np.int64)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a shape so far away that its squared distance overflows is a miss
+def _circle_hits(origin: Point2, w: np.ndarray, dx: np.ndarray, dy: np.ndarray, cx, cy, r) -> np.ndarray:
+    # Per pair: the center offset f and c = |f|^2 - r^2; per ray: b = f.d and
+    # the roots of t^2 + 2 b t + c = 0.
+    fx, fy = origin.x - cx, origin.y - cy
+    b = np.repeat(fx, w) * dx + np.repeat(fy, w) * dy
+    disc = b * b - np.repeat(fx * fx + fy * fy - r * r, w)
+    hit = disc >= 0.0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    enter, leave = -b - root, -b + root
+    t = np.where(enter >= 0.0, enter, leave)
+    return np.where(hit & (leave >= 0.0), t, np.inf)
+
+
+def _slab_intervals(o: np.ndarray, h: np.ndarray, w: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Entry/exit parameters of the slab |o + t d| <= h. The numerators and the
+    # inside flag are per pair; rays parallel to the slab (d exactly 0) map to
+    # (-inf, inf) when inside it and to an empty interval otherwise.
+    ta, tb = np.repeat(-h - o, w) / d, np.repeat(h - o, w) / d
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb, out=ta)
+    parallel = np.flatnonzero(d == 0.0)
+    if parallel.size:
+        lo[parallel] = np.where(np.abs(o) <= h, -np.inf, np.inf)[np.searchsorted(np.cumsum(w), parallel, side="right")]
+        hi[parallel] = -lo[parallel]
+    return lo, hi
+
+
+def _rect_hits(origin: Point2, w: np.ndarray, dx: np.ndarray, dy: np.ndarray, cx, cy, cos_o, sin_o, hx, hy) -> np.ndarray:
+    # Slab test in the rectangle's local frame: local origin per pair, local direction per ray.
+    px, py = origin.x - cx, origin.y - cy
+    ray_cos, ray_sin = np.repeat(cos_o, w), np.repeat(sin_o, w)
+    lo_x, hi_x = _slab_intervals(px * cos_o + py * sin_o, hx, w, dx * ray_cos + dy * ray_sin)
+    lo_y, hi_y = _slab_intervals(py * cos_o - px * sin_o, hy, w, dy * ray_cos - dx * ray_sin)
+    t_enter, t_exit = np.maximum(lo_x, lo_y, out=lo_x), np.minimum(hi_x, hi_y, out=hi_x)
+    hit = (t_enter <= t_exit) & (t_exit >= 0.0)
+    t = np.where(t_enter >= 0.0, t_enter, t_exit)
+    return np.where(hit, t, np.inf)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # far shapes overflow to misses; parallel rays divide by 0
 def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: float, out: np.ndarray | None = None) -> np.ndarray:
     """Scan readings of every scene in ``shapes``, one (n_rays,) row per scene.
 
     Each obstacle is cast only against the rays of its window
-    (``_ray_windows``), outside of which no ray can hit it. The windows of
-    all slots run as one flat list of (slot, ray) elements through each hit
-    kernel once, and their distances are scatter-minimized into the rows in
-    slot order, so that even a tie of +0 and -0 resolves as in a sweep. A
-    reading therefore has the bits a sweep of every ray over every slot
-    gives it.
+    (``_ray_windows``), outside of which no ray can hit it. The pairs are
+    ordered by kind once; each kind's kernel spreads its per-pair terms over
+    the windows with ``np.repeat``, so every (pair, ray) element sees the
+    operations and operands of a kernel run on every ray. The distances are
+    scatter-minimized into the rows in scene-major, slot-minor order, so even
+    a tie of +0 and -0 resolves as in a sweep: a reading has a sweep's bits.
 
     The readings are written into ``out``, a C-contiguous (scenes, n_rays)
     float array, when one is given, and into a new array otherwise; the
@@ -232,19 +228,23 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     elif out.shape != (n_scenes, n_rays) or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float array of shape {(n_scenes, n_rays)}")
     first, width = _ray_windows(origin, shapes, n_rays)
-    pair = np.repeat(np.arange(first.size), width)
-    ray = (np.arange(pair.size) + np.repeat(first - (np.cumsum(width) - width), width)) % n_rays
-    dx, dy = _ray_directions(n_rays)
-    t = np.empty(pair.size)
-    rect = shapes.rect.ravel()[pair]
-    for hits, kernel, params in (
-        (np.flatnonzero(~rect), _circle_hit_distances, ("cx", "cy", "size1")),
-        (np.flatnonzero(rect), _rect_hit_distances, ("cx", "cy", "cos_o", "sin_o", "size1", "size2")),
-    ):
-        at = pair[hits]
-        t[hits] = kernel(origin.x, origin.y, dx[ray[hits]], dy[ray[hits]], *(getattr(shapes, p).ravel()[at] for p in params))
+    rect = shapes.rect.ravel()
+    pair = np.argsort(rect, kind="stable")  # circles, then rectangles, each in scene-major order
+    w = width[pair]
+    block = np.cumsum(w) - w  # first element of each pair's window, in kind order
+    element = np.arange(w.sum())
+    ray = (element + np.repeat(first[pair] - block, w)) % n_rays
+    element += np.repeat((np.cumsum(width) - width)[pair] - block, w)  # its place in scene-major, slot-minor order
+    t, cell = np.empty(element.size), np.empty_like(element)  # each element's distance and flat reading index, in that order
+    cell[element] = ray + np.repeat(pair // n_slots * n_rays, w)
+    cx, cy, cos_o, sin_o, size1, size2 = (getattr(shapes, p).ravel()[pair] for p in ("cx", "cy", "cos_o", "sin_o", "size1", "size2"))
+    dx, dy = (d[ray] for d in _ray_directions(n_rays))
+    k = rect.size - np.count_nonzero(rect)  # circle pairs
+    e = w[:k].sum()  # their elements
+    t[element[:e]] = _circle_hits(origin, w[:k], dx[:e], dy[:e], cx[:k], cy[:k], size1[:k])
+    t[element[e:]] = _rect_hits(origin, w[k:], dx[e:], dy[e:], cx[k:], cy[k:], cos_o[k:], sin_o[k:], size1[k:], size2[k:])
     out.fill(np.inf)
-    np.minimum.at(out.reshape(-1), pair // n_slots * n_rays + ray, t)
+    np.minimum.at(out.reshape(-1), cell, t)
     return np.minimum(out, max_range, out=out)
 
 

@@ -104,7 +104,11 @@ def state_rows(readings: np.ndarray, max_range: float, goal_part: np.ndarray) ->
 
     The caller checks its readings; this is the scoring hot path.
     """
-    return np.concatenate([readings / max_range, np.broadcast_to(goal_part, (len(readings), goal_part.size))], axis=1)
+    n = readings.shape[1]
+    states = np.empty((len(readings), n + goal_part.size))
+    np.divide(readings, max_range, out=states[:, :n])
+    states[:, n:] = goal_part
+    return states
 
 
 def assemble_state(scan: Scan, goal: GoalFeatures, d_g_max: float) -> ModelState:

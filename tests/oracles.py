@@ -2,9 +2,10 @@
 
 Everything here re-derives results from first principles (occupancy
 marching, naive nested-loop network passes, literal piecewise formulas)
-without calling the code paths under test. The one exception is
-``full_sweep_raycast_rows``: it runs the library's hit kernels on every ray,
-to check which rays ``raycast_rows`` leaves out.
+without calling the code paths under test. ``full_sweep_raycast_rows`` keeps
+a frozen copy of the element-wise hit kernels that ``raycast_rows`` once ran
+on every ray, so that the library's per-pair kernels and windows are both
+checked against the arithmetic they must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from lidar_cfe.geometry import (
     RECTANGLE,
     ObstacleShape,
     Point2,
-    _circle_hit_distances,
-    _ray_directions,
-    _rect_hit_distances,
     shape_overlaps_disk,
 )
 from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR
@@ -255,24 +253,78 @@ def scalar_raycast(shapes, n_rays, max_range):
     return np.minimum(best, max_range)
 
 
+# The hit kernels as ``raycast_rows`` ran them on every element before it
+# hoisted the per-obstacle terms, frozen here as the reference arithmetic.
+
+
+def _circle_hit_distances(ox: float, oy: float, dx, dy, cx, cy, r) -> np.ndarray:
+    # Elementwise: centers, radii and ray directions broadcast against each other.
+    fx = ox - cx
+    fy = oy - cy
+    b = fx * dx + fy * dy
+    c = fx * fx + fy * fy - r * r
+    disc = b * b - c
+    hit = disc >= 0.0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    enter = -b - root
+    leave = -b + root
+    t = np.where(enter >= 0.0, enter, leave)
+    return np.where(hit & (leave >= 0.0), t, np.inf)
+
+
+def _slab_interval(o, d: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    # Entry/exit parameters of the slab |o + t d| <= h; rays parallel to the
+    # slab map to (-inf, inf) when inside it and to an empty interval otherwise.
+    parallel = d == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ta = (-h - o) / d
+        tb = (h - o) / d
+    lo = np.minimum(ta, tb)
+    hi = np.maximum(ta, tb)
+    inside = np.abs(o) <= h
+    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
+    return lo, hi
+
+
+def _rect_hit_distances(ox: float, oy: float, dx, dy, cx, cy, cos_o, sin_o, hx, hy) -> np.ndarray:
+    # Elementwise, as for circles; slab test in the rectangle's local frame.
+    px = ox - cx
+    py = oy - cy
+    lox = px * cos_o + py * sin_o
+    loy = -px * sin_o + py * cos_o
+    ldx = dx * cos_o + dy * sin_o
+    ldy = -dx * sin_o + dy * cos_o
+    lo_x, hi_x = _slab_interval(lox, ldx, hx)
+    lo_y, hi_y = _slab_interval(loy, ldy, hy)
+    t_enter = np.maximum(lo_x, lo_y)
+    t_exit = np.minimum(hi_x, hi_y)
+    hit = (t_enter <= t_exit) & (t_exit >= 0.0)
+    t = np.where(t_enter >= 0.0, t_enter, t_exit)
+    return np.where(hit, t, np.inf)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def full_sweep_raycast_rows(origin, shapes, n_rays, max_range):
     """``raycast_rows`` without windows: every slot against every ray, one slot and kind at a time.
 
-    It runs the library's own hit kernels, so it checks the windows and the
-    scatter-min of ``raycast_rows``, not the kernels.
+    It runs the frozen element-wise kernels above, so it checks the per-pair
+    kernels, the windows and the scatter-min of ``raycast_rows``.
     """
-    dx, dy = _ray_directions(n_rays)
+    headings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
+    dx, dy = np.cos(headings), np.sin(headings)
     best = np.full((shapes.rect.shape[0], n_rays), np.inf)
     for k in range(shapes.rect.shape[1]):
         for rows in (np.flatnonzero(~shapes.rect[:, k]), np.flatnonzero(shapes.rect[:, k])):
             if rows.size == 0:
                 continue
-            s = shapes.take((rows, k, np.newaxis))  # (n, 1) columns of one slot, one kind
-            if s.rect[0, 0]:
-                t = _rect_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.cos_o, s.sin_o, s.size1, s.size2)
+            cx, cy, cos_o, sin_o, size1, size2 = (
+                getattr(shapes, name)[rows, k, np.newaxis] for name in ("cx", "cy", "cos_o", "sin_o", "size1", "size2")
+            )  # (n, 1) columns of one slot, one kind
+            if shapes.rect[rows[0], k]:
+                t = _rect_hit_distances(origin.x, origin.y, dx, dy, cx, cy, cos_o, sin_o, size1, size2)
             else:
-                t = _circle_hit_distances(origin.x, origin.y, dx, dy, s.cx, s.cy, s.size1)
+                t = _circle_hit_distances(origin.x, origin.y, dx, dy, cx, cy, size1)
             best[rows] = np.minimum(best[rows], t)
     return np.minimum(best, max_range)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -428,6 +429,50 @@ def test_readings_written_into_a_given_array_keep_their_bits():
             raycast_rows(ORIGIN, shapes, 180, 3.5, out=bad)
 
 
-def test_zero_scenes_give_zero_rows():
-    shapes = _decode_rows(np.empty((0, 12)), 3.5, (0.05, 1.0))
-    assert raycast_rows(ORIGIN, shapes, 180, 3.5).shape == (0, 180)
+def stacked_rows(scenes):
+    """One ShapeRows row per scene; every scene holds the same number of shapes."""
+    rows = [ShapeRows.from_shapes(scene) for scene in scenes]
+    return ShapeRows(*(np.concatenate([getattr(row, f.name) for row in rows]) for f in dataclasses.fields(ShapeRows)))
+
+
+def test_zero_distance_ties_resolve_in_slot_order():
+    # A circle and a rectangle whose boundaries pass exactly through the
+    # origin: each reads 0 on many rays, +0 on some and -0 on others. On a
+    # tie np.minimum keeps its second operand, so the sweep keeps the later
+    # slot's zero, and the scatter-min must meet the slots of a scene in slot
+    # order, whichever kind comes first.
+    circles = [ObstacleShape.circle(Point2(0.0, 0.5), 0.5), ObstacleShape.circle(Point2(0.0, -0.25), 0.25)]
+    rects = [ObstacleShape.rectangle(Point2(0.5, 0.0), (0.5, 0.2)), ObstacleShape.rectangle(Point2(-0.3, 0.0), (0.3, 0.1))]
+    scenes = [[c, r] for c in circles for r in rects] + [[r, c] for r in rects for c in circles]
+    shapes = stacked_rows(scenes)
+    one_slot = [full_sweep_raycast_rows(ORIGIN, shapes.take((slice(None), [k])), 180, 3.5) for k in range(2)]
+    opposite = (one_slot[0] == 0.0) & (one_slot[1] == 0.0) & (np.signbit(one_slot[0]) != np.signbit(one_slot[1]))
+    assert opposite.any(axis=1).all()  # every scene has a ray whose two slots disagree on the sign of zero
+    assert_same_bits(ORIGIN, shapes, 180)
+    assert_same_bits(ORIGIN, shapes, 7)
+
+
+@pytest.mark.parametrize("batch", ["circles", "rectangles", "no_slots", "no_scenes"])
+def test_batches_missing_a_kind_equal_the_full_sweep(batch):
+    n_scenes, n_slots = {"no_slots": (4, 0), "no_scenes": (0, 3)}.get(batch, (5, 3))
+    shapes = _decode_rows(np.random.default_rng(3).random((n_scenes, 6 * n_slots)), 3.5, (0.05, 1.0))
+    shapes = dataclasses.replace(shapes, rect=np.full(shapes.rect.shape, batch == "rectangles"))
+    assert raycast_rows(ORIGIN, shapes, 180, 3.5).shape == (n_scenes, 180)
+    assert_same_bits(ORIGIN, shapes, 180)
+    if batch == "no_slots":
+        assert np.all(raycast_rows(ORIGIN, shapes, 180, 3.5) == 3.5)
+
+
+def test_rays_along_a_rectangle_edge_hit_it():
+    # Ray 0 runs exactly along an edge of these axis-aligned rectangles, so
+    # its local direction is exactly parallel to one slab and its origin lies
+    # on that slab's boundary: a tangent ray, which hits the near corner.
+    shapes = stacked_rows(
+        [
+            [ObstacleShape.rectangle(Point2(1.0, 0.2), (0.5, 0.2))],
+            [ObstacleShape.rectangle(Point2(1.0, -0.2), (0.5, 0.2))],
+            [ObstacleShape.rectangle(Point2(0.5, 0.2), (0.5, 0.2))],  # its corner is the origin
+        ]
+    )
+    assert raycast_rows(ORIGIN, shapes, 180, 3.5)[:, 0].tolist() == [0.5, 0.5, 0.0]
+    assert_same_bits(ORIGIN, shapes, 180)
