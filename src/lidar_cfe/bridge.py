@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
-from .model import ActionVector, PolicyModel, check_action_rows
+from .model import ActionVector, PolicyModel, check_action_rows, distinct_rows
 
 
 def _state_lines(states: np.ndarray) -> bytes:
@@ -39,9 +39,12 @@ class ExternalPolicy(PolicyModel):
     ``act_batch`` sends a whole batch: it writes state lines while it reads
     replies, so the process may get later state lines before its earlier
     replies are read. It must answer in order, one line per request; the
-    wire format is the same as for a single ``act``. A timeout, a protocol
-    error or output that arrives before a batch is sent closes the process,
-    and later calls raise.
+    wire format is the same as for a single ``act``. Each distinct state of
+    a batch is sent once, in the order of its first occurrence
+    (``distinct_rows``), and its answer is copied to its repeats, so the
+    process must answer a line as a function of that line alone. A timeout,
+    a protocol error or output that arrives before a batch is sent closes
+    the process, and later calls raise.
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
@@ -80,18 +83,19 @@ class ExternalPolicy(PolicyModel):
             raise BridgeError(f"state length {states.shape[1]}, bridge expects {self.input_size}")
         if len(states) == 0:
             return np.empty((0, self.output_size))
+        distinct, inverse = distinct_rows(states)
         self._reject_unsolicited()
-        lines = self._exchange(_state_lines(states), len(states), "action")
+        lines = self._exchange(_state_lines(distinct), len(distinct), "action")
         try:
             actions = np.array([[float(f) for f in line.split()] for line in lines], dtype=float)
             if actions.shape == (len(lines), self.output_size):
                 check_action_rows(actions)
-                return actions
+                return actions[inverse]
         except ValueError:
             pass
         # Some line is bad: parse them in order to name the first one.
         try:
-            return np.array([self._parse_action(line) for line in lines])
+            return np.array([self._parse_action(line) for line in lines])[inverse]
         except BridgeError:
             self.close()
             raise

@@ -72,6 +72,9 @@ class PolicyModel:
 
         Row i must equal ``act`` on row i. This default calls ``act`` once
         per row; models that can score rows together override it.
+        ``NetworkPolicy`` and ``ExternalPolicy`` compute or send each
+        distinct state of a batch once, so their row i may come from an
+        earlier, bit-equal row.
         """
         actions = [self.act(ModelState(row)).values for row in states]
         return np.array(actions, dtype=float).reshape(len(states), self.output_size)
@@ -204,6 +207,25 @@ class NetworkSpec:
         return dense_size
 
 
+def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (P, n) float array, and where each row of it went.
+
+    Returns ``(distinct, inverse)``, ``distinct[inverse]`` bit-equal to
+    ``states``. Rows are told apart by their bits, so a row holding -0.0 and
+    one holding 0.0 stay distinct, as do NaNs with different payloads.
+    ``distinct`` keeps the rows in the order of their first occurrence.
+    """
+    rows = np.ascontiguousarray(states, dtype=float)
+    width = rows.itemsize * rows.shape[1]
+    keys = rows.view(np.dtype((np.void, width)))[:, 0].tolist() if width else [b""] * len(rows)
+    ids: dict[bytes, int] = {}  # bytes keys compare equal only when every bit does
+    inverse = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
+    first = np.empty(len(rows), dtype=bool)  # a row is a first occurrence when it opens a new id
+    first[:1] = True
+    np.greater(inverse[1:], np.maximum.accumulate(inverse)[:-1], out=first[1:])
+    return rows[first], inverse
+
+
 ROW_FLOOR = 16  # _forward never runs fewer states
 GEMM_MIN_OUTPUTS = 128  # values a product must give each state to run as gemm
 
@@ -268,8 +290,9 @@ def _conv_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int,
         x = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
     windows = np.take(x, index, axis=1)  # (P, n_out, in * kernel)
     y = _row_products(windows.reshape(-1, in_channels * kernel), weight.reshape(out_channels, -1), len(index))
-    y += bias
-    return y.reshape(len(x), len(index) * out_channels)
+    y = y.reshape(len(x), len(index) * out_channels)
+    y += np.tile(bias, len(index))  # one long row broadcasts over P rows faster than ``bias`` over P * n_out
+    return y
 
 
 def conv1d_forward(
@@ -319,38 +342,52 @@ def _checked_weights(spec: NetworkSpec, weights) -> list:
     return checked
 
 
+def _dense_input(x: np.ndarray, channels: int, extras: np.ndarray) -> np.ndarray:
+    """The first dense layer's input: channels-last conv features in (channel, position) order, then the extras."""
+    size, length = x.shape[1], x.shape[1] // channels
+    out = np.empty((len(x), size + extras.shape[1]))
+    # Splitting the contiguous last axis of a column slice never copies, so this reshape is a view of ``out``.
+    out[:, :size].reshape(len(x), channels, length)[...] = x.reshape(len(x), length, channels).transpose(0, 2, 1)
+    out[:, size:] = extras
+    return out
+
+
 def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
-    """Run a network whose layer chain and weights are already checked on (P, inputs) states.
+    """Run a network whose layer chain, weights and state length are already checked on (P, inputs) states.
 
     A batch of fewer than ROW_FLOOR states runs padded with copies of its
     first state, which are dropped from the result. With the product rule of
     ``_row_products`` every row gets the same bits whatever batch it sits in.
     """
-    expected = spec.lidar_inputs + spec.extra_inputs
-    if states.shape[1] != expected:
-        raise NetworkConfigError(f"state length {states.shape[1]} does not match spec inputs {expected}")
     n = len(states)
     if 0 < n < ROW_FLOOR:
         states = np.concatenate([states, np.repeat(states[:1], ROW_FLOOR - n, axis=0)])
     x, channels = states[:, : spec.lidar_inputs], 1  # convolutions run on channels-last rows
+    owned = False  # x is a view of the caller's states until a layer allocates
     for layer, entry in zip(spec.layers, weights):
         if isinstance(layer, Conv1d):
             x, channels = _conv_rows(x, *entry, layer.stride, layer.padding, layer.circular), layer.out_channels
         elif isinstance(layer, Dense):
-            if channels:  # first dense layer: the conv features in (channel, position) order, then the extras
-                features = x.reshape(len(x), x.shape[1] // channels, channels).transpose(0, 2, 1).reshape(len(x), x.shape[1])
-                x, channels = np.concatenate([features, states[:, spec.lidar_inputs:]], axis=1), 0
+            if channels:
+                x, channels = _dense_input(x, channels, states[:, spec.lidar_inputs:]), 0
             w, b = entry
-            x = _row_products(x, w, 1) + b
+            x = _row_products(x, w, 1)
+            x += b
         elif layer.fn == RELU:
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x if owned else None)
         else:
-            x = np.tanh(x)
+            x = np.tanh(x, out=x if owned else None)
+        owned = True
     return x[:n]
 
 
 class NetworkPolicy(PolicyModel):
-    """Policy backed by the built-in network engine; weights are checked once, at construction."""
+    """Policy backed by the built-in network engine; weights are checked once, at construction.
+
+    ``act_batch`` runs each distinct state of a batch once (``distinct_rows``)
+    and copies its action to the state's repeats. Rows are batch-invariant,
+    so a repeat gets the bits it would get in any batch.
+    """
 
     def __init__(self, spec: NetworkSpec, weights) -> None:
         last = spec.layers[-1] if spec.layers else None
@@ -362,8 +399,11 @@ class NetworkPolicy(PolicyModel):
         self.output_size = spec.output_size()
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
+        if states.shape[1] != self.input_size:
+            raise NetworkConfigError(f"state length {states.shape[1]} does not match spec inputs {self.input_size}")
+        distinct, inverse = distinct_rows(states)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite action, a model error
-            return _forward(self.spec, self.weights, states)
+            return _forward(self.spec, self.weights, distinct)[inverse]
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":

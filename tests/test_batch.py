@@ -35,8 +35,9 @@ from lidar_cfe import (
 )
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _scorer
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
+from lidar_cfe.model import ROW_FLOOR, distinct_rows
 
-from oracles import random_micro_net, random_wide_net, scalar_net_act, scalar_score, scalar_scripted_act
+from oracles import naive_net_forward, random_micro_net, random_wide_net, scalar_net_act, scalar_score, scalar_scripted_act
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -234,6 +235,70 @@ def test_net_rows_equal_the_one_state_oracle_in_any_batch(name):
     for step in (2, 3):
         assert np.array_equal(bits(model.act_batch(states[1::step])), alone[1::step]), step
     assert np.array_equal(bits(model.act(ModelState(states[5])).values), alone[5])
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_net_rows_with_repeats_equal_one_row_calls_and_the_oracles(name):
+    # 40 rows over 5 distinct states, two of which differ only in the sign of a zero:
+    # the net runs 5 states, below the row floor, and copies their actions to the repeats.
+    model = NETS[name]
+    base = np.random.default_rng(9).random((5, model.input_size))
+    base[1] = base[0]
+    base[0, 0], base[1, 0] = 0.0, -0.0
+    order = np.random.default_rng(10).permutation(np.arange(40) % 5)
+    states = base[order]
+    assert len(distinct_rows(states)[0]) == 5 < ROW_FLOOR
+    batch = model.act_batch(states)
+    assert np.array_equal(bits(batch), bits([model.act_batch(row[np.newaxis])[0] for row in states]))
+    assert np.array_equal(bits(batch), bits([scalar_net_act(model.spec, model.weights, row) for row in base])[order])
+    naive = np.array([naive_net_forward(model.spec, model.weights, row) for row in base])[order]
+    assert np.max(np.abs(batch - naive)) < 1e-6  # the loop oracle sums in another order
+
+
+# Bit patterns that equality on values would merge or split wrongly: both zeros,
+# NaNs with different payloads and signs, infinities and the smallest subnormal.
+SPECIAL_BITS = [0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000, 1]
+
+
+@st.composite
+def row_batches(draw):
+    """A (P, n) float view, strided and offset inside a larger array, whose rows repeat a few base rows."""
+    width = draw(st.integers(0, 5))
+    n_base = draw(st.integers(1, 4))
+    patterns = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+    base = np.array(draw(st.lists(patterns, min_size=n_base * width, max_size=n_base * width)), dtype=np.uint64)
+    rows = base.view(float).reshape(n_base, width)[draw(st.lists(st.integers(0, n_base - 1), max_size=30))]
+    step, offset = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    holder = np.full((offset + step * len(rows), 2 * width + offset), 7.0)
+    view = holder[offset::step, offset::2][: len(rows), :width]
+    view[...] = rows
+    return view
+
+
+def check_distinct_rows(states):
+    firsts = []  # each row's bytes, first occurrences in order: the oracle
+    for row in states:
+        if row.tobytes() not in firsts:
+            firsts.append(row.tobytes())
+    distinct, inverse = distinct_rows(states)
+    assert distinct.shape == (len(firsts), states.shape[1]) and inverse.shape == (len(states),)
+    assert [row.tobytes() for row in distinct] == firsts
+    assert distinct[inverse].tobytes() == np.ascontiguousarray(states).tobytes()
+
+
+@settings(max_examples=300, deadline=None)  # cheap draws, so many more than the scoring properties
+@given(states=row_batches())
+def test_distinct_rows_keeps_first_occurrences_by_their_bits(states):
+    check_distinct_rows(states)
+
+
+@pytest.mark.parametrize(
+    "states",
+    [np.empty((0, 4)), np.empty((3, 0)), np.full((6, 4), 0.25), np.zeros((5, 3)), np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])],
+    ids=["no rows", "no columns", "all identical", "all zero", "signed zeros"],
+)
+def test_distinct_rows_edge_batches(states):
+    check_distinct_rows(states)
 
 
 def test_scripted_act_batch_covers_the_blend_region():

@@ -330,3 +330,58 @@ for line in sys.stdin:
             policy.act(make_state(np.full(N_INPUTS, 0.75)))
         with pytest.raises(BridgeError, match="policy process is closed"):
             policy.act(make_state(np.full(N_INPUTS, 0.75)))
+
+
+# An echo child that also writes every state line it receives to the file named by its argument.
+LOGGING_CHILD = f"""
+import sys
+log = open(sys.argv[1], "w")
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for line in sys.stdin:
+    log.write(line)
+    log.flush()
+    values = [float(v) for v in line.split()]
+    print(repr(-values[0]) + " " + repr(values[-1]), flush=True)
+"""
+
+
+def repeated_states():
+    """Ten rows over five distinct states; states 0 and 1 differ only in the sign of a zero."""
+    base = echo_states(5)
+    base[1] = base[0]
+    base[1, 0] = 0.0
+    order = [0, 2, 0, 1, 2, 3, 3, 0, 4, 1]
+    return base, order
+
+
+def test_act_batch_sends_each_distinct_state_once_in_first_occurrence_order(bridge_script, tmp_path):
+    base, order = repeated_states()
+    states = base[order]
+    log = tmp_path / "received.txt"
+    with external_policy(bridge_script(LOGGING_CHILD) + [str(log)], N_INPUTS, N_OUTPUTS) as policy:
+        batch = policy.act_batch(states)
+    assert batch.tobytes() == np.stack([-states[:, 0], states[:, -1]], axis=1).tobytes()
+    received = [np.array([float(v) for v in line.split()]).tobytes() for line in log.read_text().splitlines()]
+    assert received == [base[i].tobytes() for i in (0, 2, 1, 3, 4)]
+
+
+def test_batch_with_repeats_stalled_after_k_replies_counts_the_lines_sent(bridge_script):
+    base, order = repeated_states()
+    with external_policy(echo_child(bridge_script, stall_after=3), N_INPUTS, N_OUTPUTS, timeout=0.4) as policy:
+        with pytest.raises(BridgeTimeout, match=r"\(3 of 5 answered\)"):
+            policy.act_batch(base[order])
+
+
+@pytest.mark.parametrize("bad", ["not numbers", "1.5 0.0"])
+def test_bad_reply_in_a_batch_with_repeats_names_the_first_bad_line(bridge_script, bad):
+    # The third distinct state (row 3 of the batch) gets the bad reply, every later one another bad reply.
+    with external_policy(echo_child(bridge_script, bad_at=0, bad=bad), N_INPUTS, N_OUTPUTS) as policy:
+        with pytest.raises(BridgeError) as single:
+            policy.act(ModelState(echo_states(1)[0]))
+    base, order = repeated_states()
+    with external_policy(
+        echo_child(bridge_script, bad_at=2, bad=bad, after_bad="7.0 7.0 7.0"), N_INPUTS, N_OUTPUTS
+    ) as policy:
+        with pytest.raises(BridgeError) as batched:
+            policy.act_batch(base[order])
+        assert str(batched.value) == str(single.value)

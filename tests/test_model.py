@@ -19,7 +19,7 @@ from lidar_cfe import (
     scripted_policy,
 )
 from lidar_cfe.errors import ModelError
-from lidar_cfe.model import conv1d_forward
+from lidar_cfe.model import _forward, conv1d_forward
 
 from oracles import naive_net_forward, random_micro_net, random_wide_net
 
@@ -119,6 +119,16 @@ class TestNetForward:
             plain = conv1d_forward(x, w, b, 1, layer.padding, True)
             rolled = conv1d_forward(np.roll(x, shift, axis=1), w, b, 1, layer.padding, True)
             assert np.allclose(np.roll(plain, shift, axis=1), rolled, atol=1e-12)
+
+    def test_leading_activation_leaves_the_callers_states_alone(self):
+        # The first layer sees a view of the states, so only later layers may work in place.
+        spec = NetworkSpec(4, 3, (Activation("relu"), Dense(7, 2), Activation("tanh")))
+        weights = [None, (np.full((2, 7), 0.1), np.zeros(2)), None]
+        states = np.random.default_rng(6).normal(size=(20, 7))
+        before = states.copy()
+        _forward(spec, weights, states)
+        NetworkPolicy(spec, weights).act_batch(states)
+        assert states.tobytes() == before.tobytes()
 
     def test_shape_mismatch_names_layer(self):
         spec = NetworkSpec(4, 3, (Dense(7, 2), Activation("tanh")))
