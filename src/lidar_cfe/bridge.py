@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import shlex
@@ -51,6 +52,8 @@ class ExternalPolicy(PolicyModel):
         self.input_size = int(input_size)
         self.output_size = int(output_size)
         self.timeout = float(timeout)
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
         argv = shlex.split(command) if isinstance(command, str) else [str(a) for a in command]
         self.command = argv
         self._buffer = b""

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ModelError
 from .ga import GaConfig, require_int, require_real, run_ga
-from .geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, overlaps_disk_rows, raycast_rows
+from .geometry import ORIGIN, ObstacleShape, ShapeRows, overlaps_disk_rows, raycast_rows
 from .model import ActionVector, PolicyModel, check_action_rows
 from .scan import GoalFeatures, Scan, goal_state, state_rows
 
@@ -50,10 +50,6 @@ class ActionBounds:
 
     def __len__(self) -> int:
         return int(self.lower.size)
-
-    def contains(self, action: ActionVector) -> bool:
-        """Inclusive membership test: the hinge is zero."""
-        return bool(_hinge_rows(action.values[np.newaxis], self)[0] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,11 @@ class CfeResult:
 
 
 def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRows:
-    """Decode a (P, 6K) gene matrix into (P, K) shape parameter arrays."""
+    """Decode a (P, 6K) gene matrix into (P, K) shape parameter arrays.
+
+    Genes per obstacle: type (circle below 0.5), x, y, turn, two sizes. x and
+    y map onto [-world_bounds, world_bounds], the sizes onto ``size_limits``.
+    """
     n_slots = genes.shape[1] // GENES_PER_OBSTACLE  # explicit, so that zero genomes reshape too
     t, x, y, theta, s1, s2 = np.moveaxis(genes.reshape(len(genes), n_slots, GENES_PER_OBSTACLE), 2, 0)
     lo, hi = size_limits
@@ -170,36 +170,6 @@ def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRo
         cos_o=np.cos(orientation),
         sin_o=np.sin(orientation),
     )
-
-
-def decode_genome(genome, n_obstacles: int, world_bounds: float, size_limits=(0.05, 1.0)) -> list[ObstacleShape]:
-    """Decode 6 genes per obstacle: type, x, y, orientation, and two sizes.
-
-    Positions map affinely from [0,1] onto [-world_bounds, world_bounds];
-    sizes map onto [size_limits[0], size_limits[1]]. Gene 0 picks circle
-    (< 0.5) or rectangle; circles ignore the orientation gene and the second
-    size gene.
-    """
-    genes = np.asarray(genome, dtype=float)
-    if genes.ndim != 1 or genes.size != GENES_PER_OBSTACLE * n_obstacles:
-        raise ValueError(f"genome length {genes.size} != {GENES_PER_OBSTACLE} * {n_obstacles}")
-    rows = _decode_rows(genes[np.newaxis], world_bounds, size_limits).take(0)
-    shapes = []
-    for k in range(n_obstacles):
-        center = Point2(rows.cx[k], rows.cy[k])
-        if rows.rect[k]:
-            shapes.append(ObstacleShape.rectangle(center, (rows.size1[k], rows.size2[k]), rows.orientation[k]))
-        else:
-            shapes.append(ObstacleShape.circle(center, rows.size1[k]))
-    return shapes
-
-
-def hinge_loss(action: ActionVector, bounds: ActionBounds) -> float:
-    """Summed distance from each action component to its target range; 0 inside."""
-    a = action.values
-    if a.size != len(bounds):
-        raise ValueError(f"action has {a.size} dimensions, bounds cover {len(bounds)}")
-    return float(_hinge_rows(a[np.newaxis], bounds)[0])
 
 
 def _hinge_rows(actions: np.ndarray, bounds: ActionBounds) -> np.ndarray:
@@ -309,9 +279,10 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
     if len(genomes) == 0:
         return []  # spares the model a call on zero states
     scores = _scorer(query, model)(genomes, True)
+    shapes = _decode_rows(genomes, query.world_extent, query.size_limits)
     return [
         CfeResult(
-            obstacles=tuple(decode_genome(genome, query.n_obstacles, query.world_extent, query.size_limits)),
+            obstacles=shapes.shapes(i),
             combined_scan=Scan(merged, query.base_scan.max_range),
             achieved_action=ActionVector(action),
             fitness=float(fitness),
@@ -321,7 +292,7 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
             genome=genome,
             search=search,
         )
-        for genome, search, fitness, merged, action, hinge, proximity in zip(genomes, searches, *scores, strict=True)
+        for i, (genome, search, fitness, merged, action, hinge, proximity) in enumerate(zip(genomes, searches, *scores, strict=True))
     ]
 
 

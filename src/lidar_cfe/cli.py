@@ -77,7 +77,9 @@ def _apply_override(data: dict, dotted: str, raw_value: str) -> None:
     node = data
     keys = dotted.split(".")
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
+        if node.get(key) is None:  # a key written with no value holds an empty mapping
+            node[key] = {}
+        node = node[key]
         if not isinstance(node, dict):
             raise InputError(f"--set {dotted}: {key} is not a mapping")
     node[keys[-1]] = value
@@ -424,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--model", required=True, help="scripted:<name>, weights:<path>, or exec:<command>")
     p_explain.add_argument("-o", "--out", help=f"output directory (default: ${ENV_OUT_DIR} or .)")
     p_explain.add_argument("--seed", type=int, help="override the query's seed")
-    p_explain.add_argument("--timeout", type=float, default=5.0, help="bridge response timeout in seconds")
+    p_explain.add_argument("--timeout", type=_timeout_flag, default=5.0, help="bridge response timeout in seconds")
     p_explain.add_argument("--no-plots", action="store_true", help="skip per-counterfactual SVGs")
     p_explain.add_argument(
         "--set",
@@ -439,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--model", required=True)
     p_validate.add_argument("--n-rays", type=int, default=180, help="scan length the model expects")
     p_validate.add_argument("--outputs", type=int, default=2, help="action dimensions the model emits")
-    p_validate.add_argument("--timeout", type=float, default=5.0)
+    p_validate.add_argument("--timeout", type=_timeout_flag, default=5.0)
     p_validate.set_defaults(func=cmd_validate_model)
     return parser
 
@@ -449,6 +451,13 @@ def _parse_set_flag(text: str) -> tuple[str, str]:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
     key, value = text.split("=", 1)
     return key.strip(), value
+
+
+def _timeout_flag(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"timeout must be positive and finite, got {text!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -137,6 +137,14 @@ class ShapeRows:
         rect, cx, cy, size1, size2, turn = np.moveaxis(np.array(params, dtype=float).reshape(1, -1, 6), 2, 0)
         return cls(rect == 1.0, cx, cy, size1, size2, turn, np.cos(turn), np.sin(turn))
 
+    def shapes(self, i: int) -> tuple[ObstacleShape, ...]:
+        """Row ``i`` as obstacles, the inverse of ``from_shapes``."""
+        params = zip(*(a[i].tolist() for a in (self.rect, self.cx, self.cy, self.size1, self.size2, self.orientation)))
+        return tuple(
+            ObstacleShape.rectangle(Point2(x, y), (s1, s2), turn) if rect else ObstacleShape.circle(Point2(x, y), s1)
+            for rect, x, y, s1, s2, turn in params
+        )
+
     def take(self, index) -> "ShapeRows":
         """Every parameter array indexed by ``index``."""
         return ShapeRows(*(getattr(self, f.name)[index] for f in fields(self)))

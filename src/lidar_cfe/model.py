@@ -63,21 +63,17 @@ class PolicyModel:
 
     def act(self, state: ModelState) -> ActionVector:
         """The action for one state: a one-row ``act_batch`` call."""
-        if type(self).act_batch is PolicyModel.act_batch:
-            raise NotImplementedError(f"{type(self).__name__} defines neither act nor act_batch")
         return ActionVector(self.act_batch(state.values[np.newaxis])[0])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Actions for a (P, input_size) array of states, as a (P, output_size) array.
 
-        Row i must equal ``act`` on row i. This default calls ``act`` once
-        per row; models that can score rows together override it.
+        Every model defines this. Row i must not depend on the other rows.
         ``NetworkPolicy`` and ``ExternalPolicy`` compute or send each
         distinct state of a batch once, so their row i may come from an
         earlier, bit-equal row.
         """
-        actions = [self.act(ModelState(row)).values for row in states]
-        return np.array(actions, dtype=float).reshape(len(states), self.output_size)
+        raise NotImplementedError(f"{type(self).__name__} does not define act_batch")
 
     def close(self) -> None:
         """Release what the model holds, such as a child process; by default nothing."""
@@ -278,13 +274,11 @@ def _conv_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int,
     The windows of all signals are gathered into one (P * n_out, in * kernel)
     matrix through ``_window_index`` and multiplied by
     ``weight.reshape(out, -1).T``, by the rule of ``_row_products``.
+    ``NetworkSpec.output_size`` has already checked the padding and the
+    kernel against the signal length.
     """
     out_channels, in_channels, kernel = weight.shape
     length = x.shape[1] // in_channels
-    if circular and padding > length:
-        raise ValueError(f"circular padding {padding} wider than signal {length}")
-    if length + 2 * padding < kernel:
-        raise ValueError(f"kernel {kernel} wider than padded signal {length + 2 * padding}")
     index = _window_index(length, in_channels, kernel, stride, padding, circular)
     if padding and not circular:
         x = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
@@ -293,30 +287,6 @@ def _conv_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, stride: int,
     y = y.reshape(len(x), len(index) * out_channels)
     y += np.tile(bias, len(index))  # one long row broadcasts over P rows faster than ``bias`` over P * n_out
     return y
-
-
-def conv1d_forward(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-    circular: bool = True,
-) -> np.ndarray:
-    """One 1-d convolution; ``x`` is (..., channels, length), ``weight`` is (out, in, kernel).
-
-    Leading axes of ``x`` are batch axes. Output length is
-    ``(length + 2*padding - kernel) // stride + 1``; circular padding wraps
-    the signal ends before the sweep. The sweep is one product (im2col):
-    each output position's window is a row of ``in * kernel`` values, and
-    the rows of all signals are multiplied by ``weight.reshape(out, -1).T``
-    together, by the rule of ``_row_products``.
-    """
-    *batch_shape, in_channels, length = x.shape
-    if in_channels != weight.shape[1]:
-        raise ValueError(f"signal has {in_channels} channels, weight expects {weight.shape[1]}")
-    y = _conv_rows(np.swapaxes(x, -1, -2).reshape(-1, length * in_channels), weight, bias, stride, padding, circular)
-    return np.swapaxes(y.reshape(*batch_shape, -1, len(weight)), -1, -2)
 
 
 def _checked_weights(spec: NetworkSpec, weights) -> list:

@@ -2,10 +2,13 @@
 
 Everything here re-derives results from first principles (occupancy
 marching, naive nested-loop network passes, literal piecewise formulas)
-without calling the code paths under test. ``full_sweep_raycast_rows`` keeps
-a frozen copy of the element-wise hit kernels that ``raycast_rows`` once ran
-on every ray, so that the library's per-pair kernels and windows are both
-checked against the arithmetic they must reproduce bit for bit.
+without calling the code paths under test. ``conv1d_forward`` is the one
+exception: it only reshapes signals for the library's own convolution
+kernel, so that tests can hold that kernel against ``naive_conv1d``.
+``full_sweep_raycast_rows`` keeps a frozen copy of the element-wise hit
+kernels that ``raycast_rows`` once ran on every ray, so that the library's
+per-pair kernels and windows are both checked against the arithmetic they
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from lidar_cfe.geometry import (
     Point2,
     shape_overlaps_disk,
 )
-from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR
+from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR, _conv_rows
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +587,17 @@ def naive_conv1d(x, w, b, stride, padding, circular):
                     acc += float(w[o, c, k]) * float(sample(c, i * stride + k))
             y[o, i] = acc
     return y
+
+
+def conv1d_forward(x, weight, bias, stride=1, padding=0, circular=True):
+    """``model._conv_rows`` on (..., channels, length) signals; ``weight`` is (out, in, kernel).
+
+    Leading axes of ``x`` are batch axes. The output length is
+    ``(length + 2*padding - kernel) // stride + 1``.
+    """
+    *batch_shape, in_channels, length = x.shape
+    y = _conv_rows(np.swapaxes(x, -1, -2).reshape(-1, length * in_channels), weight, bias, stride, padding, circular)
+    return np.swapaxes(y.reshape(*batch_shape, -1, len(weight)), -1, -2)
 
 
 def naive_net_forward(spec, weights, values):

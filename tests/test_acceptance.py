@@ -15,7 +15,6 @@ import pytest
 
 from lidar_cfe import (
     ActionBounds,
-    ActionVector,
     BridgeError,
     BridgeTimeout,
     GaConfig,
@@ -26,7 +25,7 @@ from lidar_cfe import (
     run_ga,
     scripted_policy,
 )
-from lidar_cfe.cfe import GENES_PER_OBSTACLE, CfeQuery, hinge_loss
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, CfeQuery, _hinge_rows
 from lidar_cfe.cli import EXIT_OK, main, verify_results_file
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 from lidar_cfe.scan import GoalFeatures, Scan
@@ -160,14 +159,15 @@ def test_c03_hinge_loss_exact_against_oracle():
         if rng.random() < 0.25:  # boundary values must count as inside
             j = int(rng.integers(0, m))
             action[j] = lo[j] if rng.random() < 0.5 else hi[j]
-        got = hinge_loss(ActionVector(action), ActionBounds(lo, hi))
+        got = _hinge_rows(action[np.newaxis], ActionBounds(lo, hi))[0]
         assert got == hinge_oracle(action, lo, hi)
     report("C03 hinge-loss-exactness", "10^5 pairs incl. boundaries, exact match")
 
 
 def test_c04_network_inference_oracle():
     from lidar_cfe import Conv1d
-    from lidar_cfe.model import conv1d_forward
+
+    from oracles import conv1d_forward
 
     rng = np.random.default_rng(20243)
     worst = 0.0

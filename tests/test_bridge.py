@@ -154,6 +154,13 @@ def test_missing_command():
         external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_timeout_that_is_not_positive_and_finite_is_refused_before_the_spawn(timeout):
+    # The command cannot start, so a spawn would raise BridgeError instead.
+    with pytest.raises(ValueError, match="timeout must be positive and finite"):
+        external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS, timeout=timeout)
+
+
 def test_state_round_trip_is_exact(bridge_script):
     # repr-formatted decimals survive the pipe bit for bit.
     body = f"""

@@ -1,12 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidar_cfe import (
     ActionBounds,
-    ActionVector,
     CfeQuery,
     GaConfig,
     GoalFeatures,
@@ -18,10 +20,10 @@ from lidar_cfe import (
     run_ga,
     scripted_policy,
 )
-from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, decode_genome, hinge_loss
-from lidar_cfe.geometry import ORIGIN, raycast_scan, shape_overlaps_disk
+from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, _decode_rows, _hinge_rows, _package
+from lidar_cfe.geometry import ORIGIN, ShapeRows, raycast_scan, shape_overlaps_disk
 
-from oracles import hinge_oracle
+from oracles import hinge_oracle, scalar_decode
 
 
 GOAL_AHEAD = GoalFeatures(1.0, 0.0, 2.0)
@@ -33,8 +35,8 @@ class ConstantPolicy(PolicyModel):
         self.output_size = len(action)
         self._action = np.asarray(action, dtype=float)
 
-    def act(self, state):
-        return ActionVector(self._action.copy())
+    def act_batch(self, states):
+        return np.tile(self._action, (len(states), 1))
 
 
 def reverse_query(**overrides):
@@ -49,6 +51,33 @@ def reverse_query(**overrides):
     return CfeQuery(**defaults)
 
 
+def hinge(action, bounds):
+    """The library's row hinge of one action."""
+    return _hinge_rows(np.array([action], dtype=float), bounds)[0]
+
+
+def decode(genome, n_obstacles, world_bounds, size_limits=(0.05, 1.0)):
+    """One genome through the library's row decode, checked against the scalar oracle."""
+    shapes = _decode_rows(np.array([genome], dtype=float), world_bounds, size_limits).shapes(0)
+    assert shapes == tuple(scalar_decode(genome, n_obstacles, world_bounds, size_limits))
+    return shapes
+
+
+@st.composite
+def canonical_shape_rows(draw):
+    """Random ShapeRows as ``from_shapes`` writes them: a circle's size2 is its radius, its turn 0."""
+    n_rows, n_slots = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def column(elements):
+        return draw(arrays(float, (n_rows, n_slots), elements=elements))
+
+    rect = draw(arrays(bool, (n_rows, n_slots)))
+    cx, cy, size1 = column(st.floats(-10.0, 10.0)), column(st.floats(-10.0, 10.0)), column(st.floats(1e-3, 5.0))
+    size2 = np.where(rect, column(st.floats(1e-3, 5.0)), size1)
+    turn = np.where(rect, column(st.floats(0.0, math.pi, exclude_max=True)), 0.0)
+    return ShapeRows(rect, cx, cy, size1, size2, turn, np.cos(turn), np.sin(turn))
+
+
 class TestActionBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,13 +89,13 @@ class TestActionBounds:
 
     def test_contains_is_inclusive(self):
         bounds = ActionBounds.from_pairs([(-1.0, 0.0), (-0.2, 0.2)])
-        assert bounds.contains(ActionVector(np.array([0.0, 0.2])))
-        assert not bounds.contains(ActionVector(np.array([0.01, 0.0])))
+        assert hinge([0.0, 0.2], bounds) == 0.0
+        assert hinge([0.01, 0.0], bounds) != 0.0
 
 
 class TestDecodeGenome:
     def test_midpoint_circle(self):
-        shapes = decode_genome([0.0, 0.5, 0.5, 0.3, 0.5, 0.9], 1, 3.5, (0.05, 1.0))
+        shapes = decode([0.0, 0.5, 0.5, 0.3, 0.5, 0.9], 1, 3.5, (0.05, 1.0))
         (shape,) = shapes
         assert shape.kind == "circle"
         assert shape.center.x == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +103,7 @@ class TestDecodeGenome:
         assert shape.radius == pytest.approx(0.525, abs=1e-12)
 
     def test_endpoint_rectangle(self):
-        shapes = decode_genome([1.0, 1.0, 0.5, 0.5, 0.2, 0.7], 1, 3.5, (0.05, 1.0))
+        shapes = decode([1.0, 1.0, 0.5, 0.5, 0.2, 0.7], 1, 3.5, (0.05, 1.0))
         (shape,) = shapes
         assert shape.kind == "rectangle"
         assert shape.center.x == pytest.approx(3.5, abs=1e-12)
@@ -88,7 +117,7 @@ class TestDecodeGenome:
         wb, (lo, hi) = 3.5, (0.05, 1.0)
         for _ in range(100):
             genes = rng.random(GENES_PER_OBSTACLE * 3)
-            shapes = decode_genome(genes, 3, wb, (lo, hi))
+            shapes = decode(genes, 3, wb, (lo, hi))
             for j, shape in enumerate(shapes):
                 t, x, y, theta, s1, s2 = genes[6 * j : 6 * j + 6]
                 assert (shape.kind == "circle") == (t < 0.5)
@@ -104,7 +133,7 @@ class TestDecodeGenome:
     def test_any_genome_yields_valid_shapes(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            shapes = decode_genome(rng.random(GENES_PER_OBSTACLE * 4), 4, 3.5)
+            shapes = decode(rng.random(GENES_PER_OBSTACLE * 4), 4, 3.5)
             for shape in shapes:
                 if shape.kind == "circle":
                     assert shape.radius > 0
@@ -113,24 +142,41 @@ class TestDecodeGenome:
                     assert 0.0 <= shape.orientation < math.pi
 
     def test_length_checked(self):
-        with pytest.raises(ValueError):
-            decode_genome(np.zeros(7), 1, 3.5)
+        fitness = fitness_for_query(reverse_query(n_obstacles=1), scripted_policy("goal_seeker"))
+        with pytest.raises(ValueError, match="population shape"):
+            fitness(np.zeros((1, 7)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=canonical_shape_rows(),
+        genomes=st.integers(1, 3).flatmap(lambda k: arrays(float, (3, GENES_PER_OBSTACLE * k), elements=st.floats(0.0, 1.0))),
+    )
+    def test_shape_rows_and_packaged_obstacles_round_trip(self, rows, genomes):
+        for i in range(len(rows.rect)):
+            again, want = ShapeRows.from_shapes(rows.shapes(i)), rows.take([i])
+            for f in fields(ShapeRows):
+                a, b = getattr(again, f.name), getattr(want, f.name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        n_obstacles = genomes.shape[1] // GENES_PER_OBSTACLE
+        query = reverse_query(n_obstacles=n_obstacles)
+        searches = [SearchFacts(0, "generations", 0, 0)] * len(genomes)
+        for genome, result in zip(genomes, _package(query, scripted_policy("goal_seeker"), genomes, searches), strict=True):
+            assert result.obstacles == tuple(scalar_decode(genome, n_obstacles, query.world_extent, query.size_limits))
 
 
 class TestHingeLoss:
     def test_inside_bounds_is_zero(self):
         bounds = ActionBounds.from_pairs([(0.0, 1.0)])
-        assert hinge_loss(ActionVector(np.array([0.5])), bounds) == 0.0
+        assert hinge([0.5], bounds) == 0.0
 
     def test_forced_arithmetic(self):
         bounds = ActionBounds.from_pairs([(-1.0, 0.0), (-0.1, 0.1)])
-        action = ActionVector(np.array([-0.3, 0.15]))
-        assert hinge_loss(action, bounds) == pytest.approx(0.05, abs=1e-12)
+        assert hinge([-0.3, 0.15], bounds) == pytest.approx(0.05, abs=1e-12)
 
     def test_boundary_is_inclusive(self):
         bounds = ActionBounds.from_pairs([(-0.5, 0.5)])
-        assert hinge_loss(ActionVector(np.array([0.5])), bounds) == 0.0
-        assert hinge_loss(ActionVector(np.array([-0.5])), bounds) == 0.0
+        assert hinge([0.5], bounds) == 0.0
+        assert hinge([-0.5], bounds) == 0.0
 
     def test_matches_piecewise_oracle(self):
         rng = np.random.default_rng(2)
@@ -143,12 +189,7 @@ class TestHingeLoss:
             if rng.random() < 0.3:  # force boundary cases
                 action[0] = lo[0] if rng.random() < 0.5 else hi[0]
             bounds = ActionBounds(lo, hi)
-            got = hinge_loss(ActionVector(action), bounds)
-            assert got == hinge_oracle(action, lo, hi)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hinge_loss(ActionVector(np.array([0.0])), ActionBounds.from_pairs([(-1, 0), (0, 1)]))
+            assert hinge(action, bounds) == hinge_oracle(action, lo, hi)
 
 
 class TestFitness:
@@ -238,7 +279,7 @@ class TestGenerateCfes:
             state = assemble_state(r.combined_scan, query.goal, query.goal_distance_scale)
             assert np.array_equal(model.act(state).values, r.achieved_action.values)
             # satisfied <=> inclusive bounds membership <=> zero hinge.
-            assert r.satisfied == query.bounds.contains(r.achieved_action)
+            assert r.satisfied == (hinge(r.achieved_action.values, query.bounds) == 0.0)
             assert r.satisfied == (r.hinge_component == 0.0)
 
     def test_packaging_scores_every_best_genome_in_one_batch(self, monkeypatch):

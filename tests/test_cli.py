@@ -143,9 +143,6 @@ class TestExplainCommand:
         class Counting(PolicyModel):
             input_size, output_size = policy.input_size, policy.output_size
 
-            def act(self, state):
-                raise AssertionError("verify must score entries through act_batch")
-
             def act_batch(self, states):
                 batches.append(len(states))
                 return policy.act_batch(states)
@@ -289,6 +286,15 @@ class TestExplainCommand:
         assert code == EXIT_OK
         results = json.loads((out / "results.json").read_text())
         assert len(results["results"]) == 1
+
+    def test_set_writes_into_a_null_mapping(self, tmp_path):
+        write_empty_room(tmp_path)
+        query = write_reverse_query(tmp_path, "room.yaml", n_cfes=1)
+        query.write_text(query.read_text() + "ga:\n")  # a key with no value loads as null
+        out = tmp_path / "out"
+        code = main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--set", "ga.generations=2"])
+        assert code == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["ga"]["generations"] == 2
 
     @pytest.mark.parametrize(
         "override",
@@ -581,6 +587,14 @@ def explain_reverse(tmp_path, *args):
             EXIT_INPUT,
             "--name: name must be a file name stem",
         ),
+        *(
+            (
+                lambda tmp, value=value: ["validate-model", "--model", f"exec:{sys.executable} -c pass", "--timeout", value],
+                EXIT_INPUT,
+                f"timeout must be positive and finite, got {value!r}",
+            )
+            for value in ("nan", "-1", "0", "inf")
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -596,11 +610,19 @@ def explain_reverse(tmp_path, *args):
         "circle-unknown-key",
         "circle-with-half-extents",
         "scan-name-with-slash",
+        "validate-timeout-nan",
+        "validate-timeout-negative",
+        "validate-timeout-zero",
+        "validate-timeout-inf",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
     monkeypatch.setenv("LIDAR_CFE_OUT", str(tmp_path / "out"))
-    assert main(command(tmp_path)) == code
+    try:
+        exit_code = main(command(tmp_path))
+    except SystemExit as exc:  # argparse refuses a malformed flag value by exiting 2
+        exit_code = exc.code
+    assert exit_code == code
     assert message in capsys.readouterr().err
 
 

@@ -19,13 +19,20 @@ from lidar_cfe import (
     scripted_policy,
 )
 from lidar_cfe.errors import ModelError
-from lidar_cfe.model import _forward, conv1d_forward
+from lidar_cfe.model import _forward
 
-from oracles import naive_net_forward, random_micro_net, random_wide_net
+from oracles import conv1d_forward, naive_conv1d, naive_net_forward, random_micro_net, random_wide_net
 
 
 def make_state(values):
     return ModelState(np.asarray(values, dtype=float))
+
+
+def checked_conv(x, w, b, stride, padding, circular):
+    """The library kernel's convolution of one signal, held against the naive oracle."""
+    out = conv1d_forward(x, w, b, stride, padding, circular)
+    assert np.array_equal(out, naive_conv1d(x, w, b, stride, padding, circular))
+    return out
 
 
 class TestConvPrimitive:
@@ -33,7 +40,7 @@ class TestConvPrimitive:
         x = np.ones((1, 8))
         w = np.ones((1, 1, 3))
         b = np.zeros(1)
-        out = conv1d_forward(x, w, b, stride=1, padding=1, circular=True)
+        out = checked_conv(x, w, b, stride=1, padding=1, circular=True)
         assert out.shape == (1, 8)
         assert np.all(out == 3.0)
 
@@ -41,14 +48,14 @@ class TestConvPrimitive:
         x = np.arange(1.0, 9.0)[None, :]  # 1..8
         w = np.ones((1, 1, 3))
         b = np.zeros(1)
-        out = conv1d_forward(x, w, b, stride=1, padding=1, circular=True)[0]
+        out = checked_conv(x, w, b, stride=1, padding=1, circular=True)[0]
         assert out[0] == 8 + 1 + 2
         assert out[-1] == 7 + 8 + 1
 
     def test_zero_padding(self):
         x = np.arange(1.0, 5.0)[None, :]
         w = np.ones((1, 1, 3))
-        out = conv1d_forward(x, w, np.zeros(1), stride=1, padding=1, circular=False)[0]
+        out = checked_conv(x, w, np.zeros(1), stride=1, padding=1, circular=False)[0]
         assert out[0] == 0 + 1 + 2
         assert out[-1] == 3 + 4 + 0
 
@@ -56,7 +63,7 @@ class TestConvPrimitive:
         # 180 in, kernel 5, padding 2, stride 2 gives ceil(180 / 2) = 90 out.
         x = np.zeros((1, 180))
         w = np.zeros((1, 1, 5))
-        out = conv1d_forward(x, w, np.zeros(1), stride=2, padding=2, circular=True)
+        out = checked_conv(x, w, np.zeros(1), stride=2, padding=2, circular=True)
         assert out.shape == (1, 90)
 
 
