@@ -28,7 +28,6 @@ from .model import (
     NetworkPolicy,
     NetworkSpec,
     PolicyModel,
-    ScriptedParams,
     load_weight_file,
     save_weight_file,
     scripted_policy,
@@ -60,7 +59,6 @@ __all__ = [
     "PolicyModel",
     "Scan",
     "Scenario",
-    "ScriptedParams",
     "external_policy",
     "fitness_for_query",
     "generate_cfes",

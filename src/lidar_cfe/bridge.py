@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
-from .model import ActionVector, PolicyModel, check_action_rows, distinct_rows
+from .model import PolicyModel, check_action_rows, distinct_rows
 
 
 def _state_lines(states: np.ndarray) -> bytes:
@@ -90,20 +90,14 @@ class ExternalPolicy(PolicyModel):
         self._reject_unsolicited()
         lines = self._exchange(_state_lines(distinct), len(distinct), "action")
         try:
-            actions = np.array([[float(f) for f in line.split()] for line in lines], dtype=float)
-            if actions.shape == (len(lines), self.output_size):
-                check_action_rows(actions)
-                return actions[inverse]
-        except ValueError:
-            pass
-        # Some line is bad: parse them in order to name the first one.
-        try:
-            return np.array([self._parse_action(line) for line in lines])[inverse]
+            actions = [self._parse_action(line) for line in lines]
         except BridgeError:
             self.close()
             raise
+        return np.array(actions)[inverse]
 
-    def _parse_action(self, line: str) -> np.ndarray:
+    def _parse_action(self, line: str) -> list[float]:
+        """The values of one action line, checked for arity, then for numbers, then for range."""
         fields = line.split()
         if len(fields) != self.output_size:
             raise BridgeError(f"malformed action line {line!r}: expected {self.output_size} values")
@@ -111,10 +105,12 @@ class ExternalPolicy(PolicyModel):
             values = [float(f) for f in fields]
         except ValueError:
             raise BridgeError(f"malformed action line {line!r}: not all fields are numbers") from None
-        try:
-            return ActionVector(values).values
-        except ValueError as exc:
-            raise BridgeError(f"bad action line {line!r}: {exc}") from None
+        if not all(-1.0 <= v <= 1.0 for v in values):  # also false for NaN
+            try:
+                check_action_rows(np.array([values]))  # raises, naming what is wrong
+            except ValueError as exc:
+                raise BridgeError(f"bad action line {line!r}: {exc}") from None
+        return values
 
     def _reject_unsolicited(self) -> None:
         """Close the process and raise if it has output that no request asked for.

@@ -203,12 +203,11 @@ def _scorer(query: CfeQuery, model: PolicyModel):
     and proximity is only computed when ``lambda_p`` weights it. With
     ``full`` (packaging) every part of every row is computed.
 
-    Without ``full`` the scans, the merge and the proximity differences are
-    written into two (P, n_rays) arrays that ``score`` keeps between calls
-    and grows only for a larger P, so a search does not allocate them anew
-    in every generation. The returned ``merged`` is then a view of that
-    workspace, valid until the next call; the fitness array is the
-    caller's. With ``full`` every returned array is new.
+    The scans, the merge and the proximity differences are written into two
+    (P, n_rays) arrays that ``score`` keeps between calls and grows only for
+    a larger P, so a search does not allocate them anew in every generation.
+    The returned ``merged`` is a view of that workspace, valid until the
+    next call; the other returned arrays are the caller's.
     """
     base = query.base_scan
     if model.input_size != base.n + 3:
@@ -231,12 +230,9 @@ def _scorer(query: CfeQuery, model: PolicyModel):
         rows = np.arange(len(pop)) if full else np.flatnonzero(~rejected)
         if rows.size == 0:
             return fitness, None, None, None, None
-        if full:
-            merged, diff = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
-        else:
-            if len(workspace[0]) < rows.size:
-                workspace = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
-            merged, diff = (buffer[: rows.size] for buffer in workspace)
+        if len(workspace[0]) < rows.size:
+            workspace = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
+        merged, diff = (buffer[: rows.size] for buffer in workspace)
         raycast_rows(ORIGIN, shapes.take(rows), base.n, max_range, out=merged)
         if query.combination == MIN_DISTANCE:
             np.minimum(readings, merged, out=merged)
@@ -283,7 +279,7 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
     return [
         CfeResult(
             obstacles=shapes.shapes(i),
-            combined_scan=Scan(merged, query.base_scan.max_range),
+            combined_scan=Scan(merged, query.base_scan.max_range),  # a copy of the scorer's workspace row
             achieved_action=ActionVector(action),
             fitness=float(fitness),
             hinge_component=float(hinge),

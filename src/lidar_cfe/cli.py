@@ -26,14 +26,7 @@ from .bridge import external_policy
 from .cfe import ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_real
-from .model import (
-    GOAL_SEEKER,
-    LEFT_PREFERRER,
-    NetworkPolicy,
-    PolicyModel,
-    ScriptedParams,
-    scripted_policy,
-)
+from .model import NetworkPolicy, PolicyModel, scripted_policy
 from .plot import cfe_plot_svg, scan_plot_svg, write_svg
 from .scan import GoalFeatures, Scan
 from .scenario import _obstacle_entry, _pair, load_scenario, load_yaml_mapping, parse_yaml
@@ -59,9 +52,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(ENV_OUT_DIR) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get(ENV_OUT_DIR) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path}: {exc}") from None
     return path
 
 
@@ -204,10 +199,8 @@ def load_model(spec: str, n_inputs: int, n_outputs: int, timeout: float = 5.0) -
     """
     form, argument = _split_model_spec(spec)
     if form == "scripted":
-        if argument not in (GOAL_SEEKER, LEFT_PREFERRER):
-            raise ModelError(f"unknown scripted policy {argument!r}")
         try:
-            model: PolicyModel = scripted_policy(argument, ScriptedParams(n_lidar=n_inputs - 3))
+            model: PolicyModel = scripted_policy(argument, n_inputs - 3)
         except ValueError as exc:
             raise ModelError(str(exc)) from None
     elif form == "exec":
@@ -317,7 +310,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
 def cmd_scan(args) -> int:
     scenario = load_scenario(args.scenario)
     try:
-        scenario = replace(scenario, name=args.name or scenario.name)
+        scenario = replace(scenario, name=args.name if args.name is not None else scenario.name)
     except ValueError as exc:
         raise InputError(f"--name: {exc}") from None
     scan = scenario.base_scan()
@@ -349,10 +342,10 @@ def cmd_explain(args) -> int:
     if args.seed is not None:
         overrides.append(("seed", str(args.seed)))
     query, ga_config, meta = _load_query(args.query, overrides)
+    out_dir = _out_dir(args)  # before the search, so that a bad -o fails fast
     with load_model(args.model, query.base_scan.n + 3, len(query.bounds), timeout=args.timeout) as model:
         results = generate_cfes(query, model, ga_config)
 
-    out_dir = _out_dir(args)
     payload = _results_payload(query, results)
     results_path = out_dir / "results.json"
     _write_json(results_path, payload)
@@ -439,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate-model", help="load a model, check shapes, and probe it")
     p_validate.add_argument("--model", required=True)
-    p_validate.add_argument("--n-rays", type=int, default=180, help="scan length the model expects")
-    p_validate.add_argument("--outputs", type=int, default=2, help="action dimensions the model emits")
+    p_validate.add_argument("--n-rays", type=_positive_int_flag, default=180, help="scan length the model expects")
+    p_validate.add_argument("--outputs", type=_positive_int_flag, default=2, help="action dimensions the model emits")
     p_validate.add_argument("--timeout", type=_timeout_flag, default=5.0)
     p_validate.set_defaults(func=cmd_validate_model)
     return parser
@@ -451,6 +444,13 @@ def _parse_set_flag(text: str) -> tuple[str, str]:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
     key, value = text.split("=", 1)
     return key.strip(), value
+
+
+def _positive_int_flag(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _timeout_flag(text: str) -> float:

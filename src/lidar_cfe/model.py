@@ -526,43 +526,19 @@ def load_weight_file(path) -> tuple[NetworkSpec, list]:
 # Scripted reactive policies
 
 
-@dataclass(frozen=True)
-class ScriptedParams:
-    """Tuning for the scripted reactive policies.
-
-    Distance thresholds are fractions of the sensor max range, matching the
-    normalized state the policy consumes. ``blend_width`` sets how sharply
-    the behaviors switch; the policies stay continuous in the state.
-    """
-
-    n_lidar: int = 180
-    forward_speed: float = 0.95
-    reverse_speed: float = -0.6
-    block_threshold: float = 0.35
-    avoid_threshold: float = 0.8
-    side_threshold: float = 0.5
-    turn_gain: float = 2.0
-    turn_magnitude: float = 0.9
-    blend_width: float = 0.01
-    cone_half_angle: float = math.pi / 6
-
-    def __post_init__(self) -> None:
-        if self.n_lidar < 8:
-            raise ValueError("n_lidar must be >= 8")
-        for name in ("forward_speed", "reverse_speed", "turn_magnitude"):
-            v = getattr(self, name)
-            if not -1.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-        for name in ("block_threshold", "avoid_threshold", "side_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        if self.blend_width <= 0.0:
-            raise ValueError("blend_width must be > 0")
-        if self.turn_gain < 0.0:
-            raise ValueError("turn_gain must be >= 0")
-        if not 0.0 < self.cone_half_angle < math.pi:
-            raise ValueError("cone_half_angle must lie in (0, pi)")
+# Tuning of the scripted reactive policies. Distance thresholds are fractions
+# of the sensor max range, matching the normalized state the policies consume.
+# BLEND_WIDTH sets how sharply the behaviors switch; the policies stay
+# continuous in the state.
+FORWARD_SPEED = 0.95
+REVERSE_SPEED = -0.6
+BLOCK_THRESHOLD = 0.35
+AVOID_THRESHOLD = 0.8
+SIDE_THRESHOLD = 0.5
+TURN_GAIN = 2.0
+TURN_MAGNITUDE = 0.9
+BLEND_WIDTH = 0.01
+CONE_HALF_ANGLE = math.pi / 6
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -574,46 +550,45 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 class _ScriptedPolicy(PolicyModel):
     output_size = 2
 
-    def __init__(self, kind: str, params: ScriptedParams) -> None:
+    def __init__(self, kind: str, n_lidar: int) -> None:
         self.kind = kind
-        self.params = params
-        self.input_size = params.n_lidar + 3
-        n = params.n_lidar
-        headings = np.arange(n) * (2.0 * math.pi / n)
+        self.n_lidar = n_lidar
+        self.input_size = n_lidar + 3
+        headings = np.arange(n_lidar) * (2.0 * math.pi / n_lidar)
         off_forward = np.minimum(headings, 2.0 * math.pi - headings)
-        self._cone = np.flatnonzero(off_forward <= params.cone_half_angle + 1e-12)
+        self._cone = np.flatnonzero(off_forward <= CONE_HALF_ANGLE + 1e-12)
         self._left = np.flatnonzero((headings > 1e-12) & (headings < math.pi - 1e-12))
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         if states.shape[1] != self.input_size:
             raise ModelError(f"state length {states.shape[1]}, policy expects {self.input_size}")
-        p = self.params
-        lidar = states[:, : p.n_lidar]
-        cos_g = 2.0 * states[:, p.n_lidar] - 1.0
-        sin_g = 2.0 * states[:, p.n_lidar + 1] - 1.0
+        n = self.n_lidar
+        lidar = states[:, :n]
+        cos_g = 2.0 * states[:, n] - 1.0
+        sin_g = 2.0 * states[:, n + 1] - 1.0
         bearing = np.arctan2(sin_g, cos_g)
-        goal_steer = np.minimum(np.maximum(p.turn_gain * bearing, -1.0), 1.0)  # np.clip's bits, with less call overhead
+        goal_steer = np.minimum(np.maximum(TURN_GAIN * bearing, -1.0), 1.0)  # np.clip's bits, with less call overhead
 
         min_forward = lidar[:, self._cone].min(axis=1)
-        gaps = [p.block_threshold - min_forward]
+        gaps = [BLOCK_THRESHOLD - min_forward]
         if self.kind == LEFT_PREFERRER:
-            gaps += [p.avoid_threshold - min_forward, lidar[:, self._left].min(axis=1) - p.side_threshold]
+            gaps += [AVOID_THRESHOLD - min_forward, lidar[:, self._left].min(axis=1) - SIDE_THRESHOLD]
         # One logistic call for every gate: a one-row act pays numpy's per-call overhead once.
-        blocked, *gates = _logistic(np.array(gaps) / p.blend_width)
-        linear = (1.0 - blocked) * p.forward_speed + blocked * p.reverse_speed
+        blocked, *gates = _logistic(np.array(gaps) / BLEND_WIDTH)
+        linear = (1.0 - blocked) * FORWARD_SPEED + blocked * REVERSE_SPEED
 
         if self.kind == GOAL_SEEKER:
             angular = goal_steer
         else:
             avoid, left_clear = gates
-            swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
+            swerve = TURN_MAGNITUDE * (2.0 * left_clear - 1.0)
             angular = avoid * swerve + (1.0 - avoid) * goal_steer
 
         return np.column_stack([linear, angular])
 
 
-def scripted_policy(kind: str, params: ScriptedParams | None = None) -> PolicyModel:
-    """Build one of the scripted reactive test policies.
+def scripted_policy(kind: str, n_lidar: int = 180) -> PolicyModel:
+    """Build one of the scripted reactive test policies for ``n_lidar`` rays (at least 8).
 
     ``goal_seeker`` steers at the goal bearing and backs up when anything
     sits close in the forward cone. ``left_preferrer`` additionally swerves
@@ -623,4 +598,6 @@ def scripted_policy(kind: str, params: ScriptedParams | None = None) -> PolicyMo
     """
     if kind not in (GOAL_SEEKER, LEFT_PREFERRER):
         raise ValueError(f"unknown scripted policy {kind!r}")
-    return _ScriptedPolicy(kind, params or ScriptedParams())
+    if n_lidar < 8:
+        raise ValueError("n_lidar must be >= 8")
+    return _ScriptedPolicy(kind, n_lidar)

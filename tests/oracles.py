@@ -28,7 +28,20 @@ from lidar_cfe.geometry import (
     Point2,
     shape_overlaps_disk,
 )
-from lidar_cfe.model import GEMM_MIN_OUTPUTS, ROW_FLOOR, _conv_rows
+from lidar_cfe.model import (
+    AVOID_THRESHOLD,
+    BLEND_WIDTH,
+    BLOCK_THRESHOLD,
+    CONE_HALF_ANGLE,
+    FORWARD_SPEED,
+    GEMM_MIN_OUTPUTS,
+    REVERSE_SPEED,
+    ROW_FLOOR,
+    SIDE_THRESHOLD,
+    TURN_GAIN,
+    TURN_MAGNITUDE,
+    _conv_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +352,22 @@ def _logistic(x):
     return e / (1.0 + e)
 
 
-def scalar_scripted_act(kind, p, values):
-    """The scripted policies on one state, in plain float arithmetic."""
-    n = p.n_lidar
+def scalar_scripted_act(kind, n, values):
+    """The scripted policies on one state of ``n`` rays, in plain float arithmetic."""
     headings = np.arange(n) * (2.0 * math.pi / n)
-    cone = np.minimum(headings, 2.0 * math.pi - headings) <= p.cone_half_angle + 1e-12
+    cone = np.minimum(headings, 2.0 * math.pi - headings) <= CONE_HALF_ANGLE + 1e-12
     left = (headings > 1e-12) & (headings < math.pi - 1e-12)
     lidar = values[:n]
     bearing = np.arctan2(2.0 * values[n + 1] - 1.0, 2.0 * values[n] - 1.0)
-    goal_steer = max(-1.0, min(1.0, p.turn_gain * bearing))
+    goal_steer = max(-1.0, min(1.0, TURN_GAIN * bearing))
     min_forward = float(lidar[cone].min())
-    blocked = _logistic((p.block_threshold - min_forward) / p.blend_width)
-    linear = (1.0 - blocked) * p.forward_speed + blocked * p.reverse_speed
+    blocked = _logistic((BLOCK_THRESHOLD - min_forward) / BLEND_WIDTH)
+    linear = (1.0 - blocked) * FORWARD_SPEED + blocked * REVERSE_SPEED
     if kind == "goal_seeker":
         return np.array([linear, goal_steer])
-    avoid = _logistic((p.avoid_threshold - min_forward) / p.blend_width)
-    left_clear = _logistic((float(lidar[left].min()) - p.side_threshold) / p.blend_width)
-    swerve = p.turn_magnitude * (2.0 * left_clear - 1.0)
+    avoid = _logistic((AVOID_THRESHOLD - min_forward) / BLEND_WIDTH)
+    left_clear = _logistic((float(lidar[left].min()) - SIDE_THRESHOLD) / BLEND_WIDTH)
+    swerve = TURN_MAGNITUDE * (2.0 * left_clear - 1.0)
     return np.array([linear, avoid * swerve + (1.0 - avoid) * goal_steer])
 
 
@@ -394,7 +406,7 @@ def scalar_net_act(spec, weights, values):
 def scalar_act(model, state):
     """One action: scripted policies and networks re-derived here, any other model through its act."""
     if getattr(model, "kind", None) in ("goal_seeker", "left_preferrer"):
-        return ActionVector(scalar_scripted_act(model.kind, model.params, state.values))
+        return ActionVector(scalar_scripted_act(model.kind, model.n_lidar, state.values))
     if isinstance(model, NetworkPolicy):
         return ActionVector(scalar_net_act(model.spec, model.weights, state.values))
     return model.act(state)

@@ -29,13 +29,21 @@ from lidar_cfe import (
     NetworkPolicy,
     NetworkSpec,
     PolicyModel,
-    ScriptedParams,
     fitness_for_query,
     scripted_policy,
 )
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _hinge_rows, _scorer
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
-from lidar_cfe.model import ROW_FLOOR, distinct_rows
+from lidar_cfe.model import (
+    AVOID_THRESHOLD,
+    BLEND_WIDTH,
+    BLOCK_THRESHOLD,
+    FORWARD_SPEED,
+    REVERSE_SPEED,
+    ROW_FLOOR,
+    SIDE_THRESHOLD,
+    distinct_rows,
+)
 
 from oracles import naive_net_forward, random_micro_net, random_wide_net, scalar_net_act, scalar_score, scalar_scripted_act
 
@@ -317,22 +325,28 @@ def test_scripted_act_batch_covers_the_blend_region():
 
 
 @pytest.mark.parametrize("kind", ["goal_seeker", "left_preferrer"])
-@pytest.mark.parametrize("params", [ScriptedParams(), ScriptedParams(blend_width=1.0)], ids=["default", "blend_width=1"])
-def test_scripted_act_batch_equals_the_scalar_oracle(kind, params):
-    # Goals off the x axis send the bearing through arctan2, and a wide blend
-    # keeps the logistic gates off 0 and 1, where the last bit of exp shows.
+@pytest.mark.parametrize("rows", ["default", "near_thresholds"])
+def test_scripted_act_batch_equals_the_scalar_oracle(kind, rows):
+    # Goals off the x axis send the bearing through arctan2. The default rows
+    # each get their own nearest reading. The near_thresholds rows put their
+    # nearest forward and left readings within five blend widths of the
+    # thresholds, which keeps the logistic gates off 0 and 1, where the last
+    # bit of exp shows.
     rng = np.random.default_rng(41)
     goal_angle = rng.uniform(-math.pi, math.pi, 500)
-    states = np.column_stack(
-        [
-            rng.uniform(rng.uniform(0.0, 0.9, (500, 1)), 1.0, (500, 180)),  # each row its own nearest reading
-            (np.cos(goal_angle) + 1.0) / 2.0,
-            (np.sin(goal_angle) + 1.0) / 2.0,
-            rng.random(500),
-        ]
-    )
-    oracle = [scalar_scripted_act(kind, params, row) for row in states]
-    assert np.array_equal(bits(scripted_policy(kind, params).act_batch(states)), bits(oracle))
+    if rows == "default":
+        lidar = rng.uniform(rng.uniform(0.0, 0.9, (500, 1)), 1.0, (500, 180))
+    else:
+        lidar = rng.uniform(0.9, 1.0, (500, 180))
+        near = 5.0 * BLEND_WIDTH * rng.uniform(-1.0, 1.0, (500, 2))
+        lidar[:, 0] = np.where(np.arange(500) % 2, BLOCK_THRESHOLD, AVOID_THRESHOLD) + near[:, 0]  # forward, not left
+        lidar[:, 45] = SIDE_THRESHOLD + near[:, 1]  # left, not forward
+    states = np.column_stack([lidar, (np.cos(goal_angle) + 1.0) / 2.0, (np.sin(goal_angle) + 1.0) / 2.0, rng.random(500)])
+    oracle = [scalar_scripted_act(kind, 180, row) for row in states]
+    actions = scripted_policy(kind).act_batch(states)
+    assert np.array_equal(bits(actions), bits(oracle))
+    if rows == "near_thresholds":  # the rows at the block threshold drive at a blended speed
+        assert np.all((actions[1::2, 0] > REVERSE_SPEED) & (actions[1::2, 0] < FORWARD_SPEED))
 
 
 class FixedBatchPolicy(PolicyModel):

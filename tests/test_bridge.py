@@ -392,3 +392,23 @@ def test_bad_reply_in_a_batch_with_repeats_names_the_first_bad_line(bridge_scrip
         with pytest.raises(BridgeError) as batched:
             policy.act_batch(base[order])
         assert str(batched.value) == str(single.value)
+
+
+def test_first_bad_line_is_named_whatever_its_fault(bridge_script):
+    # The 2nd distinct line is out of range and the 4th is malformed. A
+    # malformed line fails an earlier check than a range does, but the error
+    # still names the 2nd line: lines are checked in order.
+    body = f"""
+import sys
+replies = ["0.1 0.2", "1.5 0.0", "0.3 0.4", "not numbers", "0.5 0.6"]
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for i, line in enumerate(sys.stdin):
+    print(replies[i], flush=True)
+"""
+    base, order = repeated_states()
+    with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS) as policy:
+        with pytest.raises(BridgeError) as raised:
+            policy.act_batch(base[order])
+        assert str(raised.value) == "bad action line '1.5 0.0': action values must lie in [-1, 1], got [1.5, 0.0]"
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act_batch(base[order])

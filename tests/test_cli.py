@@ -545,6 +545,12 @@ def explain_with_scan_base(tmp_path, **keys):
     return ["explain", str(write_reverse_query(tmp_path, scan_path.name)), "--model", "scripted:goal_seeker"]
 
 
+def file_in_the_way(tmp_path):
+    path = tmp_path / "not_a_dir"
+    path.write_text("file in the way")
+    return str(path)
+
+
 def explain_reverse(tmp_path, *args):
     write_empty_room(tmp_path)
     return ["explain", str(write_reverse_query(tmp_path, "room.yaml")), *args]
@@ -595,6 +601,21 @@ def explain_reverse(tmp_path, *args):
             )
             for value in ("nan", "-1", "0", "inf")
         ),
+        (lambda tmp: [*scan_of_scenario(tmp), "-o", file_in_the_way(tmp)], EXIT_INPUT, "cannot create output directory"),
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "-o", file_in_the_way(tmp)),
+            EXIT_INPUT,
+            "cannot create output directory",
+        ),
+        *(
+            (
+                lambda tmp, flag=flag, value=value: ["validate-model", "--model", "scripted:goal_seeker", flag, value],
+                EXIT_INPUT,
+                f"argument {flag}: must be at least 1, got {value!r}",
+            )
+            for flag, value in (("--n-rays", "0"), ("--n-rays", "-4"), ("--outputs", "0"))
+        ),
+        (lambda tmp: ["scan", str(SAMPLES / "empty_room.yaml"), "--name", ""], EXIT_INPUT, "--name: name must be a file name stem"),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -614,6 +635,12 @@ def explain_reverse(tmp_path, *args):
         "validate-timeout-negative",
         "validate-timeout-zero",
         "validate-timeout-inf",
+        "scan-out-is-a-file",
+        "explain-out-is-a-file",
+        "validate-n-rays-zero",
+        "validate-n-rays-negative",
+        "validate-outputs-zero",
+        "scan-name-empty",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -624,13 +651,6 @@ def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monk
         exit_code = exc.code
     assert exit_code == code
     assert message in capsys.readouterr().err
-
-
-def test_unusable_out_dir_is_internal_error(tmp_path):
-    scenario = write_empty_room(tmp_path)
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("file in the way")
-    assert main(["scan", str(scenario), "-o", str(blocker)]) == 4
 
 
 def test_svg_outputs_are_well_formed_xml(tmp_path):

@@ -13,7 +13,6 @@ from lidar_cfe import (
     NetworkConfigError,
     NetworkPolicy,
     NetworkSpec,
-    ScriptedParams,
     load_weight_file,
     save_weight_file,
     scripted_policy,
@@ -346,13 +345,12 @@ class TestScriptedPolicies:
         with pytest.raises(ValueError):
             scripted_policy("wall_hugger")
 
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            ScriptedParams(forward_speed=1.5)
-        with pytest.raises(ValueError):
-            ScriptedParams(block_threshold=0.0)
+    def test_fewer_than_eight_rays_rejected(self):
+        with pytest.raises(ValueError, match="n_lidar must be >= 8"):
+            scripted_policy("goal_seeker", 7)
+        assert scripted_policy("left_preferrer", 8).input_size == 11
 
     def test_wrong_state_length_rejected(self):
-        policy = scripted_policy("goal_seeker", ScriptedParams(n_lidar=16))
+        policy = scripted_policy("goal_seeker", 16)
         with pytest.raises(ModelError):
             policy.act(make_state(np.zeros(183)))
