@@ -64,20 +64,14 @@ class ExternalPolicy(PolicyModel):
             raise BridgeError(f"could not start policy process {argv!r}: {exc}") from exc
         os.set_blocking(self._proc.stdin.fileno(), False)
         (hello,) = self._exchange(b"", 1, "handshake")
-        parts = hello.split()
-        if len(parts) != 3 or parts[0] != "HELLO":
-            self.close()
-            raise BridgeError(f"bad handshake line {hello!r}, expected 'HELLO <inputs> <outputs>'")
         try:
-            n_in, n_out = int(parts[1]), int(parts[2])
-        except ValueError:
+            tag, n_in, n_out = hello.split()
+            agreed = tag == "HELLO" and (int(n_in), int(n_out)) == (self.input_size, self.output_size)
+        except ValueError:  # not three fields, or a size that is not an integer
+            agreed = False
+        if not agreed:
             self.close()
-            raise BridgeError(f"bad handshake line {hello!r}: sizes must be integers") from None
-        if (n_in, n_out) != (self.input_size, self.output_size):
-            self.close()
-            raise BridgeError(
-                f"handshake mismatch: process speaks {n_in}->{n_out}, configured {self.input_size}->{self.output_size}"
-            )
+            raise BridgeError(f"handshake mismatch: process sent {hello!r}, expected 'HELLO {self.input_size} {self.output_size}'")
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         if self._proc is None:

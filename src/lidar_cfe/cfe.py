@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from .errors import ModelError
 from .ga import GaConfig, require_int, require_real, run_ga
 from .geometry import ORIGIN, ObstacleShape, ShapeRows, overlaps_disk_rows, raycast_rows
-from .model import ActionVector, PolicyModel, check_action_rows
+from .model import PolicyModel, check_action_rows
 from .scan import GoalFeatures, Scan, goal_state, state_rows
 
 logger = logging.getLogger(__name__)
@@ -105,6 +106,11 @@ class CfeQuery:
             raise ValueError(f"world_bounds must be > 0, got {self.world_bounds}")
         if self.d_g_max is not None and not self.d_g_max > 0.0:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
+        scale = self.goal_distance_scale
+        if not scale < math.inf:
+            raise ValueError(f"goal-distance scale must be finite: d_g_max {self.d_g_max}, world extent {self.world_extent}")
+        if self.goal.distance > scale:
+            warnings.warn(f"goal distance {self.goal.distance} exceeds d_g_max {scale}; clamping to 1", stacklevel=3)
 
     @property
     def world_extent(self) -> float:
@@ -134,13 +140,15 @@ class CfeResult:
     """One counterfactual: decoded obstacles, merged scan, achieved action,
     scores, and the facts of the search that found it.
 
-    ``satisfied`` is true exactly when the hinge component is zero, i.e. the
-    action landed inside the requested bounds (inclusive).
+    ``achieved_action`` is the model's (m,) action for the merged scan, a
+    read-only row of the checked actions. ``satisfied`` is true exactly when
+    the hinge component is zero, i.e. the action landed inside the requested
+    bounds (inclusive).
     """
 
     obstacles: tuple[ObstacleShape, ...]
     combined_scan: Scan
-    achieved_action: ActionVector
+    achieved_action: np.ndarray
     fitness: float
     hinge_component: float
     proximity_component: float
@@ -274,13 +282,15 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
     """One result per row of a (P, 6K) gene matrix, in row order, all rows scored in one batch."""
     if len(genomes) == 0:
         return []  # spares the model a call on zero states
-    scores = _scorer(query, model)(genomes, True)
+    fitnesses, merged_rows, actions, hinges, proximities = _scorer(query, model)(genomes, True)
+    actions = np.array(actions)  # each result keeps a row, which must not alias what the model returned
+    actions.flags.writeable = False
     shapes = _decode_rows(genomes, query.world_extent, query.size_limits)
     return [
         CfeResult(
             obstacles=shapes.shapes(i),
             combined_scan=Scan(merged, query.base_scan.max_range),  # a copy of the scorer's workspace row
-            achieved_action=ActionVector(action),
+            achieved_action=action,
             fitness=float(fitness),
             hinge_component=float(hinge),
             proximity_component=float(proximity),
@@ -288,7 +298,9 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
             genome=genome,
             search=search,
         )
-        for i, (genome, search, fitness, merged, action, hinge, proximity) in enumerate(zip(genomes, searches, *scores, strict=True))
+        for i, (genome, search, fitness, merged, action, hinge, proximity) in enumerate(
+            zip(genomes, searches, fitnesses, merged_rows, actions, hinges, proximities, strict=True)
+        )
     ]
 
 

@@ -27,7 +27,7 @@ from .cfe import ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _pac
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_real
 from .model import NetworkPolicy, PolicyModel, scripted_policy
-from .plot import cfe_plot_svg, scan_plot_svg, write_svg
+from .plot import cfe_plot_svg, scan_plot_svg
 from .scan import GoalFeatures, Scan
 from .scenario import _obstacle_entry, _pair, load_scenario, load_yaml_mapping, parse_yaml
 
@@ -257,7 +257,7 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
                 "fitness": r.fitness if math.isfinite(r.fitness) else "-inf",
                 "hinge": r.hinge_component,
                 "proximity": r.proximity_component,
-                "achieved_action": [float(v) for v in r.achieved_action.values],
+                "achieved_action": r.achieved_action.tolist(),
                 "obstacles": [_obstacle_entry(s) for s in r.obstacles],
                 "genome": [float(g) for g in r.genome],
                 "combined_readings": [float(v) for v in r.combined_scan.readings],
@@ -329,7 +329,7 @@ def cmd_scan(args) -> int:
     scan_path = out_dir / f"{scenario.name}.scan.json"
     _write_json(scan_path, payload)
     svg_path = out_dir / f"{scenario.name}.scan.svg"
-    write_svg(svg_path, scan_plot_svg(scan, goal, label=scenario.name))
+    svg_path.write_text(scan_plot_svg(scan, goal, label=scenario.name), encoding="utf-8")
     print(f"wrote {scan_path}")
     print(f"wrote {svg_path}")
     return EXIT_OK
@@ -352,7 +352,7 @@ def cmd_explain(args) -> int:
     if not args.no_plots:
         for i, r in enumerate(results):
             svg = cfe_plot_svg(query.base_scan, r.combined_scan, r.obstacles, query.goal, label=f"counterfactual {i}")
-            write_svg(out_dir / f"cfe_{i:03d}.svg", svg)
+            (out_dir / f"cfe_{i:03d}.svg").write_text(svg, encoding="utf-8")
 
     manifest = {
         "format": 1,
@@ -475,13 +475,14 @@ def main(argv=None) -> int:
     except LidarCfeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except MemoryError as exc:
-        print(f"input error: the input's sizes need more memory than is available ({exc})", file=sys.stderr)
-        return EXIT_INPUT
     except OverflowError as exc:
         print(f"input error: a number in the input is too large ({exc})", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # stable exit-code contract over raw tracebacks
+        # numpy raises "array is too big" for an array of more bytes than an address can count
+        if isinstance(exc, MemoryError) or (isinstance(exc, ValueError) and str(exc).startswith("array is too big")):
+            print(f"input error: the input's sizes need more memory than is available ({exc})", file=sys.stderr)
+            return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -96,31 +96,23 @@ class GaRun:
         return len(self.trace)
 
 
-def tournament_rows(fitnesses, n_winners: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def tournament_rows(fitnesses: np.ndarray, n_winners: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Run ``n_winners`` independent k-contender tournaments; return the winners' indices.
 
     Each row of one random-key matrix names its k smallest keys as the
     contenders, a uniform draw of k distinct individuals. Ties go to the
-    lowest index.
+    lowest index. ``GaConfig`` keeps k within [1, population].
     """
-    fitnesses = np.asarray(fitnesses, dtype=float)
-    n = fitnesses.size
-    if not 1 <= k <= n:
-        raise ValueError(f"tournament size must lie in [1, {n}], got {k}")
-    contenders = np.sort(np.argpartition(rng.random((n_winners, n)), k - 1, axis=1)[:, :k], axis=1)
+    contenders = np.sort(np.argpartition(rng.random((n_winners, fitnesses.size)), k - 1, axis=1)[:, :k], axis=1)
     return contenders[np.arange(n_winners), np.argmax(fitnesses[contenders], axis=1)]
 
 
-def crossover_rows(a, b, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def crossover_rows(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Swap the tails of each row pair at its own uniform cut point in [1, L-1].
 
-    Row i of the children mixes row i of ``a`` and ``b``; length-1 genomes
-    are copied.
+    ``a`` and ``b`` are (pairs, L) float arrays of one shape; row i of the
+    children mixes row i of each. Length-1 genomes are copied.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"parents must be two (pairs, L) arrays of one shape, got {a.shape} and {b.shape}")
     length = a.shape[1]
     if length == 1:
         return a.copy(), b.copy()
@@ -128,11 +120,10 @@ def crossover_rows(a, b, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return np.where(head, a, b), np.where(head, b, a)
 
 
-def mutate_rows(genomes, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Resample ``round(fraction * L)`` distinct genes of each row uniformly in [0, 1]."""
-    out = np.array(genomes, dtype=float)
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"mutation fraction must lie in [0, 1], got {fraction}")
+def mutate_rows(genomes: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """A copy of a (P, L) float array with ``round(fraction * L)`` distinct
+    genes of each row resampled uniformly in [0, 1]; ``fraction`` lies in [0, 1]."""
+    out = genomes.copy()
     count = int(round(fraction * out.shape[1]))
     if count == 0:
         return out

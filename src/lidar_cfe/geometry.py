@@ -226,15 +226,13 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     scatter-minimized into the rows in scene-major, slot-minor order, so even
     a tie of +0 and -0 resolves as in a sweep: a reading has a sweep's bits.
 
-    The readings are written into ``out``, a C-contiguous (scenes, n_rays)
-    float array, when one is given, and into a new array otherwise; the
+    The readings are written into ``out``, which the caller gives as a
+    C-contiguous (scenes, n_rays) float array, or into a new array; the
     array written is returned.
     """
     n_scenes, n_slots = shapes.rect.shape
     if out is None:
         out = np.empty((n_scenes, n_rays))
-    elif out.shape != (n_scenes, n_rays) or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float array of shape {(n_scenes, n_rays)}")
     first, width = _ray_windows(origin, shapes, n_rays)
     rect = shapes.rect.ravel()
     pair = np.argsort(rect, kind="stable")  # circles, then rectangles, each in scene-major order
@@ -266,12 +264,8 @@ def raycast_scan(
 
     Reading i is the nearest boundary distance over all shapes along heading
     ``2*pi*i/n_rays``, clamped to ``max_range``; rays that hit nothing read
-    exactly ``max_range``.
+    exactly ``max_range``. ``Scenario`` checks both sizes.
     """
-    if n_rays < 1:
-        raise ValueError(f"n_rays must be >= 1, got {n_rays}")
-    if not (0.0 < max_range < math.inf):
-        raise ValueError(f"max_range must be positive and finite, got {max_range}")
     return Scan(raycast_rows(origin, ShapeRows.from_shapes(shapes), n_rays, max_range)[0], max_range)
 
 
@@ -292,8 +286,6 @@ def overlaps_disk_rows(shapes: ShapeRows, center: Point2, radius: float) -> np.n
 
 
 def shape_overlaps_disk(shape: ObstacleShape, center: Point2, radius: float) -> bool:
-    """True iff the shape's closed region intersects the closed disk."""
-    if radius < 0.0:
-        raise ValueError(f"disk radius must be >= 0, got {radius}")
+    """True iff the shape's closed region intersects the closed disk of radius >= 0."""
     return bool(overlaps_disk_rows(ShapeRows.from_shapes([shape]), center, radius)[0, 0])
 

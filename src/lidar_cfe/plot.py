@@ -9,9 +9,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from pathlib import Path
 
-from .geometry import CIRCLE, ObstacleShape
+from .geometry import CIRCLE
 from .scan import GoalFeatures, Scan
 
 _SIZE = 440
@@ -40,29 +39,6 @@ class _Frame:
         return self.cx + float(x) * self.scale, self.cy - float(y) * self.scale
 
 
-def _svg_open(label: str | None) -> list[str]:
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
-        f'viewBox="0 0 {_SIZE} {_SIZE}">',
-        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
-    ]
-    if label:
-        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{_NOT_XML_CHAR.sub("", label).translate(_XML_ESCAPES)}</text>')
-    return parts
-
-
-def _ring(frame: _Frame) -> str:
-    r = frame.max_range * frame.scale
-    return (
-        f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="{r:.2f}" fill="none" '
-        f'stroke="{_COLOR_RING}" stroke-width="1" stroke-dasharray="5 4"/>'
-    )
-
-
-def _sensor_dot(frame: _Frame) -> str:
-    return f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="4" fill="black"/>'
-
-
 @functools.lru_cache(maxsize=4)
 def _ray_units(n: int) -> tuple[tuple[float, float], ...]:
     """Cosine and sine of each of ``n`` scan headings."""
@@ -85,44 +61,48 @@ def _base_points(base: Scan) -> tuple[str, ...]:
     return tuple(_scan_points(_Frame(base.max_range), base, _COLOR_BASE))
 
 
-def _obstacle_outline(frame: _Frame, shape: ObstacleShape) -> str | None:
-    # None when a screen coordinate or size is not finite: the obstacle lies far beyond the range ring.
-    cx, cy = frame.pt(shape.center.x, shape.center.y)
-    w, h = (2 * v * frame.scale for v in shape.half_extents or (shape.radius, shape.radius))
-    if not all(map(math.isfinite, (cx, cy, w, h))):
-        return None
-    if shape.kind == CIRCLE:
-        return (
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{w / 2:.2f}" fill="none" '
-            f'stroke="{_COLOR_OBSTACLE}" stroke-width="1.5"/>'
-        )
-    # Screen y points down, so a counter-clockwise world rotation is negative here.
-    deg = -math.degrees(shape.orientation)
-    return (
-        f'<rect x="{-w / 2:.2f}" y="{-h / 2:.2f}" width="{w:.2f}" height="{h:.2f}" fill="none" '
-        f'stroke="{_COLOR_OBSTACLE}" stroke-width="1.5" '
-        f'transform="translate({cx:.2f} {cy:.2f}) rotate({deg:.2f})"/>'
+def _plot(frame: _Frame, base_points, scan: Scan, obstacles, goal: GoalFeatures | None, label: str | None) -> str:
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+    ]
+    if label:
+        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{_NOT_XML_CHAR.sub("", label).translate(_XML_ESCAPES)}</text>')
+    parts.append(
+        f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="{frame.max_range * frame.scale:.2f}" fill="none" '
+        f'stroke="{_COLOR_RING}" stroke-width="1" stroke-dasharray="5 4"/>'
     )
-
-
-def _goal_marker(frame: _Frame, goal: GoalFeatures) -> str:
-    # Goals beyond the plotted range are clamped onto the ring.
-    d = min(goal.distance, frame.max_range)
-    x, y = frame.pt(d * goal.cos, d * goal.sin)
-    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="{_COLOR_GOAL}" fill-opacity="0.9"/>'
+    parts.extend(base_points)
+    parts.extend(_scan_points(frame, scan, _COLOR_COMBINED))
+    for shape in obstacles:
+        cx, cy = frame.pt(shape.center.x, shape.center.y)
+        w, h = (2 * v * frame.scale for v in shape.half_extents or (shape.radius, shape.radius))
+        if not all(map(math.isfinite, (cx, cy, w, h))):
+            continue  # the obstacle lies far beyond the range ring
+        if shape.kind == CIRCLE:
+            parts.append(
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{w / 2:.2f}" fill="none" '
+                f'stroke="{_COLOR_OBSTACLE}" stroke-width="1.5"/>'
+            )
+        else:  # screen y points down, so a counter-clockwise world rotation is negative here
+            parts.append(
+                f'<rect x="{-w / 2:.2f}" y="{-h / 2:.2f}" width="{w:.2f}" height="{h:.2f}" fill="none" '
+                f'stroke="{_COLOR_OBSTACLE}" stroke-width="1.5" '
+                f'transform="translate({cx:.2f} {cy:.2f}) rotate({-math.degrees(shape.orientation):.2f})"/>'
+            )
+    if goal is not None:  # a goal beyond the plotted range is clamped onto the ring
+        d = min(goal.distance, frame.max_range)
+        x, y = frame.pt(d * goal.cos, d * goal.sin)
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="{_COLOR_GOAL}" fill-opacity="0.9"/>')
+    parts.append(f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="4" fill="black"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def scan_plot_svg(scan: Scan, goal: GoalFeatures | None = None, label: str | None = None) -> str:
     """Polar plot of one scan: range ring, one point per reading, sensor dot, goal."""
-    frame = _Frame(scan.max_range)
-    parts = _svg_open(label)
-    parts.append(_ring(frame))
-    parts.extend(_scan_points(frame, scan, _COLOR_COMBINED))
-    if goal is not None:
-        parts.append(_goal_marker(frame, goal))
-    parts.append(_sensor_dot(frame))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _plot(_Frame(scan.max_range), (), scan, (), goal, label)
 
 
 def cfe_plot_svg(
@@ -133,18 +113,4 @@ def cfe_plot_svg(
     label: str | None = None,
 ) -> str:
     """Overlay plot: base scan light, combined scan dark, obstacle outlines, goal."""
-    frame = _Frame(base.max_range)
-    parts = _svg_open(label)
-    parts.append(_ring(frame))
-    parts.extend(_base_points(base))
-    parts.extend(_scan_points(frame, combined, _COLOR_COMBINED))
-    parts.extend(filter(None, (_obstacle_outline(frame, shape) for shape in obstacles)))
-    if goal is not None:
-        parts.append(_goal_marker(frame, goal))
-    parts.append(_sensor_dot(frame))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_svg(path, content: str) -> None:
-    Path(path).write_text(content, encoding="utf-8")
+    return _plot(_Frame(base.max_range), _base_points(base), combined, obstacles, goal, label)

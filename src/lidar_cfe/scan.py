@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,19 +82,12 @@ class ModelState:
 def goal_state(goal: GoalFeatures, d_g_max: float) -> np.ndarray:
     """The last three model-state values: goal cos and sin mapped through (v + 1) / 2, and distance / d_g_max.
 
-    A distance beyond d_g_max clamps to 1 with a warning.
+    ``d_g_max`` is positive and finite (``CfeQuery`` checks it, and warns
+    when the distance exceeds it). Every value is clipped to [0, 1]: a
+    distance beyond d_g_max clamps to 1, and cos/sin may sit a hair outside
+    the unit circle (1e-6 tolerance).
     """
-    if not (math.isfinite(d_g_max) and d_g_max > 0):
-        raise ValueError(f"d_g_max must be positive and finite, got {d_g_max}")
-    d_part = goal.distance / d_g_max
-    if d_part > 1.0:
-        warnings.warn(
-            f"goal distance {goal.distance} exceeds d_g_max {d_g_max}; clamping to 1",
-            stacklevel=3,
-        )
-        d_part = 1.0
-    # cos/sin may sit a hair outside the unit circle (1e-6 tolerance); clip the mapped values.
-    return np.clip([(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, d_part], 0.0, 1.0)
+    return np.clip([(goal.cos + 1.0) / 2.0, (goal.sin + 1.0) / 2.0, goal.distance / d_g_max], 0.0, 1.0)
 
 
 def state_rows(readings: np.ndarray, max_range: float, goal_part: np.ndarray) -> np.ndarray:

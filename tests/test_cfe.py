@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -277,10 +278,39 @@ class TestGenerateCfes:
             assert np.array_equal(recombined.readings, r.combined_scan.readings)
             # Re-running the model reproduces the stored action exactly.
             state = assemble_state(r.combined_scan, query.goal, query.goal_distance_scale)
-            assert np.array_equal(model.act(state).values, r.achieved_action.values)
+            assert np.array_equal(model.act(state).values, r.achieved_action)
             # satisfied <=> inclusive bounds membership <=> zero hinge.
-            assert r.satisfied == (hinge(r.achieved_action.values, query.bounds) == 0.0)
+            assert r.satisfied == (hinge(r.achieved_action, query.bounds) == 0.0)
             assert r.satisfied == (r.hinge_component == 0.0)
+
+    def test_achieved_action_is_a_read_only_row_of_the_models_actions(self):
+        from lidar_cfe.scan import assemble_state
+
+        policy = scripted_policy("goal_seeker")
+
+        class Reusing(PolicyModel):
+            """Returns one array of its own each call, overwritten by the next call."""
+
+            input_size, output_size = policy.input_size, policy.output_size
+            buffer = np.empty((0, 2))
+
+            def act_batch(self, states):
+                if len(self.buffer) != len(states):
+                    self.buffer = np.empty((len(states), 2))
+                self.buffer[:] = policy.act_batch(states)
+                return self.buffer
+
+        query = reverse_query(n_cfes=4)
+        model = Reusing()
+        results = generate_cfes(query, model)
+        states = np.array([assemble_state(r.combined_scan, query.goal, query.goal_distance_scale).values for r in results])
+        want = policy.act_batch(states)
+        model.act_batch(np.zeros_like(states))  # overwrites the array packaging got
+        for r, row in zip(results, want, strict=True):
+            assert r.achieved_action.shape == (2,) and not r.achieved_action.flags.writeable
+            assert np.array_equal(r.achieved_action.view(np.uint64), row.view(np.uint64))
+            with pytest.raises(ValueError, match="read-only"):
+                r.achieved_action[0] = 0.0
 
     def test_packaging_scores_every_best_genome_in_one_batch(self, monkeypatch):
         from lidar_cfe import cfe
@@ -310,7 +340,7 @@ class TestGenerateCfes:
             (alone,) = cfe._package(query, policy, r.genome[np.newaxis], [r.search])
             assert alone.obstacles == r.obstacles
             assert np.array_equal(alone.combined_scan.readings, r.combined_scan.readings)
-            assert np.array_equal(alone.achieved_action.values, r.achieved_action.values)
+            assert np.array_equal(alone.achieved_action, r.achieved_action)
             parts = ("fitness", "hinge_component", "proximity_component", "satisfied", "search")
             assert [getattr(alone, name) for name in parts] == [getattr(r, name) for name in parts]
 
@@ -393,6 +423,10 @@ class TestGenerateCfes:
         for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             with pytest.raises(ValueError):
                 reverse_query(**{field: math.nan})
+        for overflowing in ({"base_scan": Scan.empty(8, 1e308), "n_obstacles": 1}, {"world_bounds": 1e308}):
+            with pytest.raises(ValueError, match="goal-distance scale must be finite"):
+                reverse_query(**overflowing)  # 2·√2 times the world extent overflows
+            assert reverse_query(d_g_max=9.0, **overflowing).goal_distance_scale == 9.0
 
     def test_world_extent_defaults_to_max_range(self):
         query = reverse_query()
@@ -400,3 +434,12 @@ class TestGenerateCfes:
         assert query.goal_distance_scale == pytest.approx(2 * math.sqrt(2) * 3.5)
         assert reverse_query(world_bounds=2.0).world_extent == 2.0
         assert reverse_query(d_g_max=5.0).goal_distance_scale == 5.0
+
+    def test_far_goal_warns_once_when_the_query_is_built(self):
+        with pytest.warns(UserWarning, match="goal distance 25.0 exceeds d_g_max 10.0; clamping to 1") as record:
+            query = reverse_query(goal=GoalFeatures(1.0, 0.0, 25.0), d_g_max=10.0, n_cfes=2)
+        assert len(record) == 1 and record[0].filename == __file__  # it points at reverse_query's CfeQuery(...) call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the search and packaging only clamp
+            results = generate_cfes(query, scripted_policy("goal_seeker"), GaConfig(generations=2, population=10, parents_mating=4, keep_parents=2))
+        assert len(results) == 2

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -616,6 +617,30 @@ def explain_reverse(tmp_path, *args):
             for flag, value in (("--n-rays", "0"), ("--n-rays", "-4"), ("--outputs", "0"))
         ),
         (lambda tmp: ["scan", str(SAMPLES / "empty_room.yaml"), "--name", ""], EXIT_INPUT, "--name: name must be a file name stem"),
+        (
+            lambda tmp: explain_with_scan_base(tmp, max_range=1.0e308, d_g_max=None),
+            EXIT_INPUT,
+            "query.yaml: goal-distance scale must be finite: d_g_max None, world extent 1e+308",
+        ),
+        (
+            lambda tmp: [*explain_with_scan_base(tmp, d_g_max=None), "--set", "world_bounds=1.0e+308"],
+            EXIT_INPUT,
+            "query.yaml: goal-distance scale must be finite: d_g_max None, world extent 1e+308",
+        ),
+        # Sizes of 2**62 are past numpy's array limit, which it refuses with a ValueError, not a MemoryError.
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", f"n_cfes={2**62}"),
+            EXIT_INPUT,
+            "more memory than is available",
+        ),
+        (
+            lambda tmp: explain_reverse(
+                tmp, "--model", "scripted:goal_seeker", "--set", f"ga.population={2**62}",
+                "--set", "ga.parents_mating=1", "--set", "ga.keep_parents=0", "--set", "ga.tournament_size=1",
+            ),
+            EXIT_INPUT,
+            "more memory than is available",
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -641,6 +666,10 @@ def explain_reverse(tmp_path, *args):
         "validate-n-rays-negative",
         "validate-outputs-zero",
         "scan-name-empty",
+        "scan-base-scale-overflows",
+        "world-bounds-scale-overflows",
+        "n-cfes-past-array-limit",
+        "ga-population-past-array-limit",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -651,6 +680,19 @@ def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monk
         exit_code = exc.code
     assert exit_code == code
     assert message in capsys.readouterr().err
+
+
+def test_far_goal_warns_once_per_explain_and_once_per_verify(tmp_path):
+    write_empty_room(tmp_path)  # goal 2 m ahead
+    query = write_reverse_query(tmp_path, "room.yaml", n_cfes=2)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--set", "d_g_max=1.0", *FAST_GA]) == EXIT_OK
+        assert [str(w.message) for w in caught] == ["goal distance 2.0 exceeds d_g_max 1.0; clamping to 1"]
+        assert Path(caught[0].filename).name == "cli.py"
+        assert verify_results_file(out / "results.json", scripted_policy("goal_seeker")) == 2
+    assert len(caught) == 2
 
 
 def test_svg_outputs_are_well_formed_xml(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lidar_cfe import GaConfig, run_ga
+from lidar_cfe import GaConfig, ga, run_ga
 from lidar_cfe.ga import _next_generation, crossover_rows, mutate_rows, tournament_rows
 
 from oracles import rowwise
@@ -79,14 +79,26 @@ class TestCrossover:
         assert counts[0] == 0 and counts[length:].sum() == 0
         assert chi_square(counts[1:length]) < CHI2_999[length - 2]
 
-    def test_mismatched_parents_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            crossover_rows(np.zeros((1, 3)), np.zeros((1, 4)), rng)
-        with pytest.raises(ValueError):
-            crossover_rows(np.zeros((2, 3)), np.zeros((1, 3)), rng)
-        with pytest.raises(ValueError):
-            crossover_rows(np.zeros(3), np.zeros(3), rng)
+    def test_searches_mate_float_parents_of_one_shape(self, monkeypatch):
+        # crossover_rows trusts its parents to be two (pairs, L) float arrays of one shape.
+        seen = []
+
+        def spy(a, b, rng):
+            seen.append((a.dtype, b.dtype, a.shape, b.shape))
+            return crossover_rows(a, b, rng)
+
+        monkeypatch.setattr(ga, "crossover_rows", spy)
+        configs = [(30, 4, 2), (31, 4, 2), (5, 1, 0), (4, 4, 4), (1, 1, 1)]  # population, parents_mating, keep_parents
+        for length in (1, 6):
+            for population, parents_mating, keep_parents in configs:
+                config = GaConfig(
+                    generations=3, population=population, parents_mating=parents_mating, keep_parents=keep_parents,
+                    tournament_size=1, saturate_k=None, reach_zero=False,
+                )
+                seen.clear()
+                run_ga(config, length, l1_objective)
+                pairs = (population - keep_parents + 1) // 2
+                assert seen == [(np.dtype(float), np.dtype(float), (pairs, length), (pairs, length))] * 2
 
 
 class TestMutate:
@@ -133,9 +145,10 @@ class TestMutate:
         assert chi_square(counts) < CHI2_999[length - 1]
 
     def test_fraction_out_of_range_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            mutate_rows(np.zeros((1, 4)), 1.5, rng)
+        # mutate_rows trusts its fraction; GaConfig, which gives it, checks it.
+        for fraction in (0.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="mutation_fraction must lie in"):
+                GaConfig(mutation_fraction=fraction)
 
 
 class TestTournament:
@@ -169,11 +182,10 @@ class TestTournament:
         assert abs(freq - k / n) / (k / n) < 0.02
 
     def test_size_validation(self):
-        rng = np.random.default_rng(13)
-        with pytest.raises(ValueError):
-            tournament_rows(np.zeros(4), 1, 0, rng)
-        with pytest.raises(ValueError):
-            tournament_rows(np.zeros(4), 1, 5, rng)
+        # tournament_rows trusts its size k; GaConfig keeps it within [1, population].
+        for size in (0, 5):
+            with pytest.raises(ValueError, match="tournament_size must lie in"):
+                GaConfig(population=4, parents_mating=1, keep_parents=0, tournament_size=size)
 
 
 def breed(population: int, keep_parents: int, genome_length: int, seed: int = 0):

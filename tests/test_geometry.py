@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidar_cfe import ActionBounds, CfeQuery, GoalFeatures, Scan, Scenario
 from lidar_cfe.cfe import _decode_rows
 from lidar_cfe.geometry import (
     ORIGIN,
@@ -193,10 +194,11 @@ class TestRaycastScan:
             assert np.allclose(np.roll(base, k), turned, atol=1e-9)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            raycast_scan(ORIGIN, [], 0, 3.5)
-        with pytest.raises(ValueError):
-            raycast_scan(ORIGIN, [], 10, 0.0)
+        # raycast_scan trusts its sizes; Scenario, which gives them, checks both.
+        with pytest.raises(ValueError, match="n_rays"):
+            Scenario("s", Point2(1.0, 0.0), n_rays=0)
+        with pytest.raises(ValueError, match="max_range"):
+            Scenario("s", Point2(1.0, 0.0), max_range=0.0)
 
 
 # Multiples of 1/64 add exactly, so edge, corner and rim points built from
@@ -278,8 +280,10 @@ class TestOverlapDisk:
                 assert got == sampled
 
     def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            shape_overlaps_disk(ObstacleShape.circle(Point2(1, 1), 0.1), ORIGIN, -0.1)
+        # The disk tests trust their radius: Scenario passes 0, and the search
+        # the query's d_min, which the query checks.
+        with pytest.raises(ValueError, match="d_min must be >= 0"):
+            CfeQuery(Scan.empty(8, 3.5), GoalFeatures(1.0, 0.0, 1.0), ActionBounds.from_pairs([(-1.0, 1.0)]), d_min=-0.1)
 
     @settings(max_examples=400, deadline=None)
     @given(case=shape_and_point())
@@ -424,9 +428,6 @@ def test_readings_written_into_a_given_array_keep_their_bits():
     out = np.full((6, 180), np.nan)
     assert raycast_rows(ORIGIN, shapes, 180, 3.5, out=out) is out
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
-    for bad in (np.empty((6, 181)), np.empty((6, 180), dtype=np.float32), np.empty((180, 6)).T):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            raycast_rows(ORIGIN, shapes, 180, 3.5, out=bad)
 
 
 def stacked_rows(scenes):
