@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +57,11 @@ class CfeQuery:
     """Everything needed to search for counterfactual scans against one base state.
 
     ``world_bounds`` is the half-width of the square region obstacles decode
-    into, centered on the sensor (defaults to the scan's max range);
-    ``d_min`` is the protective radius around the sensor that obstacles may
-    not enter.
+    into, centered on the sensor; ``d_g_max`` normalizes the goal distance.
+    Construction resolves their defaults into the fields: the scan's max
+    range, and the decode region's diagonal 2·√2·``world_bounds``. ``d_min``
+    is the protective radius around the sensor that obstacles may not enter.
+    Search i runs with seed ``seed + i``.
     """
 
     base_scan: Scan
@@ -75,10 +76,10 @@ class CfeQuery:
     size_limits: tuple[float, float] = (0.05, 1.0)
     d_g_max: float | None = None
     n_cfes: int = 10
-    rng_seed: int = 0
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_obstacles", "n_cfes", "rng_seed"):
+        for name in ("n_obstacles", "n_cfes", "seed"):
             require_int(name, getattr(self, name))
         for name in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             value = getattr(self, name)
@@ -97,30 +98,24 @@ class CfeQuery:
             raise ValueError(f"d_min must be >= 0, got {self.d_min}")
         if self.n_cfes < 0:
             raise ValueError(f"n_cfes must be >= 0, got {self.n_cfes}")
-        if self.rng_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.size_limits
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"size_limits must satisfy 0 < lo <= hi < inf, got {self.size_limits}")
-        if self.world_bounds is not None and not self.world_bounds > 0.0:
+        if self.world_bounds is None:
+            object.__setattr__(self, "world_bounds", self.base_scan.max_range)
+        if not self.world_bounds > 0.0:
             raise ValueError(f"world_bounds must be > 0, got {self.world_bounds}")
-        if self.d_g_max is not None and not self.d_g_max > 0.0:
+        if self.d_g_max is None:
+            scale = 2.0 * math.sqrt(2.0) * self.world_bounds
+            if not scale < math.inf:
+                raise ValueError(f"goal-distance scale must be finite: d_g_max {self.d_g_max}, world extent {self.world_bounds}")
+            object.__setattr__(self, "d_g_max", scale)
+        if not self.d_g_max > 0.0:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
-        scale = self.goal_distance_scale
-        if not scale < math.inf:
-            raise ValueError(f"goal-distance scale must be finite: d_g_max {self.d_g_max}, world extent {self.world_extent}")
-        if self.goal.distance > scale:
-            warnings.warn(f"goal distance {self.goal.distance} exceeds d_g_max {scale}; clamping to 1", stacklevel=3)
-
-    @property
-    def world_extent(self) -> float:
-        """Half-width of the square decode region."""
-        return self.world_bounds if self.world_bounds is not None else self.base_scan.max_range
-
-    @property
-    def goal_distance_scale(self) -> float:
-        """Normalizer for the goal-distance feature: the decode region's diagonal by default."""
-        return self.d_g_max if self.d_g_max is not None else 2.0 * math.sqrt(2.0) * self.world_extent
+        if self.goal.distance > self.d_g_max:
+            logger.warning("goal distance %s exceeds d_g_max %s; clamping to 1", self.goal.distance, self.d_g_max)
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def _scorer(query: CfeQuery, model: PolicyModel):
     if model.output_size != len(query.bounds):
         raise ModelError(f"model outputs {model.output_size} values, bounds cover {len(query.bounds)}")
     readings, max_range = base.readings, base.max_range
-    goal = goal_state(query.goal, query.goal_distance_scale)
+    goal = goal_state(query.goal, query.d_g_max)
     length = GENES_PER_OBSTACLE * query.n_obstacles
     workspace = (np.empty((0, base.n)),) * 2  # scans (then merged) and proximity differences
 
@@ -232,7 +227,7 @@ def _scorer(query: CfeQuery, model: PolicyModel):
         pop = np.asarray(pop, dtype=float)
         if pop.ndim != 2 or pop.shape[1] != length:
             raise ValueError(f"population shape {pop.shape} is not (P, {length})")
-        shapes = _decode_rows(pop, query.world_extent, query.size_limits)
+        shapes = _decode_rows(pop, query.world_bounds, query.size_limits)
         rejected = overlaps_disk_rows(shapes, ORIGIN, query.d_min).any(axis=1)
         fitness = np.full(len(pop), -math.inf)
         rows = np.arange(len(pop)) if full else np.flatnonzero(~rejected)
@@ -285,7 +280,7 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
     fitnesses, merged_rows, actions, hinges, proximities = _scorer(query, model)(genomes, True)
     actions = np.array(actions)  # each result keeps a row, which must not alias what the model returned
     actions.flags.writeable = False
-    shapes = _decode_rows(genomes, query.world_extent, query.size_limits)
+    shapes = _decode_rows(genomes, query.world_bounds, query.size_limits)
     return [
         CfeResult(
             obstacles=shapes.shapes(i),
@@ -307,17 +302,16 @@ def _package(query: CfeQuery, model: PolicyModel, genomes: np.ndarray, searches:
 def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | None = None) -> list[CfeResult]:
     """Run ``query.n_cfes`` independent seeded searches and package the results.
 
-    Search i runs with seed ``query.rng_seed + i`` (overriding the seed in
-    ``ga_config``), so a batch is reproducible and its members explore
-    independently. Results sort by fitness, best first; results that miss
-    the bounds are kept but flagged unsatisfied.
+    Search i runs with seed ``query.seed + i``, so a batch is reproducible
+    and its members explore independently. Results sort by fitness, best
+    first; results that miss the bounds are kept but flagged unsatisfied.
     """
     config = ga_config if ga_config is not None else GaConfig()
     objective = fitness_for_query(query, model)
     length = GENES_PER_OBSTACLE * query.n_obstacles
     genomes, searches = np.empty((query.n_cfes, length)), []
-    for i, seed in enumerate(range(query.rng_seed, query.rng_seed + query.n_cfes)):
-        run = run_ga(replace(config, rng_seed=seed), length, objective)  # a GaRun holds its population; keep none
+    for i, seed in enumerate(range(query.seed, query.seed + query.n_cfes)):
+        run = run_ga(config, length, objective, seed)  # a GaRun holds its population; keep none
         genomes[i] = run.best_genome
         searches.append(SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population))
     results = _package(query, model, genomes, searches)

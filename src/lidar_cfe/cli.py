@@ -119,18 +119,17 @@ def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, flo
     return scenario.base_scan(), scenario.goal_features(), scenario.goal_distance_scale(), str(base_path)
 
 
-def _query_keys() -> dict[str, str]:
-    """The ``CfeQuery`` field each query-file key sets.
+def _query_keys() -> list[str]:
+    """The query-file keys: the ``CfeQuery`` fields but ``base_scan`` and
+    ``goal``, which come from the file that ``base`` names. The file also
+    takes ``ga``, the ``GaConfig`` fields."""
+    return [f.name for f in fields(CfeQuery) if f.name not in ("base_scan", "goal")]
 
-    The keys are the field names, except that ``seed`` sets ``rng_seed`` and
-    ``base`` names the file that gives ``base_scan`` and ``goal``. The file
-    also takes ``ga``, the ``GaConfig`` fields.
-    """
-    return {
-        ("seed" if f.name == "rng_seed" else f.name): f.name
-        for f in fields(CfeQuery)
-        if f.name not in ("base_scan", "goal")
-    }
+
+def _refuse_unknown(data: dict, known, where: str) -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
 
 
 def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str, d_g_max: float | None = None) -> CfeQuery:
@@ -139,7 +138,7 @@ def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str, d_g_max
     Other keys are ignored. A missing or null key takes the ``CfeQuery``
     default, or for ``d_g_max`` the given one.
     """
-    kwargs = {"d_g_max": d_g_max, **{name: data[key] for key, name in _query_keys().items() if data.get(key) is not None}}
+    kwargs = {"d_g_max": d_g_max, **{name: data[name] for name in _query_keys() if data.get(name) is not None}}
     kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
     if "size_limits" in kwargs:
         kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
@@ -156,9 +155,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     where = str(query_path)
     for dotted, raw_value in overrides or []:
         _apply_override(data, dotted, raw_value)
-    unknown = set(data) - set(_query_keys()) - {"base", "ga"}
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
+    _refuse_unknown(data, [*_query_keys(), "base", "ga"], where)
 
     base_ref = data.get("base")
     if not isinstance(base_ref, str):
@@ -169,8 +166,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     ga_raw = data.get("ga") or {}
     if not isinstance(ga_raw, dict):
         raise InputError(f"{where}: 'ga' must be a mapping of engine settings")
-    if "rng_seed" in ga_raw:
-        raise InputError(f"{where}: ga.rng_seed is not a setting; the top-level seed seeds search i with seed + i")
+    _refuse_unknown(ga_raw, [f.name for f in fields(GaConfig)], f"{where}: ga")
     try:
         ga_config = GaConfig(**ga_raw)
     except (TypeError, ValueError) as exc:
@@ -226,18 +222,12 @@ def _model_hash(spec: str) -> str | None:
 
 
 def _query_settings(query: CfeQuery) -> dict:
-    """The query's settings under their query-file keys, with defaults resolved.
+    """The query's settings under their query-file keys.
 
     Written to ``results.json``, and apart from ``seed`` to ``manifest.json``.
     """
-    settings = {key: getattr(query, name) for key, name in _query_keys().items()}
-    settings.update(
-        bounds=[[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)],
-        world_bounds=query.world_extent,
-        size_limits=list(query.size_limits),
-        d_g_max=query.goal_distance_scale,
-    )
-    return settings
+    bounds = [[float(lo), float(hi)] for lo, hi in zip(query.bounds.lower, query.bounds.upper)]
+    return {**{name: getattr(query, name) for name in _query_keys()}, "bounds": bounds}
 
 
 def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
@@ -364,8 +354,8 @@ def cmd_explain(args) -> int:
         "base_file": meta["base"],
         "model": {"spec": args.model, "sha256": _model_hash(args.model)},
         "query": {key: value for key, value in _query_settings(query).items() if key != "seed"},
-        "ga": {k: v for k, v in asdict(ga_config).items() if k != "rng_seed"},
-        "seeds": [query.rng_seed + i for i in range(query.n_cfes)],
+        "ga": asdict(ga_config),
+        "seeds": [query.seed + i for i in range(query.n_cfes)],
         "started_utc": started_utc,
         "duration_seconds": round(time.monotonic() - started, 3),
     }
@@ -373,8 +363,6 @@ def cmd_explain(args) -> int:
 
     n_satisfied = sum(1 for r in results if r.satisfied)
     print(f"{n_satisfied}/{len(results)} counterfactuals satisfied the bounds")
-    if results and n_satisfied == 0:
-        print("warning: no satisfied counterfactuals; see results.json for near misses")
     print(f"wrote {results_path}")
     return EXIT_OK
 

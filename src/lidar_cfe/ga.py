@@ -51,10 +51,9 @@ class GaConfig:
     mutation_fraction: float = 0.20
     saturate_k: int | None = 10
     reach_zero: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("generations", "population", "parents_mating", "keep_parents", "tournament_size", "rng_seed"):
+        for name in ("generations", "population", "parents_mating", "keep_parents", "tournament_size"):
             require_int(name, getattr(self, name))
         if self.saturate_k is not None:
             require_int("saturate_k", self.saturate_k)
@@ -142,18 +141,18 @@ def _next_generation(pop: np.ndarray, fits: np.ndarray, order: np.ndarray, confi
     return np.vstack([elites, mutate_rows(children, config.mutation_fraction, rng)])
 
 
-def run_ga(config: GaConfig, genome_length: int, fitness) -> GaRun:
-    """Evolve a uniform-random [0,1] population against ``fitness``.
+def run_ga(config: GaConfig, genome_length: int, fitness, seed: int) -> GaRun:
+    """Evolve a uniform-random [0,1] population against ``fitness``, drawing from ``default_rng(seed)``.
 
     ``fitness`` maps the (population, genome_length) gene matrix of a
     generation to one float per genome (higher is better; -inf is a valid
     rejection sentinel, NaN is coerced to -inf with one warning per
     generation). It is called once per generation. The run is fully
-    determined by (config, genome_length, fitness).
+    determined by (config, genome_length, fitness, seed).
     """
     if genome_length < 1:
         raise ValueError(f"genome_length must be >= 1, got {genome_length}")
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     pop = rng.random((config.population, genome_length))
     best_genome = pop[0].copy()
     best_fitness = -math.inf

@@ -420,11 +420,11 @@ def scalar_score(query, model, genome):
     (fitness -inf).
     """
     base = query.base_scan
-    shapes = scalar_decode(genome, query.n_obstacles, query.world_extent, query.size_limits)
+    shapes = scalar_decode(genome, query.n_obstacles, query.world_bounds, query.size_limits)
     crowds_sensor = any(scalar_overlaps_disk(s, query.d_min) for s in shapes)
     combine = combine_min_distance if query.combination == "min_distance" else combine_gen_priority
     combined = combine(base, Scan(scalar_raycast(shapes, base.n, base.max_range), base.max_range))
-    action = scalar_act(model, scalar_state(combined, query.goal, query.goal_distance_scale))
+    action = scalar_act(model, scalar_state(combined, query.goal, query.d_g_max))
     hinge = hinge_oracle(action.values, query.bounds.lower, query.bounds.upper)
     proximity = proximity_loss(combined, base)
     fitness = -math.inf if crowds_sensor else -query.lambda_y * hinge - query.lambda_p * proximity

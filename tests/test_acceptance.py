@@ -200,9 +200,9 @@ def test_c05_ga_engine_properties_and_convergence():
 
     # Engine laws over 50 seeded runs (run twice each for determinism).
     for seed in range(50):
-        config = GaConfig(rng_seed=seed)
-        first = run_ga(config, 6, objective)
-        second = run_ga(config, 6, objective)
+        config = GaConfig()
+        first = run_ga(config, 6, objective, seed)
+        second = run_ga(config, 6, objective, seed)
         assert first.trace == second.trace
         assert np.array_equal(first.best_genome, second.best_genome)
         assert np.array_equal(first.population, second.population)
@@ -214,7 +214,7 @@ def test_c05_ga_engine_properties_and_convergence():
     # Search quality: full generation budget (stall stop disabled), 100 seeds.
     reached = 0
     for seed in range(100):
-        run = run_ga(GaConfig(rng_seed=seed, saturate_k=None), 6, objective)
+        run = run_ga(GaConfig(saturate_k=None), 6, objective, seed)
         assert run.generations_run <= 100
         reached += run.best_fitness >= -0.05
     assert reached >= 95
@@ -273,7 +273,7 @@ def test_c09_sensor_disk_guard():
         goal=GoalFeatures(1.0, 0.0, 2.0),
         bounds=ActionBounds.from_pairs([(-1.0, 0.0), (-0.2, 0.2)]),
         n_cfes=1,
-        rng_seed=0,
+        seed=0,
     )
     fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
     rng = np.random.default_rng(20244)
@@ -283,7 +283,7 @@ def test_c09_sensor_disk_guard():
     assert np.all(fitness(pop) == -math.inf)
 
     # Violators never survive into the elite slots of a real run.
-    run = run_ga(GaConfig(rng_seed=11), GENES_PER_OBSTACLE * query.n_obstacles, fitness)
+    run = run_ga(GaConfig(), GENES_PER_OBSTACLE * query.n_obstacles, fitness, 11)
     order = np.argsort(-run.fitnesses, kind="stable")
     elites = run.fitnesses[order[:10]]
     assert np.all(np.isfinite(elites))

@@ -46,7 +46,7 @@ def reverse_query(**overrides):
         goal=GOAL_AHEAD,
         bounds=ActionBounds.from_pairs([(-1.0, 0.0), (-0.2, 0.2)]),
         n_cfes=3,
-        rng_seed=7,
+        seed=7,
     )
     defaults.update(overrides)
     return CfeQuery(**defaults)
@@ -162,7 +162,7 @@ class TestDecodeGenome:
         query = reverse_query(n_obstacles=n_obstacles)
         searches = [SearchFacts(0, "generations", 0, 0)] * len(genomes)
         for genome, result in zip(genomes, _package(query, scripted_policy("goal_seeker"), genomes, searches), strict=True):
-            assert result.obstacles == tuple(scalar_decode(genome, n_obstacles, query.world_extent, query.size_limits))
+            assert result.obstacles == tuple(scalar_decode(genome, n_obstacles, query.world_bounds, query.size_limits))
 
 
 class TestHingeLoss:
@@ -245,7 +245,7 @@ class TestFitness:
     def test_reach_zero_termination_implies_satisfied(self):
         query = reverse_query(lambda_p=0.0)
         fitness = fitness_for_query(query, scripted_policy("goal_seeker"))
-        run = run_ga(GaConfig(rng_seed=3), GENES_PER_OBSTACLE * query.n_obstacles, fitness)
+        run = run_ga(GaConfig(), GENES_PER_OBSTACLE * query.n_obstacles, fitness, 3)
         assert run.termination == "reach_zero"
         assert fitness(run.best_genome[np.newaxis])[0] == 0.0  # zero hinge = satisfied
 
@@ -277,7 +277,7 @@ class TestGenerateCfes:
             recombined = combine_min_distance(query.base_scan, regenerated)
             assert np.array_equal(recombined.readings, r.combined_scan.readings)
             # Re-running the model reproduces the stored action exactly.
-            state = assemble_state(r.combined_scan, query.goal, query.goal_distance_scale)
+            state = assemble_state(r.combined_scan, query.goal, query.d_g_max)
             assert np.array_equal(model.act(state).values, r.achieved_action)
             # satisfied <=> inclusive bounds membership <=> zero hinge.
             assert r.satisfied == (hinge(r.achieved_action, query.bounds) == 0.0)
@@ -303,7 +303,7 @@ class TestGenerateCfes:
         query = reverse_query(n_cfes=4)
         model = Reusing()
         results = generate_cfes(query, model)
-        states = np.array([assemble_state(r.combined_scan, query.goal, query.goal_distance_scale).values for r in results])
+        states = np.array([assemble_state(r.combined_scan, query.goal, query.d_g_max).values for r in results])
         want = policy.act_batch(states)
         model.act_batch(np.zeros_like(states))  # overwrites the array packaging got
         for r, row in zip(results, want, strict=True):
@@ -365,7 +365,7 @@ class TestGenerateCfes:
         assert sorted(r.search.seed for r in results) == [7, 8, 9]
         objective = fitness_for_query(query, model)
         for r in results:
-            run = run_ga(replace(config, rng_seed=r.search.seed), GENES_PER_OBSTACLE * query.n_obstacles, objective)
+            run = run_ga(config, GENES_PER_OBSTACLE * query.n_obstacles, objective, r.search.seed)
             assert np.array_equal(run.best_genome, r.genome)
             assert r.search == SearchFacts(r.search.seed, run.termination, run.generations_run, run.generations_run * 20)
 
@@ -419,27 +419,31 @@ class TestGenerateCfes:
             reverse_query(n_obstacles=181)  # more obstacle slots than the 180 rays
         assert reverse_query(n_obstacles=180).n_obstacles == 180
         with pytest.raises(ValueError):
-            reverse_query(rng_seed=-1)
+            reverse_query(seed=-1)
         for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             with pytest.raises(ValueError):
                 reverse_query(**{field: math.nan})
         for overflowing in ({"base_scan": Scan.empty(8, 1e308), "n_obstacles": 1}, {"world_bounds": 1e308}):
             with pytest.raises(ValueError, match="goal-distance scale must be finite"):
                 reverse_query(**overflowing)  # 2·√2 times the world extent overflows
-            assert reverse_query(d_g_max=9.0, **overflowing).goal_distance_scale == 9.0
+            assert reverse_query(d_g_max=9.0, **overflowing).d_g_max == 9.0
 
-    def test_world_extent_defaults_to_max_range(self):
+    def test_world_bounds_defaults_to_max_range(self):
         query = reverse_query()
-        assert query.world_extent == 3.5
-        assert query.goal_distance_scale == pytest.approx(2 * math.sqrt(2) * 3.5)
-        assert reverse_query(world_bounds=2.0).world_extent == 2.0
-        assert reverse_query(d_g_max=5.0).goal_distance_scale == 5.0
+        assert query.world_bounds == 3.5
+        assert query.d_g_max == pytest.approx(2 * math.sqrt(2) * 3.5)
+        assert reverse_query(world_bounds=2.0).world_bounds == 2.0
+        assert reverse_query(d_g_max=5.0).d_g_max == 5.0
+        assert replace(query, world_bounds=2.0).d_g_max == query.d_g_max  # a copy keeps the resolved scale
 
-    def test_far_goal_warns_once_when_the_query_is_built(self):
-        with pytest.warns(UserWarning, match="goal distance 25.0 exceeds d_g_max 10.0; clamping to 1") as record:
-            query = reverse_query(goal=GoalFeatures(1.0, 0.0, 25.0), d_g_max=10.0, n_cfes=2)
-        assert len(record) == 1 and record[0].filename == __file__  # it points at reverse_query's CfeQuery(...) call
+    def test_far_goal_warns_once_when_the_query_is_built(self, caplog):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the search and packaging only clamp
+            warnings.simplefilter("error")  # the notice is a log record, not a Python warning
+            query = reverse_query(goal=GoalFeatures(1.0, 0.0, 25.0), d_g_max=10.0, n_cfes=2)
+            assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("lidar_cfe.cfe", "WARNING", "goal distance 25.0 exceeds d_g_max 10.0; clamping to 1")
+            ]
+            caplog.clear()
             results = generate_cfes(query, scripted_policy("goal_seeker"), GaConfig(generations=2, population=10, parents_mating=4, keep_parents=2))
         assert len(results) == 2
+        assert not any("clamping" in r.getMessage() for r in caplog.records)  # the search and packaging only clamp

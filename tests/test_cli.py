@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import sys
 import tempfile
@@ -12,7 +13,20 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lidar_cfe import CfeQuery, LidarCfeError, PolicyModel, Scan, Scenario, scripted_policy
+from lidar_cfe import (
+    ActionBounds,
+    CfeQuery,
+    GaConfig,
+    GoalFeatures,
+    LidarCfeError,
+    PolicyModel,
+    Scan,
+    Scenario,
+    generate_cfes,
+    scripted_policy,
+)
+from lidar_cfe import cli
+from lidar_cfe.cfe import _package
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -340,7 +354,9 @@ class TestExplainCommand:
         query = write_reverse_query(tmp_path, "room.yaml")
         args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path)]
         assert main([*args, "--set", "ga.rng_seed=1"]) == EXIT_INPUT
-        assert "top-level seed" in capsys.readouterr().err
+        assert f"{query}: ga: unknown fields ['rng_seed']" in capsys.readouterr().err
+        assert main([*args, "--set", "ga.crossover=two_point"]) == EXIT_INPUT
+        assert f"{query}: ga: unknown fields ['crossover']" in capsys.readouterr().err
 
     def test_workers_flag_is_gone(self, tmp_path):
         write_empty_room(tmp_path)
@@ -381,7 +397,7 @@ class TestExplainCommand:
 
     def test_every_query_key_is_written_back_under_its_name(self, tmp_path):
         # One value off the default for each settable CfeQuery field; the
-        # file calls rng_seed "seed", and base_scan and goal come from "base".
+        # base_scan and goal come from "base".
         values = {
             "bounds": [[-1.0, 0.0], [-0.25, 0.25]],
             "combination": "gen_priority",
@@ -395,7 +411,7 @@ class TestExplainCommand:
             "n_cfes": 1,
             "seed": 11,
         }
-        assert set(values) == {f.name for f in fields(CfeQuery)} - {"base_scan", "goal", "rng_seed"} | {"seed"}
+        assert set(values) == {f.name for f in fields(CfeQuery)} - {"base_scan", "goal"}
         write_empty_room(tmp_path)
         query = tmp_path / "query.yaml"
         query.write_text(yaml.safe_dump({"base": "room.yaml", **values}))
@@ -447,7 +463,7 @@ class TestExplainCommand:
         code = main(["explain", str(query), "--model", f"exec:{sys.executable} {script}", "-o", str(tmp_path)])
         assert code == EXIT_MODEL
 
-    def test_no_satisfied_sets_warning_but_exits_zero(self, tmp_path):
+    def test_no_satisfied_sets_warning_but_exits_zero(self, tmp_path, capsys, caplog):
         write_empty_room(tmp_path)
         query = tmp_path / "query.yaml"
         # The goal-seeker never emits linear in [0.98, 1.0]: unattainable bounds.
@@ -457,6 +473,10 @@ class TestExplainCommand:
         )
         out = tmp_path / "out"
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out)]) == EXIT_OK
+        assert [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
+            ("WARNING", "no generated counterfactual landed inside the requested action bounds")
+        ]
+        assert "warning:" not in capsys.readouterr().out
         results = json.loads((out / "results.json").read_text())
         assert results["warning"] == "no satisfied counterfactuals"
         assert all(not entry["satisfied"] for entry in results["results"])
@@ -682,17 +702,43 @@ def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monk
     assert message in capsys.readouterr().err
 
 
-def test_far_goal_warns_once_per_explain_and_once_per_verify(tmp_path):
+def test_far_goal_warns_once_per_explain_and_once_per_verify(tmp_path, caplog):
     write_empty_room(tmp_path)  # goal 2 m ahead
     query = write_reverse_query(tmp_path, "room.yaml", n_cfes=2)
     out = tmp_path / "out"
+    notice = ("lidar_cfe.cfe", "WARNING", "goal distance 2.0 exceeds d_g_max 1.0; clamping to 1")
+
+    def clamp_records():
+        return [(r.name, r.levelname, r.getMessage()) for r in caplog.records if "clamping" in r.getMessage()]
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--set", "d_g_max=1.0", *FAST_GA]) == EXIT_OK
-        assert [str(w.message) for w in caught] == ["goal distance 2.0 exceeds d_g_max 1.0; clamping to 1"]
-        assert Path(caught[0].filename).name == "cli.py"
+        assert clamp_records() == [notice]
+        caplog.clear()
         assert verify_results_file(out / "results.json", scripted_policy("goal_seeker")) == 2
-    assert len(caught) == 2
+        assert clamp_records() == [notice]
+    assert caught == []
+
+
+def test_a_query_equals_the_query_its_results_header_rebuilds(tmp_path, monkeypatch):
+    # world_bounds and d_g_max are left to their defaults, which the query resolves when it is built.
+    query = CfeQuery(Scan.empty(180, 3.5), GoalFeatures(1.0, 0.0, 2.0), ActionBounds.from_pairs([(-1.0, 0.0), (-0.2, 0.2)]), n_cfes=2, seed=5)
+    model = scripted_policy("goal_seeker")
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(cli._results_payload(query, generate_cfes(query, model, GaConfig(generations=2)))))
+    rebuilt = []
+    monkeypatch.setattr(cli, "_package", lambda q, *args: rebuilt.append(q) or _package(q, *args))
+    assert verify_results_file(path, model) == 2
+
+    def by_value(q):
+        values = {f.name: getattr(q, f.name) for f in fields(CfeQuery)}
+        values["base_scan"] = (q.base_scan.readings.tolist(), q.base_scan.max_range)
+        values["bounds"] = (q.bounds.lower.tolist(), q.bounds.upper.tolist())
+        return values
+
+    assert by_value(rebuilt[0]) == by_value(query)
+    assert query.world_bounds == 3.5 and query.d_g_max == 2.0 * math.sqrt(2.0) * 3.5
 
 
 def test_svg_outputs_are_well_formed_xml(tmp_path):
@@ -815,8 +861,8 @@ YAML_VALUES = (
     | st.integers(-5, 400).map(str)
     | st.floats(-10.0, 10.0).map(repr)
 )
-QUERY_KEYS = [f.name for f in fields(CfeQuery) if f.name not in ("base_scan", "goal", "rng_seed", "n_cfes")]
-SET_KEYS = QUERY_KEYS + ["seed", "base", "lambda", "ga.mutation_fraction", "ga.saturate_k", "ga.reach_zero", "ga.crossover"]
+QUERY_KEYS = [f.name for f in fields(CfeQuery) if f.name not in ("base_scan", "goal", "n_cfes")]
+SET_KEYS = QUERY_KEYS + ["base", "lambda", "ga.mutation_fraction", "ga.saturate_k", "ga.reach_zero", "ga.crossover"]
 TINY_GA = ["n_cfes=1", "ga.population=6", "ga.parents_mating=2", "ga.keep_parents=1", "ga.tournament_size=2"]  # set last, so they win
 EXIT_CODE_PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

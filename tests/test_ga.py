@@ -96,7 +96,7 @@ class TestCrossover:
                     tournament_size=1, saturate_k=None, reach_zero=False,
                 )
                 seen.clear()
-                run_ga(config, length, l1_objective)
+                run_ga(config, length, l1_objective, 0)
                 pairs = (population - keep_parents + 1) // 2
                 assert seen == [(np.dtype(float), np.dtype(float), (pairs, length), (pairs, length))] * 2
 
@@ -241,7 +241,7 @@ class TestNextGeneration:
 
 class TestRunGa:
     def test_constant_zero_reaches_zero_immediately(self):
-        run = run_ga(GaConfig(rng_seed=0), 6, rowwise(lambda g: 0.0))
+        run = run_ga(GaConfig(), 6, rowwise(lambda g: 0.0), 0)
         assert run.termination == "reach_zero"
         assert run.generations_run == 1
 
@@ -252,7 +252,7 @@ class TestRunGa:
         def half_satisfied(pop):
             return np.where(pop[:, 0] > 0.5, 0.0, -1.0)
 
-        run = run_ga(GaConfig(rng_seed=3), 6, half_satisfied)
+        run = run_ga(GaConfig(), 6, half_satisfied, 3)
         pop = np.random.default_rng(3).random((100, 6))
         assert run.termination == "reach_zero" and run.trace == (0.0,) and run.best_fitness == 0.0
         assert np.array_equal(run.population, pop)
@@ -260,17 +260,17 @@ class TestRunGa:
         assert np.array_equal(run.best_genome, pop[np.argmax(pop[:, 0] > 0.5)])
 
     def test_constant_negative_saturates_after_k_plus_one(self):
-        run = run_ga(GaConfig(rng_seed=0, saturate_k=10, reach_zero=True), 6, rowwise(lambda g: -1.0))
+        run = run_ga(GaConfig(saturate_k=10, reach_zero=True), 6, rowwise(lambda g: -1.0), 0)
         assert run.termination == "saturate"
         assert run.generations_run == 11
 
     def test_generation_cap(self):
-        run = run_ga(GaConfig(rng_seed=0, generations=7, saturate_k=None, reach_zero=False), 6, l1_objective)
+        run = run_ga(GaConfig(generations=7, saturate_k=None, reach_zero=False), 6, l1_objective, 0)
         assert run.termination == "generations"
         assert run.generations_run == 7
 
     def test_trace_monotone_under_elitism(self):
-        run = run_ga(GaConfig(rng_seed=1, saturate_k=None), 12, l1_objective)
+        run = run_ga(GaConfig(saturate_k=None), 12, l1_objective, 1)
         trace = np.array(run.trace)
         assert np.all(np.diff(trace) >= 0.0)
         assert run.best_fitness == trace[-1]
@@ -284,24 +284,24 @@ class TestRunGa:
             calls.append(len(g))
             return l1_objective(g)
 
-        config = GaConfig(rng_seed=2, generations=12, saturate_k=None, reach_zero=False)
-        run = run_ga(config, 6, spy)
+        config = GaConfig(generations=12, saturate_k=None, reach_zero=False)
+        run = run_ga(config, 6, spy, 2)
         assert calls == [config.population] * 12  # one call per generation, scoring the whole population
         assert run.population.shape == (config.population, 6)
         assert np.all((run.population >= 0.0) & (run.population <= 1.0))
 
     def test_seed_determinism(self):
-        cfg = GaConfig(rng_seed=33)
-        r1 = run_ga(cfg, 6, l1_objective)
-        r2 = run_ga(cfg, 6, l1_objective)
+        cfg = GaConfig()
+        r1 = run_ga(cfg, 6, l1_objective, 33)
+        r2 = run_ga(cfg, 6, l1_objective, 33)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.best_genome, r2.best_genome)
         assert np.array_equal(r1.population, r2.population)
         assert r1.termination == r2.termination
 
     def test_different_seeds_differ(self):
-        r1 = run_ga(GaConfig(rng_seed=0), 6, l1_objective)
-        r2 = run_ga(GaConfig(rng_seed=1), 6, l1_objective)
+        r1 = run_ga(GaConfig(), 6, l1_objective, 0)
+        r2 = run_ga(GaConfig(), 6, l1_objective, 1)
         assert not np.array_equal(r1.best_genome, r2.best_genome)
 
     def test_nan_fitness_treated_as_rejection(self, caplog):
@@ -313,7 +313,7 @@ class TestRunGa:
             return np.where(nan, math.nan, l1_objective(pop))
 
         with caplog.at_level(logging.WARNING, logger="lidar_cfe.ga"):
-            run = run_ga(GaConfig(rng_seed=4, generations=3, saturate_k=None, reach_zero=False), 4, sometimes_nan)
+            run = run_ga(GaConfig(generations=3, saturate_k=None, reach_zero=False), 4, sometimes_nan, 4)
         assert math.isfinite(run.best_fitness)
         assert not np.any(np.isnan(run.fitnesses))
         # One record per generation that had NaN, giving that generation's count.
@@ -326,15 +326,15 @@ class TestRunGa:
 
     def test_objective_must_return_one_value_per_genome(self):
         with pytest.raises(ValueError, match="shape"):
-            run_ga(GaConfig(rng_seed=0), 6, lambda pop: l1_objective(pop)[:-1])
+            run_ga(GaConfig(), 6, lambda pop: l1_objective(pop)[:-1], 0)
         with pytest.raises(ValueError, match="shape"):
-            run_ga(GaConfig(rng_seed=0), 6, lambda pop: 0.0)
+            run_ga(GaConfig(), 6, lambda pop: 0.0, 0)
 
     def test_converges_on_analytic_objective(self):
         # Full-budget runs; a handful of seeds here, the wide sweep lives in
         # the acceptance suite.
         for seed in range(5):
-            run = run_ga(GaConfig(rng_seed=seed, saturate_k=None), 6, l1_objective)
+            run = run_ga(GaConfig(saturate_k=None), 6, l1_objective, seed)
             assert run.best_fitness >= -0.05
 
     def test_config_validation(self):
@@ -355,4 +355,4 @@ class TestRunGa:
 
     def test_genome_length_validated(self):
         with pytest.raises(ValueError):
-            run_ga(GaConfig(), 0, l1_objective)
+            run_ga(GaConfig(), 0, l1_objective, 0)
