@@ -219,6 +219,7 @@ def _scorer(query: CfeQuery, model: PolicyModel):
         raise ModelError(f"model outputs {model.output_size} values, bounds cover {len(query.bounds)}")
     readings, max_range = base.readings, base.max_range
     goal = goal_state(query.goal, query.d_g_max)
+    model._set_reference(state_rows(readings[np.newaxis], max_range, goal)[0])  # every scored state is this one, edited
     length = GENES_PER_OBSTACLE * query.n_obstacles
     workspace = (np.empty((0, base.n)),) * 2  # scans (then merged) and proximity differences
 
@@ -309,12 +310,16 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
     config = ga_config if ga_config is not None else GaConfig()
     objective = fitness_for_query(query, model)
     length = GENES_PER_OBSTACLE * query.n_obstacles
-    genomes, searches = np.empty((query.n_cfes, length)), []
+    genomes, best, searches = np.empty((query.n_cfes, length)), np.empty(query.n_cfes), []
     for i, seed in enumerate(range(query.seed, query.seed + query.n_cfes)):
         run = run_ga(config, length, objective, seed)  # a GaRun holds its population; keep none
-        genomes[i] = run.best_genome
+        genomes[i], best[i] = run.best_genome, run.best_fitness
         searches.append(SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population))
     results = _package(query, model, genomes, searches)
+    for result, fitness in zip(results, best.tolist()):  # by bits: a row must score alike in any batch
+        if np.float64(result.fitness).view(np.uint64) != np.float64(fitness).view(np.uint64):
+            seen = f"search {result.search.seed} saw fitness {fitness!r}, packaging scored the same genome {result.fitness!r}"
+            raise ModelError(f"model is not deterministic: {seen}")
     results.sort(key=lambda r: r.fitness, reverse=True)  # stable, ties keep run order
     if results and not any(r.satisfied for r in results):
         logger.warning("no generated counterfactual landed inside the requested action bounds")

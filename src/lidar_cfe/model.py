@@ -75,6 +75,9 @@ class PolicyModel:
         """
         raise NotImplementedError(f"{type(self).__name__} does not define act_batch")
 
+    def _set_reference(self, state: np.ndarray) -> None:
+        """Hint that coming batches hold states close to ``state``; it may change speed, never an action."""
+
     def close(self) -> None:
         """Release what the model holds, such as a child process; by default nothing."""
 
@@ -223,6 +226,7 @@ def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 ROW_FLOOR = 16  # _forward never runs fewer states
+FULL_PASS_SHARE = 0.25  # a batch that must recompute more of its last conv outputs than this runs the full conv pass
 GEMM_MIN_OUTPUTS = 128  # values a product must give each state to run as gemm
 
 
@@ -312,42 +316,115 @@ def _checked_weights(spec: NetworkSpec, weights) -> list:
     return checked
 
 
-def _dense_input(x: np.ndarray, channels: int, extras: np.ndarray) -> np.ndarray:
-    """The first dense layer's input: channels-last conv features in (channel, position) order, then the extras."""
-    size, length = x.shape[1], x.shape[1] // channels
-    out = np.empty((len(x), size + extras.shape[1]))
-    # Splitting the contiguous last axis of a column slice never copies, so this reshape is a view of ``out``.
-    out[:, :size].reshape(len(x), channels, length)[...] = x.reshape(len(x), length, channels).transpose(0, 2, 1)
-    out[:, size:] = extras
-    return out
+def _activate(layer: Activation, x: np.ndarray, owned: bool) -> np.ndarray:
+    """The activation of ``x``, written in place when ``owned``."""
+    return (np.maximum(x, 0.0, out=x if owned else None) if layer.fn == RELU else np.tanh(x, out=x if owned else None))
 
 
-def _forward(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
+def _conv_input(spec: NetworkSpec, weights: list, states: np.ndarray) -> np.ndarray:
+    """The first dense layer's input for (P, inputs) states, every layer before it run in full:
+    the channels-last conv features in (channel, position) order, then the extras."""
+    x, channels, owned = states[:, : spec.lidar_inputs], 1, False  # x is a view of the caller's states until a layer allocates
+    for layer, entry in zip(spec.layers, weights):  # convolutions run on channels-last rows
+        if isinstance(layer, Dense):
+            size, length = x.shape[1], x.shape[1] // channels
+            out = np.empty((len(x), size + spec.extra_inputs))
+            # Splitting the contiguous last axis of a column slice never copies, so this reshape is a view of ``out``.
+            out[:, :size].reshape(len(x), channels, length)[...] = x.reshape(len(x), length, channels).transpose(0, 2, 1)
+            out[:, size:] = states[:, spec.lidar_inputs :]
+            return out
+        if isinstance(layer, Conv1d):
+            x, channels = _conv_rows(x, *entry, layer.stride, layer.padding, layer.circular), layer.out_channels
+        else:
+            x = _activate(layer, x, owned)
+        owned = True
+
+
+def _receptive_fields(spec: NetworkSpec):
+    """What recomputing output j of the last conv layer takes; None where the full pass is cheaper.
+
+    j reads k positions of the layer below, each of those k of the layer below it, down to the rays:
+    a tree, listed level by level, window by window. Returns its (n_last, w_0) rays, each level's
+    (n_last, w_l) mask of zero padding (None without any), and for each ray the outputs whose tree
+    holds it, an (n_rays, m) table whose short rows repeat their first entry."""
+    convs, lengths = [layer for layer in spec.layers if isinstance(layer, Conv1d)], [spec.lidar_inputs]
+    if not convs or math.prod(conv.kernel for conv in convs) > spec.lidar_inputs:
+        return None  # a tree with more leaves than the scan has rays would cost more than the full pass
+    for conv in convs:
+        lengths.append((lengths[-1] + 2 * conv.padding - conv.kernel) // conv.stride + 1)
+    positions, pads = np.arange(lengths[-1])[:, np.newaxis], []
+    for conv, length in zip(reversed(convs), reversed(lengths[:-1])):
+        window = positions[:, :, np.newaxis] * conv.stride - conv.padding + np.arange(conv.kernel)
+        window = window % length if conv.circular else np.where((window < 0) | (window >= length), -1, window)
+        positions = np.where(positions[:, :, np.newaxis] < 0, -1, window).reshape(len(positions), -1)
+        pads.insert(0, positions < 0 if np.any(positions < 0) else None)
+    hits, inside = np.zeros((spec.lidar_inputs, lengths[-1]), dtype=bool), positions >= 0
+    hits[positions[inside], np.nonzero(inside)[0]] = True
+    order = np.argsort(~hits, axis=1, kind="stable")[:, : hits.sum(axis=1).max()]
+    reach = np.where(np.take_along_axis(hits, order, axis=1), order, order[:, :1])
+    return np.maximum(positions, 0), pads, reach
+
+
+def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states: np.ndarray) -> np.ndarray:
+    """``_conv_input`` of (P, inputs) states, copied from the reference state's where no changed ray reaches.
+
+    A ray changes when its bits differ. Each last-layer output whose tree (``_receptive_fields``)
+    holds one is recomputed up the tree, all together, layer by layer, through ``_row_products`` as
+    the full pass runs the layer and with at least its rows, so each gets the full pass's bits.
+    """
+    rays, pads, reach, bits, row = reference
+    n_rays, n_last, size = spec.lidar_inputs, len(rays), row.size - spec.extra_inputs
+    changed = np.flatnonzero(states[:, :n_rays].view(np.uint64) != bits)
+    if changed.size > FULL_PASS_SHARE * len(states) * n_rays:  # then at least that share of outputs is hit, too
+        return _conv_input(spec, weights, states)
+    hit = np.zeros(len(states) * n_last, dtype=bool)
+    hit[(changed // n_rays * n_last)[:, np.newaxis] + reach[changed % n_rays]] = True
+    rows, outputs = np.divmod(np.flatnonzero(hit), n_last)
+    if rows.size > FULL_PASS_SHARE * hit.size:
+        return _conv_input(spec, weights, states)
+    dense = np.concatenate([np.broadcast_to(row[:size], (len(states), size)), states[:, n_rays:]], axis=1)
+    if rows.size == 0:
+        return dense
+    x, level, length = np.take(states, (rows * states.shape[1])[:, np.newaxis] + rays[outputs]), 0, n_rays
+    for layer, entry in zip(spec.layers, weights):
+        if isinstance(layer, Dense):
+            break
+        if not isinstance(layer, Conv1d):
+            x = _activate(layer, x, True)
+            continue
+        (out_channels, in_channels, kernel), (weight, bias) = entry[0].shape, entry
+        if pads[level] is not None:
+            x.reshape(len(rows), -1, in_channels)[pads[level][outputs]] = 0.0
+        length, level = (length + 2 * layer.padding - kernel) // layer.stride + 1, level + 1
+        n = x.size // (in_channels * kernel)
+        windows = np.zeros((max(n, ROW_FLOOR * length), in_channels * kernel))  # the full pass's smallest product
+        windows[:n].reshape(len(rows), -1, in_channels, kernel)[...] = x.reshape(len(rows), -1, kernel, in_channels).transpose(0, 1, 3, 2)
+        x = _row_products(windows, weight.reshape(out_channels, -1), length)[:n].reshape(len(rows), -1)
+        x += np.tile(bias, x.shape[1] // out_channels)
+    dense[:, :size].reshape(len(states), -1, n_last)[rows, :, outputs] = x
+    return dense
+
+
+def _forward(spec: NetworkSpec, weights: list, states: np.ndarray, reference: tuple | None = None) -> np.ndarray:
     """Run a network whose layer chain, weights and state length are already checked on (P, inputs) states.
 
     A batch of fewer than ROW_FLOOR states runs padded with copies of its
     first state, which are dropped from the result. With the product rule of
     ``_row_products`` every row gets the same bits whatever batch it sits in.
+    A ``reference`` (``NetworkPolicy._set_reference``) changes which conv
+    outputs are computed and which copied, never a bit of the result.
     """
     n = len(states)
     if 0 < n < ROW_FLOOR:
         states = np.concatenate([states, np.repeat(states[:1], ROW_FLOOR - n, axis=0)])
-    x, channels = states[:, : spec.lidar_inputs], 1  # convolutions run on channels-last rows
-    owned = False  # x is a view of the caller's states until a layer allocates
-    for layer, entry in zip(spec.layers, weights):
-        if isinstance(layer, Conv1d):
-            x, channels = _conv_rows(x, *entry, layer.stride, layer.padding, layer.circular), layer.out_channels
-        elif isinstance(layer, Dense):
-            if channels:
-                x, channels = _dense_input(x, channels, states[:, spec.lidar_inputs:]), 0
-            w, b = entry
-            x = _row_products(x, w, 1)
-            x += b
-        elif layer.fn == RELU:
-            x = np.maximum(x, 0.0, out=x if owned else None)
+    x = _conv_input(spec, weights, states) if reference is None else _reference_input(spec, weights, reference, states)
+    first_dense = next(i for i, layer in enumerate(spec.layers) if isinstance(layer, Dense))
+    for layer, entry in zip(spec.layers[first_dense:], weights[first_dense:]):
+        if isinstance(layer, Dense):
+            x = _row_products(x, entry[0], 1)
+            x += entry[1]
         else:
-            x = np.tanh(x, out=x if owned else None)
-        owned = True
+            x = _activate(layer, x, True)
     return x[:n]
 
 
@@ -356,7 +433,8 @@ class NetworkPolicy(PolicyModel):
 
     ``act_batch`` runs each distinct state of a batch once (``distinct_rows``)
     and copies its action to the state's repeats. Rows are batch-invariant,
-    so a repeat gets the bits it would get in any batch.
+    so a repeat gets the bits it would get in any batch. After ``_set_reference``
+    the conv layers run only where a state's rays differ from the reference's.
     """
 
     def __init__(self, spec: NetworkSpec, weights) -> None:
@@ -367,13 +445,23 @@ class NetworkPolicy(PolicyModel):
         self.weights = _checked_weights(spec, weights)
         self.input_size = spec.lidar_inputs + spec.extra_inputs
         self.output_size = spec.output_size()
+        self._fields = _receptive_fields(spec)
+        self._reference = None  # one tuple, swapped whole: the fields, the reference's ray bits and its dense input
+
+    def _set_reference(self, state: np.ndarray) -> None:
+        bits = np.array(state[: self.spec.lidar_inputs], dtype=float).view(np.uint64)
+        if self._fields is None or (self._reference is not None and np.array_equal(self._reference[3], bits)):
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _conv_input(self.spec, self.weights, np.repeat(np.array(state, dtype=float)[np.newaxis], ROW_FLOOR, axis=0))[0]
+        self._reference = (*self._fields, bits, row)
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         if states.shape[1] != self.input_size:
             raise NetworkConfigError(f"state length {states.shape[1]} does not match spec inputs {self.input_size}")
         distinct, inverse = distinct_rows(states)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a non-finite action, a model error
-            return _forward(self.spec, self.weights, distinct)[inverse]
+            return _forward(self.spec, self.weights, distinct, self._reference)[inverse]
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":
@@ -467,18 +555,19 @@ def load_weight_file(path) -> tuple[NetworkSpec, list]:
     except OSError as exc:
         raise ModelError(f"cannot read weight file {path}: {exc}") from exc
 
-    entries: list[list[str]] = []
+    lines: list[tuple[str, list[str]]] = []  # each key with its value and continuation lines, joined once below
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         match = _KEY_RE.match(line)
         if match:
-            entries.append([match.group(1), match.group(2)])
-        elif entries:
-            entries[-1][1] += " " + line  # numeric continuation of the previous array
+            lines.append((match.group(1), [match.group(2)]))
+        elif lines:
+            lines[-1][1].append(line)  # numeric continuation of the previous array
         else:
             raise ModelError(f"{path}: file must start with 'format: 1'")
+    entries = [(key, " ".join(parts)) for key, parts in lines]
 
     if not entries or entries[0][0] != "format" or entries[0][1].strip() != "1":
         raise ModelError(f"{path}: file must start with 'format: 1'")

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ga import require_real
+
 
 @dataclass(frozen=True, eq=False)
 class Scan:
@@ -51,9 +53,13 @@ class GoalFeatures:
     distance: float
 
     def __post_init__(self) -> None:
+        for name in ("cos", "sin", "distance"):
+            require_real(f"goal {name}", getattr(self, name))
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"goal {name} must be finite, got {getattr(self, name)!r}")
         if abs(self.cos * self.cos + self.sin * self.sin - 1.0) > 1e-6:
             raise ValueError("goal cos/sin must lie on the unit circle (within 1e-6)")
-        if not (math.isfinite(self.distance) and self.distance >= 0.0):
+        if not self.distance >= 0.0:
             raise ValueError(f"goal distance must be non-negative, got {self.distance}")
 
 

@@ -9,6 +9,7 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from lidar_cfe import (
     NetworkPolicy,
     NetworkSpec,
     PolicyModel,
+    GaConfig,
     fitness_for_query,
+    generate_cfes,
     scripted_policy,
 )
+from lidar_cfe import model as model_module
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, _hinge_rows, _scorer
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 from lidar_cfe.model import (
@@ -398,3 +402,18 @@ def test_act_comes_from_act_batch_and_a_model_needs_one_of_them():
     for call in (lambda m: m.act(state), lambda m: m.act_batch(state.values[np.newaxis])):
         with pytest.raises(NotImplementedError, match="Neither does not define act_batch"):
             call(Neither())
+
+
+def test_the_conv_net_scores_a_search_alike_with_and_without_its_base_state():
+    # The convnet-1obs geometry: gen_priority merge, one obstacle. CountingPolicy forwards only
+    # act_batch, so the net inside it never gets the base state and runs every conv layer in full.
+    query = make_query("conv_net", n_obstacles=1, combination="gen_priority", lambda_p=0.1, n_cfes=2, seed=7000)
+    config = GaConfig(generations=8)
+    full = generate_cfes(query, CountingPolicy(bench_conv_net()), config)
+    net = bench_conv_net()
+    with mock.patch.object(model_module, "_reference_input", wraps=model_module._reference_input) as incremental:
+        fast = generate_cfes(query, net, config)
+    assert incremental.call_count == 8 * 2 + 1  # every generation of both searches, and the packaging batch
+    for a, b in zip(full, fast, strict=True):
+        assert bits(a.fitness) == bits(b.fitness) and np.array_equal(bits(a.achieved_action), bits(b.achieved_action))
+        assert np.array_equal(a.genome, b.genome) and a.search == b.search

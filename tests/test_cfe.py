@@ -40,6 +40,37 @@ class ConstantPolicy(PolicyModel):
         return np.tile(self._action, (len(states), 1))
 
 
+class NoisyPolicy(PolicyModel):
+    """``left_preferrer`` plus N(0, 0.3) noise: not deterministic."""
+
+    input_size, output_size = 183, 2
+
+    def __init__(self):
+        self.inner, self.rng = scripted_policy("left_preferrer"), np.random.default_rng(0)
+
+    def act_batch(self, states):
+        return np.clip(self.inner.act_batch(states) + self.rng.normal(0.0, 0.3, (len(states), 2)), -1.0, 1.0)
+
+
+class BatchMeanPolicy(PolicyModel):
+    """``left_preferrer`` less half its batch mean: deterministic, but each row depends on the others."""
+
+    input_size, output_size = 183, 2
+
+    def __init__(self):
+        self.inner = scripted_policy("left_preferrer")
+
+    def act_batch(self, states):
+        actions = self.inner.act_batch(states)
+        return np.clip(actions - 0.5 * actions.mean(axis=0), -1.0, 1.0)
+
+
+def swerve_query():
+    return CfeQuery(
+        Scan.empty(180, 3.5), GOAL_AHEAD, ActionBounds.from_pairs([(0.9, 1.0), (-1.0, -0.5)]), n_obstacles=1, n_cfes=3, seed=3
+    )
+
+
 def reverse_query(**overrides):
     defaults = dict(
         base_scan=Scan.empty(180, 3.5),
@@ -447,3 +478,9 @@ class TestGenerateCfes:
             results = generate_cfes(query, scripted_policy("goal_seeker"), GaConfig(generations=2, population=10, parents_mating=4, keep_parents=2))
         assert len(results) == 2
         assert not any("clamping" in r.getMessage() for r in caplog.records)  # the search and packaging only clamp
+
+
+@pytest.mark.parametrize("make", [NoisyPolicy, BatchMeanPolicy])
+def test_a_packaged_fitness_that_differs_from_its_search_is_a_model_error(make):
+    with pytest.raises(ModelError, match=r"model is not deterministic: search \d+ saw fitness .+, packaging scored the same genome"):
+        generate_cfes(swerve_query(), make(), GaConfig(generations=3))

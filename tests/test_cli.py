@@ -29,6 +29,8 @@ from lidar_cfe import cli
 from lidar_cfe.cfe import _package
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
+from test_cfe import BatchMeanPolicy, NoisyPolicy
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 FAST_GA = [
@@ -598,6 +600,16 @@ def explain_reverse(tmp_path, *args):
         ),
         (lambda tmp: scan_of_scenario(tmp, max_range=1.0e308), EXIT_INPUT, "goal-distance scale must be finite and > 0"),
         (lambda tmp: explain_with_scan_base(tmp, d_g_max=True), EXIT_INPUT, "room.scan.json: d_g_max must be a number, got True"),
+        (
+            lambda tmp: explain_with_scan_base(tmp, goal={"cos": math.nan, "sin": 0.0, "distance": 2.0}),
+            EXIT_INPUT,
+            "room.scan.json: goal cos must be finite, got nan",
+        ),
+        (
+            lambda tmp: explain_with_scan_base(tmp, goal={"cos": 1.0, "sin": False, "distance": 2.0}),
+            EXIT_INPUT,
+            "room.scan.json: goal sin must be a number, got False",
+        ),
         (lambda tmp: scan_of_scenario(tmp, max_rang=5.0), EXIT_INPUT, "unknown fields ['max_rang']"),
         (
             lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "colour": "red"}]),
@@ -672,6 +684,8 @@ def explain_reverse(tmp_path, *args):
         "validate-overflowing-net",
         "scenario-max-range-1e308",
         "scan-d-g-max-bool",
+        "scan-goal-cos-nan",
+        "scan-goal-sin-bool",
         "scenario-unknown-key",
         "circle-unknown-key",
         "circle-with-half-extents",
@@ -887,3 +901,16 @@ def test_explain_with_any_overrides_exits_0_2_or_3(overrides, generations):
         for setting in [f"{key}={value}" for key, value in overrides] + TINY_GA + [f"ga.generations={generations}"]:
             args += ["--set", setting]
         assert main(args) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL)
+
+
+@pytest.mark.parametrize("make", [NoisyPolicy, BatchMeanPolicy], ids=["noisy", "batch-mean"])
+def test_explain_with_a_model_that_scores_a_genome_two_ways_exits_3(tmp_path, capsys, monkeypatch, make):
+    monkeypatch.setattr(cli, "load_model", lambda *args, **kwargs: make())
+    query = tmp_path / "query.yaml"
+    query.write_text(
+        "base: room.yaml\nbounds: [[0.9, 1.0], [-1.0, -0.5]]\nn_obstacles: 1\nn_cfes: 3\nseed: 3\n"
+    )
+    write_empty_room(tmp_path)
+    code = main(["explain", str(query), "--model", "scripted:left_preferrer", "-o", str(tmp_path / "out"), "--set", "ga.generations=3"])
+    assert code == EXIT_MODEL
+    assert "model is not deterministic: search " in capsys.readouterr().err

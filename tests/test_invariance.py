@@ -157,14 +157,38 @@ def check_product_rows(shape, batches):
         )
 
 
+def check_padded_rows(shape):
+    """A conv layer's product after ``NetworkPolicy._set_reference`` takes the windows a changed ray
+    reaches: any number of rows, not a multiple of ``per_state``, padded with zero rows to at least
+    ROW_FLOOR * per_state, the full pass's smallest product. Each row must get the bits it gets there."""
+    per_state, size_in, size_out = shape
+    rng = np.random.default_rng([*shape, 1])
+    w = rng.normal(size=(size_out, size_in))
+    floor = ROW_FLOOR * per_state
+    rows = rng.normal(size=(4 * floor, size_in))
+    full = np.concatenate([bits(_row_products(rows[start : start + floor], w, per_state)) for start in range(0, 4 * floor, floor)])
+    counts = sorted({n for n in (1, 2, 3, 7, per_state - 1, per_state + 1, floor - 1, floor + 1, 2 * floor + 5) if n > 0})
+    for n in counts:
+        for offset in (0, 1, floor - 1):
+            padded = np.concatenate([rows[offset : offset + n], np.zeros((max(floor - n, 0), size_in))])
+            got = bits(_row_products(padded, w, per_state)[:n])
+            differ = np.flatnonzero(~np.all(got == full[offset : offset + n], axis=1))
+            assert not differ.size, (
+                f"{blas_build()}: the {per_state}x{size_in} -> {size_out} product gives {differ.size} of {n} rows "
+                f"padded to {len(padded)} other bits than in the full pass, first at row {differ[0]} (offset {offset})"
+            )
+
+
 @pytest.mark.parametrize("shape", BENCH_SHAPES + EDGE_SHAPES, ids=str)
 def test_bench_and_edge_products_give_each_state_its_bits_alone(shape):
     check_product_rows(shape, BENCH_BATCHES)
+    check_padded_rows(shape)
 
 
 @pytest.mark.parametrize("shape", MICRO_SHAPES, ids=str)
 def test_micro_net_products_give_each_state_its_bits_alone(shape):
     check_product_rows(shape, MICRO_BATCHES)
+    check_padded_rows(shape)
 
 
 @pytest.mark.parametrize("make", [bench_conv_net, lambda: NetworkPolicy(*random_micro_net(np.random.default_rng(3), n_outputs=3))])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from lidar_cfe import (
     save_weight_file,
     scripted_policy,
 )
+from lidar_cfe import model as model_module
 from lidar_cfe.errors import ModelError
-from lidar_cfe.model import _forward
+from lidar_cfe.model import FULL_PASS_SHARE, ROW_FLOOR, _forward
 
 from oracles import conv1d_forward, naive_conv1d, naive_net_forward, random_micro_net, random_wide_net
+from test_batch import bench_conv_net
 
 
 def make_state(values):
@@ -156,6 +159,104 @@ class TestNetForward:
             NetworkSpec(8, 3, (Conv1d(1, 4, 3, 1, 1, True),))
 
 
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+BENCH_NET = bench_conv_net()
+BATCHES = [1, ROW_FLOOR - 1, ROW_FLOOR, 2 * ROW_FLOOR + 1, 100, 400]
+
+
+def edited_states(rng, base, n, n_lidar, rays):
+    """``n`` copies of ``base``, each with ``rays`` contiguous rays redrawn (None: all of them).
+
+    A quarter of the rows also get new extras, and where the base holds 0.0
+    some rows hold -0.0, which the reference must count as a change.
+    """
+    states = np.repeat(base[np.newaxis], n, axis=0)
+    k = n_lidar if rays is None else min(rays, n_lidar)
+    for row in states:
+        at = (int(rng.integers(n_lidar)) + np.arange(k)) % n_lidar
+        row[at] = rng.random(k)
+    states[::4, n_lidar:] = rng.random((len(states[::4]), len(base) - n_lidar))
+    states[1::3, :n_lidar][states[1::3, :n_lidar] == 0.0] = -0.0
+    return states
+
+
+class TestReferenceState:
+    """After ``_set_reference`` the conv layers run only where a state's rays differ
+    from the reference's; every action must keep the full pass's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        net=st.sampled_from(["bench", "micro", "wide"]),
+        n=st.sampled_from(BATCHES),
+        rays=st.sampled_from([0, 1, 3, None]),
+        share=st.sampled_from([FULL_PASS_SHARE, 1.0]),
+    )
+    def test_actions_keep_the_full_pass_bits(self, seed, net, n, rays, share):
+        # share 1.0 never falls back to the full conv pass, so every recomputed window is checked too.
+        rng = np.random.default_rng(seed)
+        if net == "bench":
+            spec, weights = BENCH_NET.spec, BENCH_NET.weights
+        else:
+            spec, weights = random_micro_net(rng, n_outputs=int(rng.integers(1, 4))) if net == "micro" else random_wide_net(rng)
+        width = spec.lidar_inputs + spec.extra_inputs
+        base = rng.random(width)
+        base[: spec.lidar_inputs][rng.random(spec.lidar_inputs) < 0.1] = 0.0
+        states = edited_states(rng, base, n, spec.lidar_inputs, rays)
+        full = bits(_forward(spec, weights, states))
+        policy = NetworkPolicy(spec, weights)
+        assert np.array_equal(bits(policy.act_batch(states)), full)  # no reference
+        with mock.patch.object(model_module, "FULL_PASS_SHARE", share):
+            for reference in (base, rng.random(width), states[-1]):
+                policy._set_reference(reference)
+                assert np.array_equal(bits(policy.act_batch(states)), full)
+                for i in (0, n - 1):  # one-row calls pad to the row floor
+                    assert np.array_equal(bits(policy.act_batch(states[i : i + 1])), full[i : i + 1])
+
+    def test_the_reference_is_rebuilt_only_when_its_rays_change(self):
+        rng = np.random.default_rng(8)
+        policy = NetworkPolicy(BENCH_NET.spec, BENCH_NET.weights)
+        first, second = rng.random((2, policy.input_size))
+        policy._set_reference(first)
+        cache = policy._reference
+        policy._set_reference(np.concatenate([first[:180], rng.random(3)]))  # other extras, same rays
+        assert policy._reference is cache
+        states = edited_states(rng, second, 40, 180, 3)
+        full = bits(_forward(BENCH_NET.spec, BENCH_NET.weights, states))
+        policy._set_reference(second)
+        assert policy._reference is not cache and np.array_equal(bits(policy.act_batch(states)), full)
+        flipped = second.copy()
+        flipped[7] = -0.0 if second[7] == 0.0 else -second[7]
+        policy._set_reference(flipped)  # a sign alone is a change too
+        assert not np.array_equal(policy._reference[3], cache[3]) and np.array_equal(bits(policy.act_batch(states)), full)
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (Dense(11, 2), Activation("tanh")),
+            # Each output of the second conv reads 9 rays: more than the 8 the scan has.
+            (Conv1d(1, 1, 3, 1, 1), Conv1d(1, 1, 3, 1, 1), Dense(11, 2), Activation("tanh")),
+        ],
+        ids=["no-conv", "tree-wider-than-the-scan"],
+    )
+    def test_a_net_the_reference_cannot_speed_up_keeps_none(self, layers):
+        spec = NetworkSpec(8, 3, layers)
+        weights = [tuple(np.full(shape, 0.1) for shape in layer.param_shapes()) or None for layer in layers]
+        policy = NetworkPolicy(spec, weights)
+        policy._set_reference(np.full(11, 0.5))
+        assert policy._reference is None
+        states = np.random.default_rng(2).random((20, 11))
+        assert np.array_equal(bits(policy.act_batch(states)), bits(_forward(spec, policy.weights, states)))
+
+    def test_zero_states_give_zero_actions_with_a_reference(self):
+        policy = NetworkPolicy(BENCH_NET.spec, BENCH_NET.weights)
+        policy._set_reference(np.full(policy.input_size, 0.5))
+        assert policy.act_batch(np.empty((0, policy.input_size))).shape == (0, policy.output_size)
+
+
 class TestWeightFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -273,6 +374,23 @@ class TestWeightFile:
         spec, weights = load_weight_file(path)
         out = net_act(spec, weights, [0.1, 0.2, 0.3, 0.1])
         assert out[0] == pytest.approx(math.tanh(0.1 + 0.4 + 0.9 + 0.4 + 0.5), abs=1e-12)
+
+    def test_a_file_wrapped_at_8_values_per_line_loads_the_same_arrays(self, tmp_path):
+        one_line, wrapped = tmp_path / "net.txt", tmp_path / "wrapped.txt"
+        save_weight_file(one_line, BENCH_NET.spec, BENCH_NET.weights)
+        lines = []
+        for line in one_line.read_text().splitlines():
+            key, _, values = line.partition(": ")
+            tokens = values.split() if key in ("weights", "bias") else [values]
+            lines += [f"{key}: " + " ".join(tokens[:8])] + [" ".join(tokens[i : i + 8]) for i in range(8, len(tokens), 8)]
+        wrapped.write_text("\n".join(lines) + "\n")
+        assert len(lines) > 11_000
+        spec, weights = load_weight_file(one_line)
+        spec2, weights2 = load_weight_file(wrapped)
+        assert spec2 == spec
+        for entry, entry2 in zip(weights, weights2, strict=True):
+            for a, a2 in zip(entry or (), entry2 or (), strict=True):
+                assert a2.shape == a.shape and a2.tobytes() == a.tobytes()
 
     def test_policy_requires_tanh_head(self):
         spec = NetworkSpec(4, 3, (Dense(7, 2),))
