@@ -11,27 +11,10 @@ than free-form per-ray noise.
 
 from .bridge import external_policy
 from .cfe import ActionBounds, CfeQuery, CfeResult, fitness_for_query, generate_cfes
-from .errors import (
-    BridgeError,
-    BridgeTimeout,
-    InputError,
-    LidarCfeError,
-    ModelError,
-    NetworkConfigError,
-)
+from .errors import BridgeError, BridgeTimeout, InputError, LidarCfeError, ModelError, NetworkConfigError
 from .ga import GaConfig, run_ga
-from .model import (
-    ActionVector,
-    Activation,
-    Conv1d,
-    Dense,
-    NetworkPolicy,
-    NetworkSpec,
-    PolicyModel,
-    load_weight_file,
-    save_weight_file,
-    scripted_policy,
-)
+from .model import (ActionVector, Activation, Conv1d, Dense, NetworkPolicy, NetworkSpec, PolicyModel, load_weight_file,
+                    save_weight_file, scripted_policy)
 from .scan import GoalFeatures, ModelState, Scan
 from .scenario import Scenario, load_scenario
 

@@ -191,6 +191,4 @@ class ExternalPolicy(PolicyModel):
             pass
 
 
-def external_policy(command, input_size: int, output_size: int, timeout: float = 5.0) -> ExternalPolicy:
-    """Start ``command`` and wrap it as a policy via the line protocol."""
-    return ExternalPolicy(command, input_size, output_size, timeout=timeout)
+external_policy = ExternalPolicy  # the public name: start ``command`` and wrap it as a policy via the line protocol

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .ga import GaConfig, require_int, require_real, run_ga
+from .ga import TERMINATED_GENERATIONS, TERMINATED_REACH_ZERO, TERMINATED_SATURATE, GaConfig, require_int, require_real, run_ga
 from .geometry import ORIGIN, ObstacleShape, ShapeRows, overlaps_disk_rows, raycast_rows
 from .model import PolicyModel, check_action_rows
 from .scan import GoalFeatures, Scan, goal_state, state_rows
@@ -58,10 +58,10 @@ class CfeQuery:
 
     ``world_bounds`` is the half-width of the square region obstacles decode
     into, centered on the sensor; ``d_g_max`` normalizes the goal distance.
-    Construction resolves their defaults into the fields: the scan's max
-    range, and the decode region's diagonal 2·√2·``world_bounds``. ``d_min``
-    is the protective radius around the sensor that obstacles may not enter.
-    Search i runs with seed ``seed + i``.
+    Construction resolves their defaults into the fields from the base scan
+    alone: its max range, and 2·√2 times its max range, the diagonal of the
+    scan's square extent. ``d_min`` is the protective radius around the
+    sensor that obstacles may not enter. Search i runs with seed ``seed + i``.
     """
 
     base_scan: Scan
@@ -108,9 +108,9 @@ class CfeQuery:
         if not self.world_bounds > 0.0:
             raise ValueError(f"world_bounds must be > 0, got {self.world_bounds}")
         if self.d_g_max is None:
-            scale = 2.0 * math.sqrt(2.0) * self.world_bounds
+            scale = 2.0 * math.sqrt(2.0) * self.base_scan.max_range
             if not scale < math.inf:
-                raise ValueError(f"goal-distance scale must be finite: d_g_max {self.d_g_max}, world extent {self.world_bounds}")
+                raise ValueError(f"goal-distance scale must be finite: 2*sqrt(2)*max_range overflows for max_range {self.base_scan.max_range}")
             object.__setattr__(self, "d_g_max", scale)
         if not self.d_g_max > 0.0:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
@@ -128,6 +128,15 @@ class SearchFacts:
     termination: str
     generations: int
     evaluations: int
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "generations", "evaluations"):
+            require_int(name, getattr(self, name))
+        if self.termination not in (TERMINATED_GENERATIONS, TERMINATED_SATURATE, TERMINATED_REACH_ZERO):
+            raise ValueError(f"termination must be 'generations', 'saturate' or 'reach_zero', got {self.termination!r}")
+        if self.seed < 0 or not 1 <= self.generations <= self.evaluations:
+            raise ValueError(f"need seed >= 0 and 1 <= generations <= evaluations, got seed {self.seed}, "
+                             f"generations {self.generations}, evaluations {self.evaluations}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from . import __version__
 from .bridge import external_policy
 from .cfe import ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
-from .ga import GaConfig, require_real
+from .ga import GaConfig, require_int
 from .model import NetworkPolicy, PolicyModel, scripted_policy
 from .plot import cfe_plot_svg, scan_plot_svg
 from .scan import GoalFeatures, Scan
@@ -94,29 +94,39 @@ def _parse_bounds(raw, where: str) -> ActionBounds:
         raise InputError(f"{where}: {exc}") from None
 
 
-def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, float | None, str]:
+# The keys of a scan file, in the order ``lidar-cfe scan`` writes them; a query's ``base`` reads back these and no others.
+_SCAN_KEYS = ("format", "kind", "name", "n_rays", "max_range", "readings", "goal")
+
+
+def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, str]:
     base_path = Path(base_ref)
     if not base_path.is_absolute():
         base_path = query_path.parent / base_path
     if not base_path.exists():
         raise InputError(f"{query_path}: base file {base_path} does not exist")
-    if base_path.suffix == ".json":
-        try:
-            data = json.loads(base_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read scan file {base_path}: {exc}") from exc
-        if not isinstance(data, dict) or data.get("kind") != "scan":
-            raise InputError(f"{base_path}: not a scan file (kind != 'scan')")
-        try:
-            scan = Scan(np.array(data["readings"], dtype=float), float(data["max_range"]))
-            goal, d_g_max = GoalFeatures(**data["goal"]), data.get("d_g_max")
-            if d_g_max is not None:
-                require_real("d_g_max", d_g_max)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{base_path}: {exc}") from None
-        return scan, goal, d_g_max, str(base_path)
-    scenario = load_scenario(base_path)
-    return scenario.base_scan(), scenario.goal_features(), scenario.goal_distance_scale(), str(base_path)
+    if base_path.suffix != ".json":
+        scenario = load_scenario(base_path)
+        return scenario.base_scan(), scenario.goal_features(), str(base_path)
+    try:
+        data = json.loads(base_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+        raise InputError(f"cannot read scan file {base_path}: {exc}") from exc
+    if not isinstance(data, dict) or data.get("kind") != "scan":
+        raise InputError(f"{base_path}: not a scan file (kind != 'scan')")
+    _refuse_unknown(data, _SCAN_KEYS, str(base_path))
+    try:
+        file_format, _, name, n_rays, max_range, readings, goal = (data[key] for key in _SCAN_KEYS)
+        require_int("n_rays", n_rays)
+        if file_format != 1 or isinstance(file_format, bool) or not isinstance(name, str):
+            raise ValueError(f"format must be 1 and name a string, got {file_format!r} and {name!r}")
+        scan, goal = Scan(readings, max_range), GoalFeatures(**goal)
+        if n_rays != scan.n:
+            raise ValueError(f"n_rays {n_rays} does not match the {scan.n} readings")
+    except KeyError as exc:
+        raise InputError(f"{base_path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{base_path}: {exc}") from None
+    return scan, goal, str(base_path)
 
 
 def _query_keys() -> list[str]:
@@ -132,13 +142,12 @@ def _refuse_unknown(data: dict, known, where: str) -> None:
         raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
 
 
-def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str, d_g_max: float | None = None) -> CfeQuery:
+def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str) -> CfeQuery:
     """The query that ``data``'s query-file keys set, for query files and ``results.json`` headers.
 
-    Other keys are ignored. A missing or null key takes the ``CfeQuery``
-    default, or for ``d_g_max`` the given one.
+    Other keys are ignored. A missing or null key takes the ``CfeQuery`` default.
     """
-    kwargs = {"d_g_max": d_g_max, **{name: data[name] for name in _query_keys() if data.get(name) is not None}}
+    kwargs = {name: data[name] for name in _query_keys() if data.get(name) is not None}
     kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
     if "size_limits" in kwargs:
         kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
@@ -160,8 +169,8 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     base_ref = data.get("base")
     if not isinstance(base_ref, str):
         raise InputError(f"{where}: 'base' must name a scenario (.yaml) or scan (.json) file")
-    scan, goal, base_d_g_max, base_path = _load_base(base_ref, query_path)
-    query = _build_query(data, scan, goal, where, base_d_g_max)
+    scan, goal, base_path = _load_base(base_ref, query_path)
+    query = _build_query(data, scan, goal, where)
 
     ga_raw = data.get("ga") or {}
     if not isinstance(ga_raw, dict):
@@ -261,20 +270,25 @@ def _results_payload(query: CfeQuery, results: list[CfeResult]) -> dict:
 def verify_results_file(path, model: PolicyModel) -> int:
     """Re-package every stored genome, in one batch, under the query the header gives.
 
-    Each entry's ``search`` block is taken as stored; the file must equal the
-    re-packaging field by field. Raises ``LidarCfeError`` naming the file and
-    the header field, or the entry and its field, that is malformed or differs.
-    Returns the number of entries checked.
+    The file must equal the re-packaging field by field. The entries must run
+    best fitness first, and their ``search`` blocks must be well formed and
+    hold the seeds ``seed`` to ``seed + n_cfes - 1``, each once, in any order;
+    the rest of each block is taken as stored. Raises ``LidarCfeError``
+    naming the file and the header field, or the entry and its field, that
+    is malformed or differs. Returns the number of entries checked.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         query = _build_query(data, Scan(data["base_readings"], data["max_range"]), GoalFeatures(**data["goal"]), str(path))
-        entries = list(data["results"])
+        entries, searches = list(data["results"]), []
         for i, entry in enumerate(entries):
             lacking = sorted({"genome", "search"} - set(entry))
             if lacking:
                 raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(lacking)}")
-        searches = [SearchFacts(**entry["search"]) for entry in entries]
+            try:
+                searches.append(SearchFacts(**entry["search"]))
+            except (TypeError, ValueError) as exc:
+                raise LidarCfeError(f"{path}: entry {i} search: {exc}") from None
         results = _package(query, model, np.array([entry["genome"] for entry in entries], dtype=float), searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
@@ -282,6 +296,13 @@ def verify_results_file(path, model: PolicyModel) -> int:
         raise LidarCfeError(f"{path}: {exc}") from None
     if len(entries) != query.n_cfes:
         raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")
+    unused = set(range(query.seed, query.seed + query.n_cfes))
+    for i, (search, result) in enumerate(zip(searches, results)):
+        if search.seed not in unused:
+            raise LidarCfeError(f"{path}: entry {i} search seed {search.seed} is not one of header seed {query.seed} + 0 to n_cfes - 1, each once")
+        unused.remove(search.seed)
+        if i and result.fitness > results[i - 1].fitness:
+            raise LidarCfeError(f"{path}: entry {i} fitness {result.fitness} is above entry {i - 1}'s: entries must run best first")
     fresh = _results_payload(query, results)  # each field is compared as JSON text below
     places = [("", data, fresh)] + [(f"entry {i} ", *pair) for i, pair in enumerate(zip(entries, fresh["results"]))]
     for name, stored, expected in places:
@@ -306,18 +327,9 @@ def cmd_scan(args) -> int:
     scan = scenario.base_scan()
     goal = scenario.goal_features()
     out_dir = _out_dir(args)
-    payload = {
-        "format": 1,
-        "kind": "scan",
-        "name": scenario.name,
-        "n_rays": scan.n,
-        "max_range": scan.max_range,
-        "readings": [float(v) for v in scan.readings],
-        "goal": asdict(goal),
-        "d_g_max": scenario.goal_distance_scale(),
-    }
+    values = (1, "scan", scenario.name, scan.n, scan.max_range, [float(v) for v in scan.readings], asdict(goal))
     scan_path = out_dir / f"{scenario.name}.scan.json"
-    _write_json(scan_path, payload)
+    _write_json(scan_path, dict(zip(_SCAN_KEYS, values, strict=True)))
     svg_path = out_dir / f"{scenario.name}.scan.svg"
     svg_path.write_text(scan_plot_svg(scan, goal, label=scenario.name), encoding="utf-8")
     print(f"wrote {scan_path}")

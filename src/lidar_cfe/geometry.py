@@ -254,12 +254,7 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     return np.minimum(out, max_range, out=out)
 
 
-def raycast_scan(
-    origin: Point2,
-    shapes: list[ObstacleShape] | tuple[ObstacleShape, ...],
-    n_rays: int = 180,
-    max_range: float = 3.5,
-) -> Scan:
+def raycast_scan(origin: Point2, shapes: list[ObstacleShape] | tuple[ObstacleShape, ...], n_rays: int = 180, max_range: float = 3.5) -> Scan:
     """Cast ``n_rays`` evenly spaced rays from ``origin`` and return the scan.
 
     Reading i is the nearest boundary distance over all shapes along heading

@@ -23,9 +23,14 @@ class Scan:
     max_range: float
 
     def __post_init__(self) -> None:
-        readings = np.array(self.readings, dtype=float)
+        readings = np.array(self.readings)
+        listed = self.readings if isinstance(self.readings, (list, tuple)) else ()  # numpy reads a bool among numbers as a number
+        if readings.dtype.kind not in "iuf" or any(isinstance(v, (bool, np.bool_)) for v in listed):
+            raise ValueError("readings must be real numbers, not bools, strings or other objects")
+        readings = readings.astype(float, copy=False)
         if readings.ndim != 1 or readings.size == 0:
             raise ValueError("readings must be a non-empty 1-d array")
+        require_real("max_range", self.max_range)
         if not (math.isfinite(self.max_range) and self.max_range > 0):
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         if not np.all((readings > 0.0) & (readings <= self.max_range)):

@@ -191,7 +191,7 @@ class TestDecodeGenome:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
         n_obstacles = genomes.shape[1] // GENES_PER_OBSTACLE
         query = reverse_query(n_obstacles=n_obstacles)
-        searches = [SearchFacts(0, "generations", 0, 0)] * len(genomes)
+        searches = [SearchFacts(0, "generations", 1, 1)] * len(genomes)
         for genome, result in zip(genomes, _package(query, scripted_policy("goal_seeker"), genomes, searches), strict=True):
             assert result.obstacles == tuple(scalar_decode(genome, n_obstacles, query.world_bounds, query.size_limits))
 
@@ -454,10 +454,11 @@ class TestGenerateCfes:
         for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             with pytest.raises(ValueError):
                 reverse_query(**{field: math.nan})
-        for overflowing in ({"base_scan": Scan.empty(8, 1e308), "n_obstacles": 1}, {"world_bounds": 1e308}):
-            with pytest.raises(ValueError, match="goal-distance scale must be finite"):
-                reverse_query(**overflowing)  # 2·√2 times the world extent overflows
-            assert reverse_query(d_g_max=9.0, **overflowing).d_g_max == 9.0
+        overflowing = {"base_scan": Scan.empty(8, 1e308), "n_obstacles": 1}
+        with pytest.raises(ValueError, match=r"goal-distance scale must be finite: 2\*sqrt\(2\)\*max_range overflows"):
+            reverse_query(**overflowing)  # 2·√2 times the scan's max range overflows
+        assert reverse_query(d_g_max=9.0, **overflowing).d_g_max == 9.0
+        assert reverse_query(world_bounds=1e308).d_g_max == reverse_query().d_g_max  # the decode square does not set the scale
 
     def test_world_bounds_defaults_to_max_range(self):
         query = reverse_query()

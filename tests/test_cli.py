@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -235,6 +236,54 @@ class TestExplainCommand:
         with pytest.raises(LidarCfeError, match=message):
             verify_results_file(path, scripted_policy("goal_seeker"))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data["results"][1]["search"].__setitem__("seed", "x"), "entry 1 search: seed must be an integer, got 'x'"),
+            (
+                lambda data: data["results"][1]["search"].__setitem__("termination", "nope"),
+                "entry 1 search: termination must be 'generations', 'saturate' or 'reach_zero', got 'nope'",
+            ),
+            (lambda data: data["results"][1]["search"].__setitem__("generations", -1), "entry 1 search: need seed >= 0 and 1 <= generations"),
+            (lambda data: data["results"][1]["search"].__setitem__("generations", 31), "entry 1 search: need seed >= 0 and 1 <= generations"),
+            (lambda data: data["results"][1]["search"].__setitem__("evaluations", None), "entry 1 search: evaluations must be an integer, got None"),
+            (lambda data: data["results"][1]["search"].__setitem__("seed", -1), "entry 1 search: need seed >= 0"),
+            (lambda data: data["results"][1]["search"].__setitem__("colour", 1), "entry 1 search: "),
+            (lambda data: data["results"][1].__setitem__("search", [6]), "entry 1 search: "),
+            (lambda data: data.__setitem__("seed", 2**70), "entry 0 search seed 5 is not one of header seed 1180591620717411303424"),
+            (lambda data: data.__setitem__("seed", 6), "entry 0 search seed 5 is not one of header seed 6"),
+            (lambda data: data["results"][2]["search"].__setitem__("seed", 5), "entry 2 search seed 5 is not one of header seed 5"),
+        ],
+        ids=[
+            "seed-text", "termination-unknown", "generations-negative", "generations-past-evaluations",
+            "evaluations-null", "seed-negative", "extra-search-field", "search-not-a-mapping",
+            "header-seed-2-70", "header-seed-shifted", "seed-twice",
+        ],
+    )
+    def test_verify_names_the_entry_whose_search_block_is_malformed(self, tmp_path, edit, message):
+        path = self.edited_results(tmp_path, edit)
+        with pytest.raises(LidarCfeError, match=re.escape(message)):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
+    def test_verify_takes_the_seeds_in_any_order_but_the_entries_best_first(self, tmp_path):
+        def swap_first_two(data):
+            first, second = data["results"][:2]
+            data["results"][:2] = [{**second, "index": 0}, {**first, "index": 1}]
+
+        path = self.edited_results(tmp_path, swap_first_two)  # equal fitness: any order of seeds verifies
+        assert [entry["fitness"] for entry in json.loads(path.read_text())["results"]] == [-0.0] * 3
+        assert verify_results_file(path, scripted_policy("goal_seeker")) == 3
+        out = tmp_path / "weighted"
+        query = write_reverse_query(tmp_path, "room.yaml")
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), "--set", "lambda_p=1.0", *FAST_GA]) == EXIT_OK
+        path = out / "results.json"
+        data = json.loads(path.read_text())
+        assert data["results"][0]["fitness"] > data["results"][1]["fitness"]
+        swap_first_two(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(LidarCfeError, match=r"entry 1 fitness \S+ is above entry 0's: entries must run best first"):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
     def test_verify_of_zero_results_checks_the_header(self, tmp_path):
         write_empty_room(tmp_path)
         out = tmp_path / "out"
@@ -281,6 +330,9 @@ class TestExplainCommand:
         assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(out), *FAST_GA]) == EXIT_OK
         results = json.loads((out / "results.json").read_text())
         assert len(results["results"]) == 2
+        query.write_text(query.read_text().replace(str(out / "room.scan.json"), str(scenario)))
+        assert main(["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path / "scene"), *FAST_GA]) == EXIT_OK
+        assert (tmp_path / "scene" / "results.json").read_bytes() == (out / "results.json").read_bytes()
 
     def test_seed_flag_overrides_query(self, tmp_path):
         write_empty_room(tmp_path)
@@ -560,11 +612,18 @@ def scan_of_scenario(tmp_path, **keys):
     return ["scan", str(path)]
 
 
-def explain_with_scan_base(tmp_path, **keys):
+def explain_on_scenario(tmp_path, **keys):
+    scan_of_scenario(tmp_path, **keys)
+    return ["explain", str(write_reverse_query(tmp_path, "scene.yaml")), "--model", "scripted:goal_seeker"]
+
+
+def explain_with_scan_base(tmp_path, drop=(), **keys):
+    """An explain on a fresh scan of the empty room, with ``keys`` set and the keys in ``drop`` taken out."""
     write_empty_room(tmp_path)
     assert main(["scan", str(tmp_path / "room.yaml"), "-o", str(tmp_path)]) == EXIT_OK
     scan_path = tmp_path / "room.scan.json"
-    scan_path.write_text(json.dumps({**json.loads(scan_path.read_text()), **keys}))
+    data = {**json.loads(scan_path.read_text()), **keys}
+    scan_path.write_text(json.dumps({key: value for key, value in data.items() if key not in drop}))
     return ["explain", str(write_reverse_query(tmp_path, scan_path.name)), "--model", "scripted:goal_seeker"]
 
 
@@ -598,8 +657,8 @@ def explain_reverse(tmp_path, *args):
             EXIT_MODEL,
             "action values must be finite",
         ),
-        (lambda tmp: scan_of_scenario(tmp, max_range=1.0e308), EXIT_INPUT, "goal-distance scale must be finite and > 0"),
-        (lambda tmp: explain_with_scan_base(tmp, d_g_max=True), EXIT_INPUT, "room.scan.json: d_g_max must be a number, got True"),
+        (lambda tmp: explain_on_scenario(tmp, max_range=1.0e308), EXIT_INPUT, "query.yaml: goal-distance scale must be finite: 2*sqrt(2)*max_range overflows for max_range 1e+308"),
+        (lambda tmp: explain_with_scan_base(tmp, d_g_max=True), EXIT_INPUT, "room.scan.json: unknown fields ['d_g_max']"),
         (
             lambda tmp: explain_with_scan_base(tmp, goal={"cos": math.nan, "sin": 0.0, "distance": 2.0}),
             EXIT_INPUT,
@@ -649,16 +708,7 @@ def explain_reverse(tmp_path, *args):
             for flag, value in (("--n-rays", "0"), ("--n-rays", "-4"), ("--outputs", "0"))
         ),
         (lambda tmp: ["scan", str(SAMPLES / "empty_room.yaml"), "--name", ""], EXIT_INPUT, "--name: name must be a file name stem"),
-        (
-            lambda tmp: explain_with_scan_base(tmp, max_range=1.0e308, d_g_max=None),
-            EXIT_INPUT,
-            "query.yaml: goal-distance scale must be finite: d_g_max None, world extent 1e+308",
-        ),
-        (
-            lambda tmp: [*explain_with_scan_base(tmp, d_g_max=None), "--set", "world_bounds=1.0e+308"],
-            EXIT_INPUT,
-            "query.yaml: goal-distance scale must be finite: d_g_max None, world extent 1e+308",
-        ),
+        (lambda tmp: explain_with_scan_base(tmp, max_range=1.0e308), EXIT_INPUT, "query.yaml: goal-distance scale must be finite: 2*sqrt(2)*max_range overflows for max_range 1e+308"),
         # Sizes of 2**62 are past numpy's array limit, which it refuses with a ValueError, not a MemoryError.
         (
             lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", f"n_cfes={2**62}"),
@@ -673,6 +723,22 @@ def explain_reverse(tmp_path, *args):
             EXIT_INPUT,
             "more memory than is available",
         ),
+        (lambda tmp: scan_of_scenario(tmp, d_g_max=9.0), EXIT_INPUT, "scene.yaml: unknown fields ['d_g_max']"),
+        (lambda tmp: explain_with_scan_base(tmp, format=2), EXIT_INPUT, "room.scan.json: format must be 1 and name a string, got 2"),
+        (lambda tmp: explain_with_scan_base(tmp, format=True), EXIT_INPUT, "room.scan.json: format must be 1 and name a string, got True"),
+        (lambda tmp: explain_with_scan_base(tmp, name=7), EXIT_INPUT, "room.scan.json: format must be 1 and name a string, got 1 and 7"),
+        (lambda tmp: explain_with_scan_base(tmp, n_rays=7), EXIT_INPUT, "room.scan.json: n_rays 7 does not match the 180 readings"),
+        (lambda tmp: explain_with_scan_base(tmp, n_rays=180.0), EXIT_INPUT, "room.scan.json: n_rays must be an integer, got 180.0"),
+        (lambda tmp: explain_with_scan_base(tmp, colour="red"), EXIT_INPUT, "room.scan.json: unknown fields ['colour']"),
+        (lambda tmp: explain_with_scan_base(tmp, drop=["goal"]), EXIT_INPUT, "room.scan.json: missing field 'goal'"),
+        (lambda tmp: explain_with_scan_base(tmp, max_range="3.5"), EXIT_INPUT, "room.scan.json: max_range must be a number, got '3.5'"),
+        (
+            lambda tmp: explain_with_scan_base(tmp, max_range=True, readings=[1.0] * 180),
+            EXIT_INPUT,
+            "room.scan.json: max_range must be a number, got True",
+        ),
+        (lambda tmp: explain_with_scan_base(tmp, readings=["3.5"] * 180), EXIT_INPUT, "room.scan.json: readings must be real numbers"),
+        (lambda tmp: explain_with_scan_base(tmp, readings=[True] * 180), EXIT_INPUT, "room.scan.json: readings must be real numbers"),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -701,9 +767,20 @@ def explain_reverse(tmp_path, *args):
         "validate-outputs-zero",
         "scan-name-empty",
         "scan-base-scale-overflows",
-        "world-bounds-scale-overflows",
         "n-cfes-past-array-limit",
         "ga-population-past-array-limit",
+        "scenario-d-g-max",
+        "scan-format-2",
+        "scan-format-bool",
+        "scan-name-number",
+        "scan-n-rays-7",
+        "scan-n-rays-float",
+        "scan-unknown-key",
+        "scan-no-goal",
+        "scan-max-range-text",
+        "scan-max-range-bool",
+        "scan-readings-text",
+        "scan-readings-bool",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -850,7 +927,7 @@ NUMBERS = (
 SCALARS = st.none() | st.booleans() | NUMBERS | st.text(max_size=8)
 VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.lists(NUMBERS, min_size=2, max_size=2)
 OBSTACLE_KEYS = ["kind", "center", "radius", "half_extents", "orientation", "colour", "raduis"]
-SCENARIO_KEYS = [f.name for f in fields(Scenario)] + ["max_rang", "nrays", "origen", "obstacle"]
+SCENARIO_KEYS = [f.name for f in fields(Scenario)] + ["max_rang", "nrays", "origen", "obstacle", "d_g_max"]
 VALID_SCENE = {
     "goal": [2.0, 0.0],
     "obstacles": [CIRCLE_AHEAD, {"kind": "rectangle", "center": [-2.0, 0.0], "half_extents": [0.1, 1.0]}],

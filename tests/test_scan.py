@@ -25,6 +25,26 @@ class TestScanType:
         with pytest.raises(ValueError):
             Scan(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("max_range", [True, "3.5", None, [3.5], np.array([3.5])])
+    def test_rejects_a_max_range_that_is_not_a_real_number(self, max_range):
+        with pytest.raises(ValueError, match="max_range must be a number"):
+            Scan(np.ones(3), max_range)
+
+    @pytest.mark.parametrize(
+        "readings",
+        [["1.0", "2.0"], np.array(["1.0", "2.0"]), [True, True], np.ones(2, dtype=bool), [1.0, True], (np.True_, 1.0), [1.0, None], [1.0, {}], [10**400, 1.0]],
+        ids=["text-list", "text-array", "bool-list", "bool-array", "bool-among-floats", "numpy-bool-among-floats", "none", "mapping", "huge-int"],
+    )
+    def test_rejects_readings_that_are_not_real_numbers(self, readings):
+        with pytest.raises(ValueError, match="readings must be real numbers"):
+            Scan(readings, 3.5)
+
+    def test_takes_integer_and_single_precision_readings_as_floats(self):
+        for readings in ([1, 2], np.array([1, 2], dtype=np.int32), np.array([1.0, 2.0], dtype=np.float32)):
+            scan = Scan(readings, 3)
+            assert scan.readings.dtype == np.float64 and scan.readings.tolist() == [1.0, 2.0]
+            assert type(scan.max_range) is float
+
     def test_readings_are_frozen(self):
         scan = Scan.empty(8, 3.5)
         with pytest.raises(ValueError):
