@@ -168,7 +168,7 @@ def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRo
     y map onto [-world_bounds, world_bounds], the sizes onto ``size_limits``.
     """
     n_slots = genes.shape[1] // GENES_PER_OBSTACLE  # explicit, so that zero genomes reshape too
-    t, x, y, theta, s1, s2 = np.moveaxis(genes.reshape(len(genes), n_slots, GENES_PER_OBSTACLE), 2, 0)
+    t, x, y, theta, s1, s2 = genes.reshape(len(genes), n_slots, GENES_PER_OBSTACLE).transpose(2, 0, 1)
     lo, hi = size_limits
     span = hi - lo
     orientation = np.remainder(theta * math.pi, math.pi)  # normalized to [0, pi) as ObstacleShape does
@@ -239,14 +239,14 @@ def _scorer(query: CfeQuery, model: PolicyModel):
             raise ValueError(f"population shape {pop.shape} is not (P, {length})")
         shapes = _decode_rows(pop, query.world_bounds, query.size_limits)
         rejected = overlaps_disk_rows(shapes, ORIGIN, query.d_min).any(axis=1)
-        fitness = np.full(len(pop), -math.inf)
-        rows = np.arange(len(pop)) if full else np.flatnonzero(~rejected)
-        if rows.size == 0:
-            return fitness, None, None, None, None
-        if len(workspace[0]) < rows.size:
-            workspace = np.empty((rows.size, base.n)), np.empty((rows.size, base.n))
-        merged, diff = (buffer[: rows.size] for buffer in workspace)
-        raycast_rows(ORIGIN, shapes.take(rows), base.n, max_range, out=merged)
+        rows = None if full or not rejected.any() else np.flatnonzero(~rejected)  # None: score every row
+        if rows is not None and rows.size == 0:
+            return np.full(len(pop), -math.inf), None, None, None, None
+        n = len(pop) if rows is None else rows.size
+        if len(workspace[0]) < n:
+            workspace = np.empty((n, base.n)), np.empty((n, base.n))
+        merged, diff = (buffer[:n] for buffer in workspace)
+        raycast_rows(ORIGIN, shapes if rows is None else shapes.take(rows), base.n, max_range, out=merged)
         if query.combination == MIN_DISTANCE:
             np.minimum(readings, merged, out=merged)
         else:  # every actual generated return overrides the base
@@ -257,9 +257,13 @@ def _scorer(query: CfeQuery, model: PolicyModel):
             np.subtract(merged, readings, out=diff)
             proximity = np.abs(diff, out=diff).sum(axis=1) / (base.n * max_range)
         else:
-            proximity = np.zeros(len(rows))
-        fitness[rows] = -query.lambda_y * hinge - query.lambda_p * proximity
-        fitness[rejected] = -math.inf
+            proximity = np.zeros(n)
+        fitness = -query.lambda_y * hinge - query.lambda_p * proximity
+        if rows is not None:
+            fitness, accepted = np.full(len(pop), -math.inf), fitness
+            fitness[rows] = accepted
+        elif full:
+            fitness[rejected] = -math.inf
         return fitness, merged, actions, hinge, proximity
 
     return score

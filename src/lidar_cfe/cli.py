@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__
 from .bridge import external_policy
-from .cfe import ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
+from .cfe import GENES_PER_OBSTACLE, ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_int
 from .model import NetworkPolicy, PolicyModel, scripted_policy
@@ -281,6 +281,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         query = _build_query(data, Scan(data["base_readings"], data["max_range"]), GoalFeatures(**data["goal"]), str(path))
         entries, searches = list(data["results"]), []
+        genomes = np.empty((len(entries), GENES_PER_OBSTACLE * query.n_obstacles))
         for i, entry in enumerate(entries):
             lacking = sorted({"genome", "search"} - set(entry))
             if lacking:
@@ -289,7 +290,14 @@ def verify_results_file(path, model: PolicyModel) -> int:
                 searches.append(SearchFacts(**entry["search"]))
             except (TypeError, ValueError) as exc:
                 raise LidarCfeError(f"{path}: entry {i} search: {exc}") from None
-        results = _package(query, model, np.array([entry["genome"] for entry in entries], dtype=float), searches)
+            try:
+                genome = np.array(entry["genome"], dtype=float)
+                if genome.shape != genomes.shape[1:]:
+                    raise ValueError(f"must be a list of {genomes.shape[1]} numbers, {GENES_PER_OBSTACLE} per obstacle, got shape {genome.shape}")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise LidarCfeError(f"{path}: entry {i} genome: {exc}") from None
+            genomes[i] = genome
+        results = _package(query, model, genomes, searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -127,18 +127,20 @@ def mutate_rows(genomes: np.ndarray, fraction: float, rng: np.random.Generator) 
     if count == 0:
         return out
     where = np.argpartition(rng.random(out.shape), count - 1, axis=1)[:, :count]
-    np.put_along_axis(out, where, rng.random((len(out), count)), axis=1)
+    out[np.arange(len(out))[:, np.newaxis], where] = rng.random((len(out), count))
     return out
 
 
 def _next_generation(pop: np.ndarray, fits: np.ndarray, order: np.ndarray, config: GaConfig, rng) -> np.ndarray:
     parents = pop[tournament_rows(fits, config.parents_mating, config.tournament_size, rng)]
-    elites = pop[order[: config.keep_parents]]
-    n_children = config.population - config.keep_parents
-    pair = np.arange((n_children + 1) // 2)  # pair p mates parents p and p + 1, wrapping around
-    c1, c2 = crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)
-    children = np.stack([c1, c2], axis=1).reshape(-1, pop.shape[1])[:n_children]  # c1, c2 interleaved
-    return np.vstack([elites, mutate_rows(children, config.mutation_fraction, rng)])
+    keep = config.keep_parents
+    pair = np.arange((config.population - keep + 1) // 2)  # pair p mates parents p and p + 1, wrapping around
+    children = np.empty((2 * pair.size, pop.shape[1]))
+    children[0::2], children[1::2] = crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)
+    nxt = np.empty_like(pop)
+    nxt[:keep] = pop[order[:keep]]
+    nxt[keep:] = mutate_rows(children[: len(nxt) - keep], config.mutation_fraction, rng)
+    return nxt
 
 
 def run_ga(config: GaConfig, genome_length: int, fitness, seed: int) -> GaRun:

@@ -222,9 +222,11 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     (``_ray_windows``), outside of which no ray can hit it. The pairs are
     ordered by kind once; each kind's kernel spreads its per-pair terms over
     the windows with ``np.repeat``, so every (pair, ray) element sees the
-    operations and operands of a kernel run on every ray. The distances are
-    scatter-minimized into the rows in scene-major, slot-minor order, so even
-    a tie of +0 and -0 resolves as in a sweep: a reading has a sweep's bits.
+    operations and operands of a kernel run on every ray. With one slot per
+    scene no two elements share a reading, and the distances are written
+    straight into the rows. With several, they are scatter-minimized into the
+    rows in scene-major, slot-minor order, so even a tie of +0 and -0
+    resolves as in a sweep. Either way a reading has a sweep's bits.
 
     The readings are written into ``out``, which the caller gives as a
     C-contiguous (scenes, n_rays) float array, or into a new array; the
@@ -240,17 +242,22 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     block = np.cumsum(w) - w  # first element of each pair's window, in kind order
     element = np.arange(w.sum())
     ray = (element + np.repeat(first[pair] - block, w)) % n_rays
-    element += np.repeat((np.cumsum(width) - width)[pair] - block, w)  # its place in scene-major, slot-minor order
-    t, cell = np.empty(element.size), np.empty_like(element)  # each element's distance and flat reading index, in that order
-    cell[element] = ray + np.repeat(pair // n_slots * n_rays, w)
+    cell = ray + np.repeat(pair // n_slots * n_rays, w)  # each element's flat reading index, in kind order
     cx, cy, cos_o, sin_o, size1, size2 = (getattr(shapes, p).ravel()[pair] for p in ("cx", "cy", "cos_o", "sin_o", "size1", "size2"))
     dx, dy = (d[ray] for d in _ray_directions(n_rays))
     k = rect.size - np.count_nonzero(rect)  # circle pairs
     e = w[:k].sum()  # their elements
-    t[element[:e]] = _circle_hits(origin, w[:k], dx[:e], dy[:e], cx[:k], cy[:k], size1[:k])
-    t[element[e:]] = _rect_hits(origin, w[k:], dx[e:], dy[e:], cx[k:], cy[k:], cos_o[k:], sin_o[k:], size1[k:], size2[k:])
+    circles = _circle_hits(origin, w[:k], dx[:e], dy[:e], cx[:k], cy[:k], size1[:k])
+    rects = _rect_hits(origin, w[k:], dx[e:], dy[e:], cx[k:], cy[k:], cos_o[k:], sin_o[k:], size1[k:], size2[k:])
     out.fill(np.inf)
-    np.minimum.at(out.reshape(-1), cell, t)
+    flat = out.reshape(-1)
+    if n_slots == 1:  # no two elements share a reading
+        flat[cell[:e]], flat[cell[e:]] = circles, rects
+    else:
+        element += np.repeat((np.cumsum(width) - width)[pair] - block, w)  # its place in scene-major, slot-minor order
+        cells, t = np.empty_like(cell), np.empty(cell.size)
+        cells[element], t[element[:e]], t[element[e:]] = cell, circles, rects
+        np.minimum.at(flat, cells, t)
     return np.minimum(out, max_range, out=out)
 
 

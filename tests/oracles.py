@@ -697,3 +697,42 @@ def random_wide_net(rng):
     )
     weights = [tuple(rng.normal(0.0, 0.3, shape) for shape in layer.param_shapes()) or None for layer in layers]
     return NetworkSpec(n_lidar, 3, layers), weights
+
+
+# ---------------------------------------------------------------------------
+# GA breeding as it once ran, with a sorted copy of the contenders,
+# put_along_axis, np.stack and np.vstack. The library's operators must draw
+# the same numbers in the same order and breed the same generation, bit for bit.
+
+
+def frozen_tournament_rows(fitnesses, n_winners, k, rng):
+    contenders = np.sort(np.argpartition(rng.random((n_winners, fitnesses.size)), k - 1, axis=1)[:, :k], axis=1)
+    return contenders[np.arange(n_winners), np.argmax(fitnesses[contenders], axis=1)]
+
+
+def frozen_crossover_rows(a, b, rng):
+    length = a.shape[1]
+    if length == 1:
+        return a.copy(), b.copy()
+    head = np.arange(length) < rng.integers(1, length, size=len(a))[:, np.newaxis]
+    return np.where(head, a, b), np.where(head, b, a)
+
+
+def frozen_mutate_rows(genomes, fraction, rng):
+    out = genomes.copy()
+    count = int(round(fraction * out.shape[1]))
+    if count == 0:
+        return out
+    where = np.argpartition(rng.random(out.shape), count - 1, axis=1)[:, :count]
+    np.put_along_axis(out, where, rng.random((len(out), count)), axis=1)
+    return out
+
+
+def frozen_next_generation(pop, fits, order, config, rng):
+    parents = pop[frozen_tournament_rows(fits, config.parents_mating, config.tournament_size, rng)]
+    elites = pop[order[: config.keep_parents]]
+    n_children = config.population - config.keep_parents
+    pair = np.arange((n_children + 1) // 2)
+    c1, c2 = frozen_crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)
+    children = np.stack([c1, c2], axis=1).reshape(-1, pop.shape[1])[:n_children]
+    return np.vstack([elites, frozen_mutate_rows(children, config.mutation_fraction, rng)])

@@ -46,6 +46,7 @@ from lidar_cfe.model import (
     REVERSE_SPEED,
     ROW_FLOOR,
     SIDE_THRESHOLD,
+    check_action_rows,
     distinct_rows,
 )
 
@@ -335,22 +336,25 @@ def test_scripted_act_batch_equals_the_scalar_oracle(kind, rows):
     # each get their own nearest reading. The near_thresholds rows put their
     # nearest forward and left readings within five blend widths of the
     # thresholds, which keeps the logistic gates off 0 and 1, where the last
-    # bit of exp shows.
+    # bit of exp shows. Each ray count holds the policy's cone and its left
+    # half, which it takes as one run of rays, to the oracle's index sets; at
+    # 8 and 9 rays the cone is ray 0 alone.
     rng = np.random.default_rng(41)
-    goal_angle = rng.uniform(-math.pi, math.pi, 500)
-    if rows == "default":
-        lidar = rng.uniform(rng.uniform(0.0, 0.9, (500, 1)), 1.0, (500, 180))
-    else:
-        lidar = rng.uniform(0.9, 1.0, (500, 180))
-        near = 5.0 * BLEND_WIDTH * rng.uniform(-1.0, 1.0, (500, 2))
-        lidar[:, 0] = np.where(np.arange(500) % 2, BLOCK_THRESHOLD, AVOID_THRESHOLD) + near[:, 0]  # forward, not left
-        lidar[:, 45] = SIDE_THRESHOLD + near[:, 1]  # left, not forward
-    states = np.column_stack([lidar, (np.cos(goal_angle) + 1.0) / 2.0, (np.sin(goal_angle) + 1.0) / 2.0, rng.random(500)])
-    oracle = [scalar_scripted_act(kind, 180, row) for row in states]
-    actions = scripted_policy(kind).act_batch(states)
-    assert np.array_equal(bits(actions), bits(oracle))
-    if rows == "near_thresholds":  # the rows at the block threshold drive at a blended speed
-        assert np.all((actions[1::2, 0] > REVERSE_SPEED) & (actions[1::2, 0] < FORWARD_SPEED))
+    for n in (180, 8, 9, 31, 360):
+        goal_angle = rng.uniform(-math.pi, math.pi, 500)
+        if rows == "default":
+            lidar = rng.uniform(rng.uniform(0.0, 0.9, (500, 1)), 1.0, (500, n))
+        else:
+            lidar = rng.uniform(0.9, 1.0, (500, n))
+            near = 5.0 * BLEND_WIDTH * rng.uniform(-1.0, 1.0, (500, 2))
+            lidar[:, 0] = np.where(np.arange(500) % 2, BLOCK_THRESHOLD, AVOID_THRESHOLD) + near[:, 0]  # forward, not left
+            lidar[:, n // 4] = SIDE_THRESHOLD + near[:, 1]  # left, not forward
+        states = np.column_stack([lidar, (np.cos(goal_angle) + 1.0) / 2.0, (np.sin(goal_angle) + 1.0) / 2.0, rng.random(500)])
+        oracle = [scalar_scripted_act(kind, n, row) for row in states]
+        actions = scripted_policy(kind, n).act_batch(states)
+        assert np.array_equal(bits(actions), bits(oracle)), n
+        if rows == "near_thresholds":  # the rows at the block threshold drive at a blended speed
+            assert np.all((actions[1::2, 0] > REVERSE_SPEED) & (actions[1::2, 0] < FORWARD_SPEED))
 
 
 class FixedBatchPolicy(PolicyModel):
@@ -368,7 +372,14 @@ class FixedBatchPolicy(PolicyModel):
 
 @pytest.mark.parametrize(
     "actions, message",
-    [([[0.0, 2.0]], "action values must lie in [-1, 1], got [0.0, 2.0]"), ([[math.nan, 0.0]], "action values must be finite")],
+    [
+        ([[0.0, 2.0]], "action values must lie in [-1, 1], got [0.0, 2.0]"),
+        ([[math.nan, 0.0]], "action values must be finite"),
+        ([[math.inf, 0.0]], "action values must be finite"),
+        ([[0.0, -math.inf]], "action values must be finite"),
+        ([[math.nextafter(1.0, 2.0), 0.0]], "action values must lie in [-1, 1], got [1.0000000000000002, 0.0]"),
+        ([[0.0, -math.nextafter(1.0, 2.0)]], "action values must lie in [-1, 1], got [0.0, -1.0000000000000002]"),
+    ],
 )
 def test_batched_actions_keep_action_vector_checks(actions, message):
     with pytest.raises(ValueError) as single:
@@ -378,6 +389,12 @@ def test_batched_actions_keep_action_vector_checks(actions, message):
     with pytest.raises(ModelError) as batched:
         objective(np.full((1, GENES_PER_OBSTACLE), 0.9))
     assert str(batched.value) == message
+
+
+def test_action_check_passes_the_closed_interval_and_empty_batches():
+    check_action_rows(np.array([[-1.0, 1.0], [-0.0, 0.0]]))
+    for empty in (np.empty((0, 2)), np.empty((3, 0))):
+        check_action_rows(empty)
 
 
 def test_act_batch_of_the_wrong_shape_is_a_model_error():

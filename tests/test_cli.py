@@ -201,8 +201,11 @@ class TestExplainCommand:
             (lambda data: data["bounds"].__setitem__(0, [0.5, -0.5]), "results.json: every lower bound must be <= its upper bound"),
             (lambda data: data["results"][1].pop("achieved_action"), "results.json: entry 1 lacks achieved_action"),
             (lambda data: data.pop("d_g_max"), "results.json: missing field 'd_g_max'"),
+            (lambda data: data["results"][1]["genome"].__setitem__(2, "x"), "results.json: entry 1 genome: could not convert string to float: 'x'"),
+            (lambda data: data["results"][1]["genome"].pop(), r"results.json: entry 1 genome: must be a list of 30 numbers, 6 per obstacle, got shape \(29,\)"),
+            (lambda data: data["results"][1]["genome"].__setitem__(0, 10**400), "results.json: entry 1 genome: int too large to convert to float"),
         ],
-        ids=["goal-off-unit-circle", "crossed-bounds", "no-achieved-action", "no-d_g_max"],
+        ids=["goal-off-unit-circle", "crossed-bounds", "no-achieved-action", "no-d_g_max", "string-gene", "short-genome", "huge-gene"],
     )
     def test_verify_names_the_file_or_entry_with_malformed_fields(self, tmp_path, edit, message):
         path = self.edited_results(tmp_path, edit)
@@ -978,6 +981,63 @@ def test_explain_with_any_overrides_exits_0_2_or_3(overrides, generations):
         for setting in [f"{key}={value}" for key, value in overrides] + TINY_GA + [f"ga.generations={generations}"]:
             args += ["--set", setting]
         assert main(args) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL)
+
+
+TINY_NET = """format: 1
+lidar: 8
+extra: 3
+layer: conv1d in=1 out=2 kernel=3 stride=1 padding=1 circular=yes
+weights: 0.04 -0.04 0.19 0.03 -0.16 0.11
+bias: 0.39 0.28
+layer: activation relu
+layer: dense in=19 out=2
+weights: """ + " ".join(f"{0.01 * (i % 7 - 3):.2f}" for i in range(38)) + """
+bias: 0.44 0.59
+layer: activation tanh
+"""
+NET_LINES = [line.split() for line in TINY_NET.splitlines()]
+NET_TOKENS = sorted({token for line in NET_LINES for token in line}) + [
+    "", "#", "=", "x", "nan", "inf", "-inf", "-0", "1e308", "1e999", "0x10", "1_0", "\u0663", str(10**30),
+    "in=", "out=0", "out=-1", "kernel=0", "stride=0", "padding=-1", "circular=maybe", "circular=no",
+    "lidar:", "extra:", "format:", "conv1d", "dense", "sigmoid", "in=10", "out=3", "kernel=99", "stride=4",
+]
+LINE_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "drop-line", "copy-line"]),
+    st.integers(0, len(NET_LINES) - 1),
+    st.integers(0, 40),
+    st.sampled_from(NET_TOKENS),
+)
+
+
+def test_the_tiny_net_validates():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_text(TINY_NET)
+        assert main(["validate-model", "--model", f"weights:{path}", "--n-rays", "8"]) == EXIT_OK
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(LINE_EDITS, min_size=1, max_size=4))
+def test_validate_model_on_any_token_edit_of_a_weight_file_exits_0_2_or_3(edits):
+    lines = [list(line) for line in NET_LINES]
+    for op, i, j, token in edits:
+        if not lines:
+            break
+        line = lines[i % len(lines)]
+        if op == "replace" and line:
+            line[j % len(line)] = token
+        elif op == "insert":
+            line.insert(j % (len(line) + 1), token)
+        elif op == "delete" and line:
+            del line[j % len(line)]
+        elif op == "drop-line":
+            lines.remove(line)
+        elif op == "copy-line":
+            lines.insert(j % (len(lines) + 1), list(line))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_text("\n".join(" ".join(line) for line in lines) + "\n", encoding="utf-8")
+        assert main(["validate-model", "--model", f"weights:{path}", "--n-rays", "8"]) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL)
 
 
 @pytest.mark.parametrize("make", [NoisyPolicy, BatchMeanPolicy], ids=["noisy", "batch-mean"])

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidar_cfe import GaConfig, ga, run_ga
 from lidar_cfe.ga import _next_generation, crossover_rows, mutate_rows, tournament_rows
 
-from oracles import rowwise
+from oracles import frozen_mutate_rows, frozen_next_generation, rowwise
 
 
 def l1_objective(pop):
@@ -237,6 +239,37 @@ class TestNextGeneration:
     def test_elites_copied_unchanged(self):
         pop, order, nxt = breed(30, keep_parents=3, genome_length=6)
         assert np.array_equal(nxt[:3], pop[order[:3]])  # the three fittest
+
+
+@st.composite
+def breeding_cases(draw):
+    """A config, a genome length and a seed; fitnesses hold ties and -inf."""
+    population = draw(st.integers(1, 40))
+    parents_mating = draw(st.integers(1, population))
+    config = GaConfig(
+        population=population,
+        parents_mating=parents_mating,
+        keep_parents=draw(st.integers(0, parents_mating)),
+        tournament_size=draw(st.integers(1, population)),
+        mutation_fraction=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+    )
+    return config, draw(st.integers(1, 13)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=breeding_cases())
+@example(case=(GaConfig(population=8, parents_mating=3, keep_parents=0, tournament_size=2, mutation_fraction=1.0), 1, 5))
+@example(case=(GaConfig(population=12, parents_mating=4, keep_parents=1, tournament_size=3, mutation_fraction=1.0), 6, 6))
+def test_breeding_equals_the_frozen_operators(case):
+    config, length, seed = case
+    rng = np.random.default_rng(seed)
+    pop = rng.random((config.population, length))
+    fits = np.where(rng.random(config.population) < 0.2, -math.inf, np.round(rng.normal(size=config.population), 1))
+    order = np.argsort(-fits, kind="stable")
+    ours, frozen = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert _next_generation(pop, fits, order, config, ours).tobytes() == frozen_next_generation(pop, fits, order, config, frozen).tobytes()
+    assert mutate_rows(pop, config.mutation_fraction, ours).tobytes() == frozen_mutate_rows(pop, config.mutation_fraction, frozen).tobytes()
+    assert ours.random() == frozen.random()  # the same draws, so the generators stay in step
 
 
 class TestRunGa:

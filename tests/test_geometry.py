@@ -451,6 +451,15 @@ def test_zero_distance_ties_resolve_in_slot_order():
     assert opposite.any(axis=1).all()  # every scene has a ray whose two slots disagree on the sign of zero
     assert_same_bits(ORIGIN, shapes, 180)
     assert_same_bits(ORIGIN, shapes, 7)
+    # Each slot alone: one slot per scene, whose distances are written straight
+    # into the rows. Every bounding circle reaches the sensor, so every window
+    # is the whole scan, and the readings hold zeros of both signs.
+    for k, readings in enumerate(one_slot):
+        alone = shapes.take((slice(None), [k]))
+        assert np.all(_ray_windows(ORIGIN, alone, 180)[1] == 180)
+        assert set(np.signbit(readings[readings == 0.0]).tolist()) == {False, True}
+        assert_same_bits(ORIGIN, alone, 180)
+        assert_same_bits(ORIGIN, alone, 7)
 
 
 @pytest.mark.parametrize("batch", ["circles", "rectangles", "no_slots", "no_scenes"])
