@@ -8,25 +8,12 @@ import select
 import shlex
 import subprocess
 import time
+from itertools import chain
 
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
-from .model import PolicyModel, check_action_rows, distinct_rows
-
-
-def _state_lines(states: np.ndarray) -> bytes:
-    """One LF-terminated line of ``repr`` decimals per state row.
-
-    Rows share most values (the base scan, the goal), so each distinct
-    value, told apart by its bits so that -0.0 stays distinct from 0.0, is
-    formatted once.
-    """
-    bits = np.ascontiguousarray(states, dtype=float).view(np.int64)
-    distinct, where = np.unique(bits, return_inverse=True)
-    texts = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    rows = texts[where.reshape(states.shape)].tolist()
-    return "".join([" ".join(row) + "\n" for row in rows]).encode("ascii")
+from .model import PolicyModel, check_action_rows, row_keys
 
 
 class ExternalPolicy(PolicyModel):
@@ -41,11 +28,19 @@ class ExternalPolicy(PolicyModel):
     replies, so the process may get later state lines before its earlier
     replies are read. It must answer in order, one line per request; the
     wire format is the same as for a single ``act``. Each distinct state of
-    a batch is sent once, in the order of its first occurrence
-    (``distinct_rows``), and its answer is copied to its repeats, so the
-    process must answer a line as a function of that line alone. A timeout,
-    a protocol error or output that arrives before a batch is sent closes
-    the process, and later calls raise.
+    a batch is sent once, in the order of its first occurrence, and its
+    answer is copied to its repeats. A state that the previous call sent or
+    recalled is not sent again: its answer is recalled. ``_set_reference``
+    and ``close`` forget those answers. So the process must answer a line as
+    a function of that line alone, across calls too. A timeout, a protocol
+    error or output that arrives before a batch is sent closes the process,
+    and later calls raise.
+
+    A state line is ``repr`` decimals. Each is built from the reference
+    state's line (``_set_reference``, else the first state sent), with the
+    runs of values whose bits differ from the reference's formatted anew,
+    so -0.0 and 0.0 are written apart and the line is the same as a
+    from-scratch one.
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
@@ -57,6 +52,8 @@ class ExternalPolicy(PolicyModel):
         argv = shlex.split(command) if isinstance(command, str) else [str(a) for a in command]
         self.command = argv
         self._buffer = b""
+        self._answers: dict[bytes, list[float]] = {}  # the last call's answers, by the state's bytes
+        self._reference: tuple | None = None  # the reference's bits, its line and each value's span in the line
         self._proc: subprocess.Popen | None = None
         try:
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -80,15 +77,43 @@ class ExternalPolicy(PolicyModel):
             raise BridgeError(f"state length {states.shape[1]}, bridge expects {self.input_size}")
         if len(states) == 0:
             return np.empty((0, self.output_size))
-        distinct, inverse = distinct_rows(states)
         self._reject_unsolicited()
-        lines = self._exchange(_state_lines(distinct), len(distinct), "action")
-        try:
-            actions = [self._parse_action(line) for line in lines]
-        except BridgeError:
-            self.close()
-            raise
-        return np.array(actions)[inverse]
+        keys = row_keys(np.ascontiguousarray(states, dtype=float))
+        answers = {key: self._answers.get(key) for key in keys}  # each distinct state, first occurrence first
+        fresh = [key for key, action in answers.items() if action is None]
+        if fresh:
+            rows = np.frombuffer(b"".join(fresh)).reshape(len(fresh), self.input_size)
+            lines = self._exchange(self._lines(rows), len(fresh), "action")
+            try:
+                answers.update(zip(fresh, [self._parse_action(line) for line in lines]))
+            except BridgeError:
+                self.close()
+                raise
+        self._answers = answers
+        return np.array([answers[key] for key in keys])
+
+    def _set_reference(self, state: np.ndarray) -> None:
+        state = np.array(state, dtype=float)
+        texts = [repr(v) for v in state.tolist()]
+        lengths = np.array([len(text) for text in texts], dtype=np.intp)
+        ends = np.cumsum(lengths + 1) - 1  # one past each value's last character
+        self._reference = (state.view(np.int64), " ".join(texts) + "\n", ends - lengths, ends)
+        self._answers = {}
+
+    def _lines(self, rows: np.ndarray) -> bytes:
+        """One LF-terminated line of ``repr`` decimals per row of a C-contiguous (F, n) array."""
+        if self._reference is None:
+            self._set_reference(rows[0])
+        bits, line, starts, ends = self._reference
+        changed = rows.view(np.int64) != bits
+        r, c = np.nonzero(np.diff(changed, axis=1, prepend=False, append=False))  # a run of changed values opens and closes
+        first, stop, at = c[::2], c[1::2], r[::2] * len(line)
+        texts = [repr(v) for v in rows[changed].tolist()]
+        bounds = np.cumsum(stop - first).tolist()
+        runs = map(" ".join, map(texts.__getitem__, map(slice, [0, *bounds[:-1]], bounds)))
+        text = line * len(rows)  # every row as the reference's line; the gaps between runs are cut from it
+        gaps = map(text.__getitem__, map(slice, [0, *(at + ends[stop - 1]).tolist()], [*(at + starts[first]).tolist(), len(text)]))
+        return "".join([next(gaps), *chain.from_iterable(zip(runs, gaps))]).encode("ascii")
 
     def _parse_action(self, line: str) -> list[float]:
         """The values of one action line, checked for arity, then for numbers, then for range."""
@@ -166,6 +191,7 @@ class ExternalPolicy(PolicyModel):
 
     def close(self) -> None:
         """Terminate the child process; safe to call more than once."""
+        self._answers = {}
         proc = self._proc
         if proc is None:
             return

@@ -7,7 +7,6 @@ satisfied the bounds), 2 input error, 3 model error, 4 internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -219,13 +218,6 @@ def load_model(spec: str, n_inputs: int, n_outputs: int, timeout: float = 5.0) -
     return model
 
 
-def _model_hash(spec: str) -> str | None:
-    form, path = _split_model_spec(spec)
-    if form == "weights" and path and Path(path).exists():
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Results files
 
@@ -300,7 +292,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
         results = _package(query, model, genomes, searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise LidarCfeError(f"{path}: {exc}") from None
     if len(entries) != query.n_cfes:
         raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")
@@ -372,7 +364,7 @@ def cmd_explain(args) -> int:
         "command": "explain",
         "query_file": str(args.query),
         "base_file": meta["base"],
-        "model": {"spec": args.model, "sha256": _model_hash(args.model)},
+        "model": {"spec": args.model, "sha256": getattr(model, "file_sha256", None)},
         "query": {key: value for key, value in _query_settings(query).items() if key != "seed"},
         "ga": asdict(ga_config),
         "seeds": [query.seed + i for i in range(query.n_cfes)],

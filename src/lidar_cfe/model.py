@@ -10,6 +10,7 @@ without any ML framework.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -73,7 +74,8 @@ class PolicyModel:
         Every model defines this. Row i must not depend on the other rows.
         ``NetworkPolicy`` and ``ExternalPolicy`` compute or send each
         distinct state of a batch once, so their row i may come from an
-        earlier, bit-equal row.
+        earlier, bit-equal row; ``ExternalPolicy``'s also from one of its
+        previous batch.
         """
         raise NotImplementedError(f"{type(self).__name__} does not define act_batch")
 
@@ -208,6 +210,12 @@ class NetworkSpec:
         return dense_size
 
 
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous (P, n) float array: two keys compare equal only when every bit does."""
+    width = rows.itemsize * rows.shape[1]
+    return rows.view(np.dtype((np.void, width)))[:, 0].tolist() if width else [b""] * len(rows)
+
+
 def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a (P, n) float array, and where each row of it went.
 
@@ -217,10 +225,8 @@ def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``distinct`` keeps the rows in the order of their first occurrence.
     """
     rows = np.ascontiguousarray(states, dtype=float)
-    width = rows.itemsize * rows.shape[1]
-    keys = rows.view(np.dtype((np.void, width)))[:, 0].tolist() if width else [b""] * len(rows)
-    ids: dict[bytes, int] = {}  # bytes keys compare equal only when every bit does
-    inverse = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.intp)
+    ids: dict[bytes, int] = {}
+    inverse = np.array([ids.setdefault(key, len(ids)) for key in row_keys(rows)], dtype=np.intp)
     first = np.empty(len(rows), dtype=bool)  # a row is a first occurrence when it opens a new id
     first[:1] = True
     np.greater(inverse[1:], np.maximum.accumulate(inverse)[:-1], out=first[1:])
@@ -439,6 +445,8 @@ class NetworkPolicy(PolicyModel):
     the conv layers run only where a state's rays differ from the reference's.
     """
 
+    file_sha256: str | None = None  # set by from_file: the sha256 of the bytes it parsed
+
     def __init__(self, spec: NetworkSpec, weights) -> None:
         last = spec.layers[-1] if spec.layers else None
         if not (isinstance(last, Activation) and last.fn == TANH):
@@ -467,8 +475,10 @@ class NetworkPolicy(PolicyModel):
 
     @classmethod
     def from_file(cls, path) -> "NetworkPolicy":
-        spec, weights = load_weight_file(path)
-        return cls(spec, weights)
+        text, digest = _read_weight_file(path)
+        policy = cls(*load_weight_file(path, text))
+        policy.file_sha256 = digest
+        return policy
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +559,22 @@ def _parse_layer(layer_type, tokens: list[str], where: str) -> Layer:
         raise ModelError(f"{where}: {exc}") from None
 
 
-def load_weight_file(path) -> tuple[NetworkSpec, list]:
-    """Parse a weight file back into a spec and aligned weight list."""
-    path = Path(path)
+def _read_weight_file(path) -> tuple[str, str]:
+    """The text of a weight file and the sha256 of its bytes, both from one read."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ModelError(f"cannot read weight file {path}: {exc}") from exc
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
+def load_weight_file(path, text: str | None = None) -> tuple[NetworkSpec, list]:
+    """Parse a weight file back into a spec and aligned weight list.
+
+    ``text``, when given, is the file's content as already read; ``path`` then only names the file in messages.
+    """
+    path = Path(path)
+    text = _read_weight_file(path)[0] if text is None else text
 
     lines: list[tuple[str, list[str]]] = []  # each key with its value and continuation lines, joined once below
     for raw in text.splitlines():

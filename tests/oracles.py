@@ -8,7 +8,9 @@ kernel, so that tests can hold that kernel against ``naive_conv1d``.
 ``full_sweep_raycast_rows`` keeps a frozen copy of the element-wise hit
 kernels that ``raycast_rows`` once ran on every ray, so that the library's
 per-pair kernels and windows are both checked against the arithmetic they
-must reproduce bit for bit.
+must reproduce bit for bit. ``frozen_state_lines`` keeps the bridge's
+former line formatter, which formatted every distinct value of a batch, so
+that the reference-spliced lines are checked against it byte for byte.
 """
 
 from __future__ import annotations
@@ -736,3 +738,12 @@ def frozen_next_generation(pop, fits, order, config, rng):
     c1, c2 = frozen_crossover_rows(parents[pair % len(parents)], parents[(pair + 1) % len(parents)], rng)
     children = np.stack([c1, c2], axis=1).reshape(-1, pop.shape[1])[:n_children]
     return np.vstack([elites, frozen_mutate_rows(children, config.mutation_fraction, rng)])
+
+
+def frozen_state_lines(states: np.ndarray) -> bytes:
+    """One LF-terminated line of ``repr`` decimals per state row, each distinct value (by its bits) formatted once."""
+    bits = np.ascontiguousarray(states, dtype=float).view(np.int64)
+    distinct, where = np.unique(bits, return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    rows = texts[where.reshape(states.shape)].tolist()
+    return "".join([" ".join(row) + "\n" for row in rows]).encode("ascii")

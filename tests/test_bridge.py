@@ -1,10 +1,15 @@
+import math
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidar_cfe import BridgeError, BridgeTimeout, ModelState, external_policy
+
+from oracles import frozen_state_lines
 
 N_INPUTS = 19  # 16 rays + 3 goal features keeps the protocol tests fast
 N_OUTPUTS = 2
@@ -412,3 +417,126 @@ for i, line in enumerate(sys.stdin):
         assert str(raised.value) == "bad action line '1.5 0.0': action values must lie in [-1, 1], got [1.5, 0.0]"
         with pytest.raises(BridgeError, match="policy process is closed"):
             policy.act_batch(base[order])
+
+
+def received_rows(log):
+    """The bytes of each state line a logging child received, parsed back to floats."""
+    return [np.array([float(v) for v in line.split()]).tobytes() for line in log.read_text().splitlines()]
+
+
+def eight_states():
+    """Eight distinct states; states 0 and 1 differ only in the sign of a zero."""
+    base = echo_states(8)
+    base[1] = base[0]
+    base[1, 0] = 0.0
+    return base
+
+
+def test_act_batch_sends_only_the_states_the_previous_batch_did_not_answer(bridge_script, tmp_path):
+    # The second batch recalls 2 and 0, which the first sent. The third recalls 0,
+    # which the second recalled, and 6, which it sent; 3, which only the first
+    # batch sent, goes out again.
+    base = eight_states()
+    batches = [[0, 1, 2, 1, 3], [4, 2, 0, 5, 4, 6], [0, 3, 6, 7, 0]]
+    log = tmp_path / "received.txt"
+    with external_policy(bridge_script(LOGGING_CHILD) + [str(log)], N_INPUTS, N_OUTPUTS) as policy:
+        for order in batches:
+            states = base[order]
+            assert policy.act_batch(states).tobytes() == np.stack([-states[:, 0], states[:, -1]], axis=1).tobytes()
+    sent = [0, 1, 2, 3, 4, 5, 6, 3, 7]
+    assert received_rows(log) == [base[i].tobytes() for i in sent]
+    assert log.read_bytes() == frozen_state_lines(base[sent])
+
+
+def test_set_reference_and_a_new_bridge_forget_the_answers(bridge_script, tmp_path):
+    base = eight_states()
+    logs = tmp_path / "first.txt", tmp_path / "second.txt"
+    with external_policy(bridge_script(LOGGING_CHILD) + [str(logs[0])], N_INPUTS, N_OUTPUTS) as policy:
+        policy.act_batch(base[:3])
+        policy._set_reference(base[5])
+        policy.act_batch(base[:3])
+    with external_policy(bridge_script(LOGGING_CHILD) + [str(logs[1])], N_INPUTS, N_OUTPUTS) as policy:
+        policy.act_batch(base[:3])
+    assert received_rows(logs[0]) == [row.tobytes() for row in base[[0, 1, 2, 0, 1, 2]]]
+    assert logs[0].read_bytes() == frozen_state_lines(base[[0, 1, 2, 0, 1, 2]])
+    assert received_rows(logs[1]) == [row.tobytes() for row in base[:3]]
+
+
+def test_a_closed_bridge_raises_for_states_it_answered(bridge_script):
+    states = eight_states()[:3]
+    with external_policy(echo_child(bridge_script), N_INPUTS, N_OUTPUTS) as policy:
+        policy.act_batch(states)
+        policy.close()
+        with pytest.raises(BridgeError, match="policy process is closed"):
+            policy.act_batch(states)
+
+
+def test_unsolicited_reply_is_rejected_before_a_batch_the_previous_one_answers(bridge_script):
+    body = f"""
+import sys
+print("HELLO {N_INPUTS} {N_OUTPUTS}", flush=True)
+for line in sys.stdin:
+    print("0.5 0.0", flush=True)
+    print("0.5 0.5", flush=True)
+"""
+    state = make_state(np.full(N_INPUTS, 0.25))
+    with external_policy(bridge_script(body), N_INPUTS, N_OUTPUTS) as policy:
+        assert policy.act(state).values.tolist() == [0.5, 0.0]
+        time.sleep(0.2)
+        with pytest.raises(BridgeError, match=r"unsolicited output .*0\.5 0\.5"):
+            policy.act(state)
+
+
+def test_timeout_after_a_recall_counts_the_lines_sent(bridge_script):
+    base = eight_states()
+    with external_policy(echo_child(bridge_script, stall_after=3), N_INPUTS, N_OUTPUTS, timeout=0.4) as policy:
+        policy.act_batch(base[:2])
+        with pytest.raises(BridgeTimeout, match=r"\(1 of 3 answered\)"):
+            policy.act_batch(base[:5])
+
+
+@pytest.fixture(scope="module")
+def line_bridge(tmp_path_factory):
+    """One bridge whose line formatter the property test drives; its process is never asked."""
+    path = tmp_path_factory.mktemp("bridge") / "policy.py"
+    path.write_text(CONSTANT_RESPONDER)
+    with external_policy([sys.executable, str(path)], N_INPUTS, N_OUTPUTS) as policy:
+        yield policy
+
+
+OTHER_NAN = float(np.array([0x7FF8000000000001]).view(float)[0])  # a NaN with another payload
+STATE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.1, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, OTHER_NAN]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def state_batches(draw):
+    """A reference state and a batch of its edits, repeats, sign flips and unrelated states."""
+    n = draw(st.integers(0, 12))
+    reference = np.array(draw(st.lists(STATE_VALUES, min_size=n, max_size=n)), dtype=float)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["reference", "edited", "unrelated", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "unrelated":
+            rows.append(np.array(draw(st.lists(STATE_VALUES, min_size=n, max_size=n)), dtype=float))
+        else:
+            row = reference.copy()
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=n)) if kind == "edited" and n else []:
+                row[i] = -row[i] if draw(st.booleans()) else draw(STATE_VALUES)
+            rows.append(row)
+    return reference, np.array(rows).reshape(len(rows), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=state_batches(), with_reference=st.booleans())
+def test_spliced_lines_equal_lines_formatted_from_scratch(line_bridge, batch, with_reference):
+    reference, rows = batch
+    if with_reference:
+        line_bridge._set_reference(reference)
+    else:
+        line_bridge._reference = None  # the first row sent becomes the reference
+    assert line_bridge._lines(rows) == frozen_state_lines(rows)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -5,7 +6,7 @@ import re
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,21 +17,28 @@ from hypothesis import strategies as st
 
 from lidar_cfe import (
     ActionBounds,
+    Activation,
     CfeQuery,
+    Dense,
     GaConfig,
     GoalFeatures,
     LidarCfeError,
+    ModelError,
+    NetworkPolicy,
+    NetworkSpec,
     PolicyModel,
     Scan,
     Scenario,
+    external_policy,
     generate_cfes,
+    save_weight_file,
     scripted_policy,
 )
 from lidar_cfe import cli
 from lidar_cfe.cfe import _package
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
-from test_cfe import BatchMeanPolicy, NoisyPolicy
+from test_cfe import BatchMeanPolicy, NoisyPolicy, swerve_query
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1051,3 +1059,119 @@ def test_explain_with_a_model_that_scores_a_genome_two_ways_exits_3(tmp_path, ca
     code = main(["explain", str(query), "--model", "scripted:left_preferrer", "-o", str(tmp_path / "out"), "--set", "ga.generations=3"])
     assert code == EXIT_MODEL
     assert "model is not deterministic: search " in capsys.readouterr().err
+
+
+# An exec: child that answers left_preferrer plus seeded N(0, 0.3) noise on every line: the
+# line-protocol counterpart of NoisyPolicy.
+NOISY_CHILD = f"""
+import sys
+sys.path.insert(0, {str(Path(cli.__file__).resolve().parents[1])!r})
+import numpy as np
+from lidar_cfe import scripted_policy
+policy, rng = scripted_policy("left_preferrer"), np.random.default_rng(0)
+print(f"HELLO {{policy.input_size}} {{policy.output_size}}", flush=True)
+for line in sys.stdin:
+    action = policy.act_batch(np.array([[float(v) for v in line.split()]]))[0] + rng.normal(0.0, 0.3, 2)
+    print(" ".join(repr(float(v)) for v in np.clip(action, -1.0, 1.0)), flush=True)
+"""
+
+
+def noisy_child(tmp_path):
+    path = tmp_path / "noisy_child.py"
+    path.write_text(NOISY_CHILD)
+    return f"{sys.executable} {path}"
+
+
+def test_a_noisy_exec_child_is_refused_even_when_its_answers_are_recalled(tmp_path):
+    # One search: packaging scores only its best genome, which the search's last
+    # batch answered, so a recalled answer would hide the noise.
+    with external_policy(noisy_child(tmp_path), 183, 2) as policy:
+        with pytest.raises(ModelError, match=r"model is not deterministic: search \d+ saw fitness .+, packaging scored the same genome"):
+            generate_cfes(replace(swerve_query(), n_cfes=1), policy, GaConfig(generations=3))
+
+
+def test_explain_with_a_noisy_exec_child_exits_3(tmp_path, capsys):
+    query = tmp_path / "query.yaml"
+    query.write_text("base: room.yaml\nbounds: [[0.9, 1.0], [-1.0, -0.5]]\nn_obstacles: 1\nn_cfes: 1\nseed: 3\n")
+    write_empty_room(tmp_path)
+    args = ["--model", f"exec:{noisy_child(tmp_path)}", "-o", str(tmp_path / "out"), "--set", "ga.generations=3"]
+    assert main(["explain", str(query), *args]) == EXIT_MODEL
+    assert "model is not deterministic: search " in capsys.readouterr().err
+
+
+def test_manifest_hashes_the_weight_file_bytes_that_were_parsed(tmp_path, monkeypatch):
+    path = tmp_path / "net.txt"
+    save_weight_file(path, NetworkSpec(180, 3, (Dense(183, 2), Activation("tanh"))), [(np.zeros((2, 183)), np.zeros(2)), None])
+    parsed = hashlib.sha256(path.read_bytes()).hexdigest()
+    act_batch = NetworkPolicy.act_batch
+
+    def rewriting_act_batch(self, states):  # the first call replaces the weight file on disk
+        if hashlib.sha256(path.read_bytes()).hexdigest() == parsed:
+            path.write_text(path.read_text().replace("bias: 0.0 0.0", "bias: 0.5 0.5"))
+        return act_batch(self, states)
+
+    monkeypatch.setattr(NetworkPolicy, "act_batch", rewriting_act_batch)
+    out = tmp_path / "out"
+    assert main(explain_reverse(tmp_path, "--model", f"weights:{path}", "-o", str(out), "--set", "n_cfes=1", "--no-plots", *FAST_GA)) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != parsed
+    assert json.loads((out / "manifest.json").read_text())["model"]["sha256"] == parsed
+
+
+@pytest.fixture(scope="module")
+def reverse_results(tmp_path_factory):
+    """The parsed content of a 3-entry reverse results.json."""
+    tmp_path = tmp_path_factory.mktemp("reverse")
+    write_empty_room(tmp_path)
+    out = tmp_path / "out"
+    assert main(["explain", str(write_reverse_query(tmp_path, "room.yaml")), "--model", "scripted:goal_seeker", "-o", str(out), "--no-plots", *FAST_GA]) == EXIT_OK
+    return json.loads((out / "results.json").read_text())
+
+
+def json_paths(node, prefix=()):
+    """The path to every mapping value and list element under ``node``, taking of each list its first two and its last."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = [(i, node[i]) for i in sorted({0, 1, len(node) - 1}) if 0 <= i < len(node)]
+    else:
+        return []
+    return [path for key, child in items for path in [(*prefix, key), *json_paths(child, (*prefix, key))]]
+
+
+DELETE = object()
+JSON_VALUES = st.one_of(
+    st.just(DELETE),
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "-inf", "generations", "saturate", "rectangle", "circle"]),
+    st.lists(st.floats(-5.0, 5.0), max_size=3),
+    st.dictionaries(st.sampled_from(["seed", "kind", "cos", "x"]), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), JSON_VALUES), min_size=1, max_size=2))
+def test_verify_of_any_one_or_two_field_edit_verifies_or_raises_lidar_cfe_error(reverse_results, edits):
+    data = json.loads(json.dumps(reverse_results))
+    for pick, value in edits:
+        paths = json_paths(data)
+        if not paths:
+            break
+        *parents, last = paths[pick % len(paths)]
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.json"
+        path.write_text(json.dumps(data))
+        try:
+            verify_results_file(path, scripted_policy("goal_seeker"))
+        except LidarCfeError:
+            pass
