@@ -9,7 +9,6 @@ every counterfactual corresponds to a physically placeable scene rather
 than free-form per-ray noise.
 """
 
-from .bridge import external_policy
 from .cfe import ActionBounds, CfeQuery, CfeResult, fitness_for_query, generate_cfes
 from .errors import BridgeError, BridgeTimeout, InputError, LidarCfeError, ModelError, NetworkConfigError
 from .ga import GaConfig, run_ga
@@ -19,6 +18,13 @@ from .scan import GoalFeatures, ModelState, Scan
 from .scenario import Scenario, load_scenario
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # external_policy imports the bridge, and with it subprocess, on first use
+    if name != "external_policy":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .bridge import external_policy
+    return external_policy
 
 __all__ = [
     "ActionBounds",

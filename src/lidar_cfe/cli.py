@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bridge import external_policy
 from .cfe import GENES_PER_OBSTACLE, ActionBounds, CfeQuery, CfeResult, SearchFacts, _act_rows, _package, generate_cfes
 from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_int
@@ -193,6 +192,12 @@ def _split_model_spec(spec: str) -> tuple[str, str]:
     if sep and form in ("scripted", "exec", "weights"):
         return form, argument
     return "weights", spec  # a bare weight-file path
+
+
+def external_policy(command: str, n_inputs: int, n_outputs: int, timeout: float) -> PolicyModel:
+    """Start an ``exec:`` model; the bridge, and with it subprocess, is imported only here."""
+    from .bridge import external_policy
+    return external_policy(command, n_inputs, n_outputs, timeout=timeout)
 
 
 def load_model(spec: str, n_inputs: int, n_outputs: int, timeout: float = 5.0) -> PolicyModel:

@@ -27,10 +27,14 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a real number; a bool is not one."""
+def require_real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a real number a float can hold (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

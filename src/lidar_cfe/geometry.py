@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .ga import require_real
 from .scan import Scan
 
 CIRCLE = "circle"
@@ -38,7 +39,7 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (math.isfinite(require_real("point x", self.x)) and math.isfinite(require_real("point y", self.y))):
             raise ValueError(f"point must be finite, got ({self.x}, {self.y})")
 
 
@@ -62,7 +63,7 @@ class ObstacleShape:
 
     def __post_init__(self) -> None:
         if self.kind == CIRCLE:
-            if self.radius is None or not (0.0 < self.radius < math.inf):
+            if self.radius is None or not (0.0 < require_real("radius", self.radius) < math.inf):
                 raise ValueError(f"circle radius must be positive, got {self.radius}")
             object.__setattr__(self, "radius", float(self.radius))
             object.__setattr__(self, "half_extents", None)
@@ -70,10 +71,10 @@ class ObstacleShape:
         elif self.kind == RECTANGLE:
             if self.half_extents is None:
                 raise ValueError("rectangle needs half_extents")
-            hx, hy = (float(h) for h in self.half_extents)
+            hx, hy = (require_real("half_extents", h) for h in self.half_extents)
             if not (0.0 < hx < math.inf and 0.0 < hy < math.inf):
                 raise ValueError(f"rectangle half_extents must be positive, got {self.half_extents}")
-            if not math.isfinite(self.orientation):
+            if not math.isfinite(require_real("orientation", self.orientation)):
                 raise ValueError(f"orientation must be finite, got {self.orientation}")
             turn = float(self.orientation) % math.pi
             if turn >= math.pi:  # float mod can round up to the divisor itself

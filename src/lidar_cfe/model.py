@@ -13,6 +13,7 @@ import functools
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, get_args
@@ -617,13 +618,15 @@ def load_weight_file(path, text: str | None = None) -> tuple[NetworkSpec, list]:
         for name, shape in zip(_PARAMS, layer.param_shapes()):
             if pos >= len(entries) or entries[pos][0] != name:
                 raise NetworkConfigError(f"{where}: missing {name}")
-            values = entries[pos][1].split()
+            try:  # ASCII decimals between ASCII whitespace; older numpy only warns on text it cannot read
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    values = np.fromstring(entries[pos][1], sep=" ")
+            except (ValueError, DeprecationWarning) as exc:
+                raise ModelError(f"{where} {name}: bad number ({exc})") from None
             if len(values) != math.prod(shape):
                 raise NetworkConfigError(f"{where} {name}: expected {math.prod(shape)} values, got {len(values)}")
-            try:
-                arrays.append(np.array(values, dtype=float).reshape(shape))
-            except ValueError as exc:
-                raise ModelError(f"{where} {name}: bad number ({exc})") from None
+            arrays.append(values.reshape(shape))
             pos += 1
         layers.append(layer)
         weights.append(tuple(arrays) or None)

@@ -22,7 +22,7 @@ _COLOR_OBSTACLE = "#c0392b"
 _COLOR_GOAL = "#f28c28"
 _COLOR_RING = "#b5b5b5"
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")  # outside XML 1.0's Char
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # outside XML 1.0's Char
 
 
 class _Frame:
@@ -45,23 +45,29 @@ def _ray_units(n: int) -> tuple[tuple[float, float], ...]:
     return tuple((math.cos(2.0 * math.pi * i / n), math.sin(2.0 * math.pi * i / n)) for i in range(n))
 
 
-def _scan_points(frame: _Frame, scan: Scan, color: str) -> list[str]:
+def _scan_points(frame: _Frame, scan: Scan, color: str, base: Scan | None = None) -> list[str]:
+    """One point per reading; a ray whose reading has the bits of ``base``'s reuses that scan's point in ``color``."""
+    reused = [None] * scan.n
+    if base is not None and (base.n, base.max_range) == (scan.n, scan.max_range):
+        same = (scan.readings.view("u8") == base.readings.view("u8")).tolist()
+        reused = [point if keep else None for point, keep in zip(_base_points(base, color), same)]
     parts = []
-    for reading, (cos_t, sin_t) in zip(scan.readings.tolist(), _ray_units(scan.n)):
-        x, y = frame.pt(reading * cos_t, reading * sin_t)
-        opacity = 0.22 if reading >= scan.max_range else 0.9
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.7" fill="{color}" fill-opacity="{opacity}"/>')
+    for reading, (cos_t, sin_t), point in zip(scan.readings.tolist(), _ray_units(scan.n), reused):
+        if point is None:
+            x, y = frame.pt(reading * cos_t, reading * sin_t)
+            opacity = 0.22 if reading >= scan.max_range else 0.9
+            point = f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.7" fill="{color}" fill-opacity="{opacity}"/>'
+        parts.append(point)
     return parts
 
 
-@functools.lru_cache(maxsize=1)
-def _base_points(base: Scan) -> tuple[str, ...]:
-    # An explain plots every counterfactual over one base scan object, so its
-    # points are formatted once; the cache holds only the last base.
-    return tuple(_scan_points(_Frame(base.max_range), base, _COLOR_BASE))
+@functools.lru_cache(maxsize=2)
+def _base_points(base: Scan, color: str) -> tuple[str, ...]:
+    # An explain plots every counterfactual over one base scan, so it formats that scan's points once per colour.
+    return tuple(_scan_points(_Frame(base.max_range), base, color))
 
 
-def _plot(frame: _Frame, base_points, scan: Scan, obstacles, goal: GoalFeatures | None, label: str | None) -> str:
+def _plot(frame: _Frame, base: Scan | None, scan: Scan, obstacles, goal: GoalFeatures | None, label: str | None) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -73,8 +79,8 @@ def _plot(frame: _Frame, base_points, scan: Scan, obstacles, goal: GoalFeatures 
         f'<circle cx="{frame.cx:.2f}" cy="{frame.cy:.2f}" r="{frame.max_range * frame.scale:.2f}" fill="none" '
         f'stroke="{_COLOR_RING}" stroke-width="1" stroke-dasharray="5 4"/>'
     )
-    parts.extend(base_points)
-    parts.extend(_scan_points(frame, scan, _COLOR_COMBINED))
+    parts.extend(() if base is None else _base_points(base, _COLOR_BASE))
+    parts.extend(_scan_points(frame, scan, _COLOR_COMBINED, base))
     for shape in obstacles:
         cx, cy = frame.pt(shape.center.x, shape.center.y)
         w, h = (2 * v * frame.scale for v in shape.half_extents or (shape.radius, shape.radius))
@@ -102,7 +108,7 @@ def _plot(frame: _Frame, base_points, scan: Scan, obstacles, goal: GoalFeatures 
 
 def scan_plot_svg(scan: Scan, goal: GoalFeatures | None = None, label: str | None = None) -> str:
     """Polar plot of one scan: range ring, one point per reading, sensor dot, goal."""
-    return _plot(_Frame(scan.max_range), (), scan, (), goal, label)
+    return _plot(_Frame(scan.max_range), None, scan, (), goal, label)
 
 
 def cfe_plot_svg(
@@ -113,4 +119,4 @@ def cfe_plot_svg(
     label: str | None = None,
 ) -> str:
     """Overlay plot: base scan light, combined scan dark, obstacle outlines, goal."""
-    return _plot(_Frame(base.max_range), _base_points(base), combined, obstacles, goal, label)
+    return _plot(_Frame(base.max_range), base, combined, obstacles, goal, label)

@@ -11,12 +11,16 @@ per-pair kernels and windows are both checked against the arithmetic they
 must reproduce bit for bit. ``frozen_state_lines`` keeps the bridge's
 former line formatter, which formatted every distinct value of a batch, so
 that the reference-spliced lines are checked against it byte for byte.
+``FROZEN_NOT_XML_CHAR`` and ``frozen_cfe_plot_svg`` keep the plot module's
+former XML filter and its former overlay, which formatted every point of
+the combined scan, for the same byte-for-byte checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -747,3 +751,38 @@ def frozen_state_lines(states: np.ndarray) -> bytes:
     texts = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
     rows = texts[where.reshape(states.shape)].tolist()
     return "".join([" ".join(row) + "\n" for row in rows]).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# SVG output as it once was: a negated XML Char class, and an overlay that
+# formatted every combined point afresh.
+
+FROZEN_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _frozen_points(scan, color, max_range):
+    scale = (440 / 2 - 28) / max_range
+    parts = []
+    for i, reading in enumerate(scan.readings.tolist()):
+        cos_t, sin_t = math.cos(2.0 * math.pi * i / scan.n), math.sin(2.0 * math.pi * i / scan.n)
+        x, y = 220.0 + float(reading * cos_t) * scale, 220.0 - float(reading * sin_t) * scale
+        opacity = 0.22 if reading >= scan.max_range else 0.9
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.7" fill="{color}" fill-opacity="{opacity}"/>')
+    return parts
+
+
+def frozen_cfe_plot_svg(base, combined, goal=None, label=None) -> str:
+    """``cfe_plot_svg`` of a plot without obstacles, as every point of ``combined`` was once formatted."""
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="440" height="440" viewBox="0 0 440 440">', '<rect width="440" height="440" fill="white"/>']
+    if label:
+        text = FROZEN_NOT_XML_CHAR.sub("", label).translate(str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"}))
+        parts.append(f'<text x="10" y="18" font-family="sans-serif" font-size="13" fill="#555">{text}</text>')
+    scale = (440 / 2 - 28) / base.max_range
+    parts.append(f'<circle cx="220.00" cy="220.00" r="{base.max_range * scale:.2f}" fill="none" stroke="#b5b5b5" stroke-width="1" stroke-dasharray="5 4"/>')
+    parts += _frozen_points(base, "#9ecae1", base.max_range) + _frozen_points(combined, "#15507a", base.max_range)
+    if goal is not None:
+        d = min(goal.distance, base.max_range)
+        x, y = 220.0 + float(d * goal.cos) * scale, 220.0 - float(d * goal.sin) * scale
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" fill="#f28c28" fill-opacity="0.9"/>')
+    parts += ['<circle cx="220.00" cy="220.00" r="4" fill="black"/>', "</svg>"]
+    return "\n".join(parts) + "\n"

@@ -16,13 +16,14 @@ from lidar_cfe import (
     ModelError,
     PolicyModel,
     Scan,
+    Scenario,
     fitness_for_query,
     generate_cfes,
     run_ga,
     scripted_policy,
 )
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, _decode_rows, _hinge_rows, _package
-from lidar_cfe.geometry import ORIGIN, ShapeRows, raycast_scan, shape_overlaps_disk
+from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, raycast_scan, shape_overlaps_disk
 
 from oracles import hinge_oracle, scalar_decode
 
@@ -485,3 +486,31 @@ class TestGenerateCfes:
 def test_a_packaged_fitness_that_differs_from_its_search_is_a_model_error(make):
     with pytest.raises(ModelError, match=r"model is not deterministic: search \d+ saw fitness .+, packaging scored the same genome"):
         generate_cfes(swerve_query(), make(), GaConfig(generations=3))
+
+
+HUGE = 10**400  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: GoalFeatures(HUGE, 0.0, 1.0), "goal cos", id="GoalFeatures-cos"),
+        pytest.param(lambda: GoalFeatures(1.0, HUGE, 1.0), "goal sin", id="GoalFeatures-sin"),
+        pytest.param(lambda: GoalFeatures(1.0, 0.0, HUGE), "goal distance", id="GoalFeatures-distance"),
+        pytest.param(lambda: reverse_query(lambda_y=HUGE), "lambda_y", id="CfeQuery-lambda_y"),
+        pytest.param(lambda: reverse_query(lambda_p=HUGE), "lambda_p", id="CfeQuery-lambda_p"),
+        pytest.param(lambda: reverse_query(d_min=HUGE), "d_min", id="CfeQuery-d_min"),
+        pytest.param(lambda: reverse_query(world_bounds=HUGE), "world_bounds", id="CfeQuery-world_bounds"),
+        pytest.param(lambda: reverse_query(d_g_max=HUGE), "d_g_max", id="CfeQuery-d_g_max"),
+        pytest.param(lambda: Point2(HUGE, 0.0), "point x", id="Point2-x"),
+        pytest.param(lambda: Point2(0.0, -HUGE), "point y", id="Point2-y"),
+        pytest.param(lambda: ObstacleShape.circle(ORIGIN, HUGE), "radius", id="circle-radius"),
+        pytest.param(lambda: ObstacleShape.rectangle(ORIGIN, (1.0, HUGE)), "half_extents", id="rectangle-half_extents"),
+        pytest.param(lambda: ObstacleShape.rectangle(ORIGIN, (1.0, 1.0), HUGE), "orientation", id="rectangle-orientation"),
+        pytest.param(lambda: Scan(np.ones(4), HUGE), "max_range", id="Scan-max_range"),
+        pytest.param(lambda: Scenario("room", Point2(1.0, 0.0), max_range=HUGE), "max_range", id="Scenario-max_range"),
+    ],
+)
+def test_an_integer_beyond_the_float_range_is_a_value_error_naming_its_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+        build()

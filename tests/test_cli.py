@@ -6,7 +6,7 @@ import re
 import sys
 import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from lidar_cfe import cli
 from lidar_cfe.cfe import _package
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
+from oracles import FROZEN_NOT_XML_CHAR, frozen_cfe_plot_svg
 from test_cfe import BatchMeanPolicy, NoisyPolicy, swerve_query
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -903,6 +904,67 @@ def test_counterfactual_plots_draw_their_own_base_scan():
         want = [line.replace(_COLOR_COMBINED, _COLOR_BASE) for line in points(scan_plot_svg(base), _COLOR_COMBINED)]
         assert points(svg, _COLOR_BASE) == want
         assert points(svg, _COLOR_COMBINED) == points(scan_plot_svg(combined), _COLOR_COMBINED)
+
+
+def test_xml_filter_removes_the_code_points_the_negated_class_removed():
+    from lidar_cfe.plot import _NOT_XML_CHAR
+
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    kept = _NOT_XML_CHAR.sub("", every)
+    assert kept == FROZEN_NOT_XML_CHAR.sub("", every)
+    assert len(every) - len(kept) == 29 + 2048 + 2  # controls, surrogates, U+FFFE and U+FFFF
+
+
+@dataclass(frozen=True, eq=False)
+class UncheckedScan:
+    """A scan without ``Scan``'s checks, so that readings of 0.0 and -0.0 reach the plot."""
+
+    readings: np.ndarray
+    max_range: float
+
+    @property
+    def n(self) -> int:
+        return self.readings.size
+
+
+def plotted_scan(readings, max_range):
+    readings = np.array(readings, dtype=float)
+    return Scan(readings, max_range) if np.all(readings > 0.0) else UncheckedScan(readings, max_range)
+
+
+def _reading(max_range):
+    return st.one_of(st.just(max_range), st.floats(0.0, max_range, exclude_min=True))
+
+
+def _ray_pairs(max_range):
+    """A base reading and a combined reading of one ray."""
+    return st.one_of(
+        _reading(max_range).map(lambda r: (r, r)),  # the same bits
+        st.tuples(_reading(max_range), _reading(max_range)),  # either one may sit at max_range
+        _reading(max_range).map(lambda r: (r, float(np.nextafter(r, 0.0)))),  # the neighbouring double
+        st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]),  # equal in value, not always in bits
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), max_range=st.floats(0.5, 50.0), n=st.integers(1, 24), wider=st.booleans(), with_goal=st.booleans())
+def test_the_overlay_reuses_base_points_byte_for_byte(data, max_range, n, wider, with_goal):
+    from lidar_cfe.plot import cfe_plot_svg
+
+    pairs = data.draw(st.lists(_ray_pairs(max_range), min_size=n, max_size=n))
+    base = plotted_scan([b for b, _ in pairs], max_range)
+    combined = plotted_scan([c for _, c in pairs], 2.0 * max_range if wider else max_range)
+    goal = GoalFeatures(0.6, -0.8, max_range / 2) if with_goal else None
+    assert cfe_plot_svg(base, combined, [], goal) == frozen_cfe_plot_svg(base, combined, goal)
+    assert cfe_plot_svg(base, combined, [], goal, "again") == frozen_cfe_plot_svg(base, combined, goal, "again")  # from the cache
+
+
+@pytest.mark.parametrize("n_base, n_combined", [(1, 5), (5, 1), (4, 8)])
+def test_the_overlay_of_scans_with_different_ray_counts_draws_each_scan(n_base, n_combined):
+    from lidar_cfe.plot import cfe_plot_svg
+
+    base, combined = Scan(np.full(n_base, 1.0), 3.5), Scan(np.full(n_combined, 1.0), 3.5)
+    assert cfe_plot_svg(base, combined, []) == frozen_cfe_plot_svg(base, combined)
 
 
 def test_obstacles_far_off_the_canvas_write_no_non_finite_numbers(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -391,6 +392,39 @@ class TestWeightFile:
         for entry, entry2 in zip(weights, weights2, strict=True):
             for a, a2 in zip(entry or (), entry2 or (), strict=True):
                 assert a2.shape == a.shape and a2.tobytes() == a.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
+        gaps=st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=7, max_size=7),
+    )
+    def test_the_repr_of_any_finite_double_parses_to_its_float(self, values, gaps):
+        tokens = [repr(v) for v in values]
+        weights = tokens[0] + "".join(gap + token for gap, token in zip(gaps, tokens[1:7]))
+        text = f"format: 1\nlidar: 4\nextra: 3\nlayer: dense in=7 out=1\nweights: {weights}\nbias: {tokens[7]}\n"
+        _, [(w, b)] = load_weight_file("net.txt", text)
+        assert np.concatenate([w.reshape(-1), b]).tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    @pytest.mark.parametrize("token", ["x", "1,5", "1_0", "0x1p3", "\uff11", "0.5\xa00.5"], ids=["letter", "comma", "underscore", "hex", "full-width-digit", "nbsp-separator"])
+    def test_a_number_float_reads_but_the_file_format_does_not_is_a_bad_number(self, token):
+        text = f"format: 1\nlidar: 4\nextra: 3\nlayer: dense in=7 out=1\nweights: 0 0 0 {token} 0 0 0\nbias: 0\n"
+        with pytest.raises(ModelError, match=r"^net\.txt: layer 0 \(dense\) weights: bad number \("):
+            load_weight_file("net.txt", text)
+
+    def test_unread_text_is_a_bad_number_where_numpy_only_warns(self):
+        def fromstring_that_warns(text, sep):  # older numpy: the values read so far, and a warning
+            warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+            return np.zeros(7)
+
+        text = "format: 1\nlidar: 4\nextra: 3\nlayer: dense in=7 out=1\nweights: 0 0 0 0 0 0 0 x\nbias: 0\n"
+        with mock.patch.object(model_module.np, "fromstring", fromstring_that_warns):
+            with pytest.raises(ModelError, match=r"layer 0 \(dense\) weights: bad number \(string or file"):
+                load_weight_file("net.txt", text)
+
+    def test_a_weights_key_with_no_values_counts_zero(self):
+        text = "format: 1\nlidar: 4\nextra: 3\nlayer: dense in=7 out=1\nweights:\nbias: 0\n"
+        with pytest.raises(NetworkConfigError, match=r"layer 0 \(dense\) weights: expected 7 values, got 0$"):
+            load_weight_file("net.txt", text)
 
     def test_policy_requires_tanh_head(self):
         spec = NetworkSpec(4, 3, (Dense(7, 2),))
