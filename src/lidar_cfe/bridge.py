@@ -13,6 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
+from .ga import require_real
 from .model import PolicyModel, check_action_rows, row_keys
 
 
@@ -46,7 +47,7 @@ class ExternalPolicy(PolicyModel):
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
         self.input_size = int(input_size)
         self.output_size = int(output_size)
-        self.timeout = float(timeout)
+        self.timeout = require_real("timeout", timeout)
         if not 0.0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
         argv = shlex.split(command) if isinstance(command, str) else [str(a) for a in command]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,24 +30,22 @@ class ActionBounds:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
+        if np.ndim(self.lower) != 1 or np.ndim(self.upper) != 1 or not 0 < len(self.lower) == len(self.upper):
             raise ValueError("bounds must be two 1-d vectors of equal, non-zero length")
-        if not (np.all(lower >= -1.0) and np.all(upper <= 1.0)):
+        for side in ("lower", "upper"):
+            values = np.array([require_real(f"bounds {side}", v) for v in getattr(self, side)], dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, side, values)
+        if not (np.all(self.lower >= -1.0) and np.all(self.upper <= 1.0)):
             raise ValueError("bounds must lie within [-1, 1]")
-        if not np.all(lower <= upper):
+        if not np.all(self.lower <= self.upper):
             raise ValueError("every lower bound must be <= its upper bound")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ActionBounds":
         """Build from a sequence of (lower, upper) pairs, one per output dimension."""
         pairs = list(pairs)
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+        return cls([p[0] for p in pairs], [p[1] for p in pairs])
 
     def __len__(self) -> int:
         return int(self.lower.size)
@@ -83,10 +82,8 @@ class CfeQuery:
             require_int(name, getattr(self, name))
         for name in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             value = getattr(self, name)
-            if value is not None:
-                require_real(name, value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
+            if value is not None and not math.isfinite(require_real(name, value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.combination not in (MIN_DISTANCE, GEN_PRIORITY):
             raise ValueError(f"combination must be {MIN_DISTANCE!r} or {GEN_PRIORITY!r}, got {self.combination!r}")
         if self.lambda_y < 0.0 or self.lambda_p < 0.0:
@@ -96,13 +93,14 @@ class CfeQuery:
             raise ValueError(f"n_obstacles must lie in [1, {self.base_scan.n}], the scan's ray count, got {self.n_obstacles}")
         if self.d_min < 0.0:
             raise ValueError(f"d_min must be >= 0, got {self.d_min}")
-        if self.n_cfes < 0:
-            raise ValueError(f"n_cfes must be >= 0, got {self.n_cfes}")
+        if not 0 <= self.n_cfes <= sys.maxsize:
+            raise ValueError(f"n_cfes must lie in [0, {sys.maxsize}], got {self.n_cfes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        lo, hi = self.size_limits
+        lo, hi = (require_real("size_limits", v) for v in self.size_limits)
         if not 0.0 < lo <= hi < math.inf:
-            raise ValueError(f"size_limits must satisfy 0 < lo <= hi < inf, got {self.size_limits}")
+            raise ValueError(f"size_limits must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+        object.__setattr__(self, "size_limits", (lo, hi))
         if self.world_bounds is None:
             object.__setattr__(self, "world_bounds", self.base_scan.max_range)
         if not self.world_bounds > 0.0:

@@ -297,7 +297,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
         results = _package(query, model, genomes, searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
+    except (TypeError, ValueError) as exc:
         raise LidarCfeError(f"{path}: {exc}") from None
     if len(entries) != query.n_cfes:
         raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")
@@ -480,9 +480,6 @@ def main(argv=None) -> int:
     except LidarCfeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OverflowError as exc:
-        print(f"input error: a number in the input is too large ({exc})", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # stable exit-code contract over raw tracebacks
         # numpy raises "array is too big" for an array of more bytes than an address can count
         if isinstance(exc, MemoryError) or (isinstance(exc, ValueError) and str(exc).startswith("array is too big")):

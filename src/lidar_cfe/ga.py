@@ -73,7 +73,7 @@ class GaConfig:
             raise ValueError(f"keep_parents must lie in [0, parents_mating], got {self.keep_parents}")
         if not 1 <= self.tournament_size <= self.population:
             raise ValueError(f"tournament_size must lie in [1, population], got {self.tournament_size}")
-        if not 0.0 < self.mutation_fraction <= 1.0:
+        if not 0.0 < require_real("mutation_fraction", self.mutation_fraction) <= 1.0:
             raise ValueError(f"mutation_fraction must lie in (0, 1], got {self.mutation_fraction}")
         if self.saturate_k is not None and self.saturate_k < 1:
             raise ValueError(f"saturate_k must be >= 1 or None, got {self.saturate_k}")

@@ -39,8 +39,11 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(require_real("point x", self.x)) and math.isfinite(require_real("point y", self.y))):
-            raise ValueError(f"point must be finite, got ({self.x}, {self.y})")
+        x, y = require_real("point x", self.x), require_real("point y", self.y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point must be finite, got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 ORIGIN = Point2(0.0, 0.0)

@@ -21,6 +21,7 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from .errors import ModelError, NetworkConfigError
+from .ga import require_int
 from .scan import ModelState
 
 RELU = "relu"
@@ -115,6 +116,8 @@ class Conv1d:
     circular: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("in_channels", "out_channels", "kernel", "stride", "padding"):
+            require_int(name, getattr(self, name))
         if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
             raise ValueError("conv channels, kernel, and stride must be >= 1")
         if self.padding < 0:
@@ -131,6 +134,8 @@ class Dense:
     out_size: int = field(metadata={"key": "out"})
 
     def __post_init__(self) -> None:
+        require_int("in_size", self.in_size)
+        require_int("out_size", self.out_size)
         if min(self.in_size, self.out_size) < 1:
             raise ValueError("dense sizes must be >= 1")
 

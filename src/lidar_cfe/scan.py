@@ -30,8 +30,7 @@ class Scan:
         readings = readings.astype(float, copy=False)
         if readings.ndim != 1 or readings.size == 0:
             raise ValueError("readings must be a non-empty 1-d array")
-        require_real("max_range", self.max_range)
-        if not (math.isfinite(self.max_range) and self.max_range > 0):
+        if not 0.0 < require_real("max_range", self.max_range) < math.inf:
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         if not np.all((readings > 0.0) & (readings <= self.max_range)):
             raise ValueError("every reading must lie in (0, max_range]")
@@ -59,8 +58,7 @@ class GoalFeatures:
 
     def __post_init__(self) -> None:
         for name in ("cos", "sin", "distance"):
-            require_real(f"goal {name}", getattr(self, name))
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(require_real(f"goal {name}", getattr(self, name))):
                 raise ValueError(f"goal {name} must be finite, got {getattr(self, name)!r}")
         if abs(self.cos * self.cos + self.sin * self.sin - 1.0) > 1e-6:
             raise ValueError("goal cos/sin must lie on the unit circle (within 1e-6)")

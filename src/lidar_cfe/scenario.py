@@ -44,8 +44,7 @@ class Scenario:
         require_int("n_rays", self.n_rays)
         if not 1 <= self.n_rays <= sys.maxsize:
             raise ValueError(f"n_rays must lie in [1, {sys.maxsize}], got {self.n_rays}")
-        require_real("max_range", self.max_range)
-        if not 0.0 < self.max_range < math.inf:
+        if not 0.0 < require_real("max_range", self.max_range) < math.inf:
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         self.goal_features()  # raises for a goal too far to measure
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -74,20 +73,17 @@ class Scenario:
         return 2.0 * math.sqrt(2.0) * self.max_range
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InputError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _pair(value, where: str) -> tuple[float, float]:
+def _pair(value, where: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InputError(f"{where}: expected a pair of numbers, got {value!r}")
-    return _number(value[0], where), _number(value[1], where)
+    return tuple(value)
 
 
 def _point(value, where: str) -> Point2:
-    return Point2(*_pair(value, where))
+    try:
+        return Point2(*_pair(value, where))
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _obstacle(entry, where: str) -> ObstacleShape:
@@ -99,7 +95,8 @@ def _obstacle(entry, where: str) -> ObstacleShape:
     unknown = set(entry) - {"kind", *_OBSTACLE_KEYS[kind]}
     if unknown:
         raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)} for a {kind}")
-    values = {key: _READERS[key](value, f"{where}.{key}") for key, value in entry.items() if key != "kind" and value is not None}
+    values = {key: _READERS[key](value, f"{where}.{key}") if key in _READERS else value
+              for key, value in entry.items() if key != "kind" and value is not None}
     try:
         return ObstacleShape(kind, **values)
     except (TypeError, ValueError) as exc:
@@ -117,10 +114,10 @@ def _obstacles(value, where: str) -> tuple[ObstacleShape, ...]:
 # omit ``orientation``.
 _OBSTACLE_KEYS = {CIRCLE: ("center", "radius"), RECTANGLE: ("center", "half_extents", "orientation")}
 
-# How each scenario-file value that is not stored as written is read, and how
-# an obstacle value is written back (default: as a float).
-_READERS = {"origin": _point, "goal": _point, "obstacles": _obstacles, "center": _point, "radius": _number,
-            "half_extents": _pair, "orientation": _number}
+# How each scenario-file value that is not passed on as written is read, and
+# how an obstacle value is written back (default: as a float). The
+# constructors check the numbers.
+_READERS = {"origin": _point, "goal": _point, "obstacles": _obstacles, "center": _point, "half_extents": _pair}
 _WRITERS = {"center": lambda point: [point.x, point.y], "half_extents": list}
 
 

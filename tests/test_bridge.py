@@ -159,10 +159,24 @@ def test_missing_command():
         external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS)
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
-def test_timeout_that_is_not_positive_and_finite_is_refused_before_the_spawn(timeout):
+NOT_POSITIVE = "timeout must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "timeout, message",
+    [
+        pytest.param(0.0, NOT_POSITIVE, id="0.0"),
+        pytest.param(-1.0, NOT_POSITIVE, id="-1.0"),
+        pytest.param(float("nan"), NOT_POSITIVE, id="nan"),
+        pytest.param(float("inf"), NOT_POSITIVE, id="inf"),
+        pytest.param(True, "timeout must be a number, got True", id="bool"),
+        pytest.param("5", "timeout must be a number, got '5'", id="string"),
+        pytest.param(10**400, "timeout is too large for a float", id="huge"),
+    ],
+)
+def test_timeout_that_is_not_positive_and_finite_is_refused_before_the_spawn(timeout, message):
     # The command cannot start, so a spawn would raise BridgeError instead.
-    with pytest.raises(ValueError, match="timeout must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS, timeout=timeout)
 
 

@@ -22,6 +22,7 @@ from lidar_cfe import (
     run_ga,
     scripted_policy,
 )
+from lidar_cfe.bridge import external_policy
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, _decode_rows, _hinge_rows, _package
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, raycast_scan, shape_overlaps_disk
 
@@ -509,8 +510,28 @@ HUGE = 10**400  # an integer no float can hold
         pytest.param(lambda: ObstacleShape.rectangle(ORIGIN, (1.0, 1.0), HUGE), "orientation", id="rectangle-orientation"),
         pytest.param(lambda: Scan(np.ones(4), HUGE), "max_range", id="Scan-max_range"),
         pytest.param(lambda: Scenario("room", Point2(1.0, 0.0), max_range=HUGE), "max_range", id="Scenario-max_range"),
+        pytest.param(lambda: reverse_query(size_limits=(0.1, HUGE)), "size_limits", id="CfeQuery-size_limits"),
+        pytest.param(lambda: ActionBounds.from_pairs([(-HUGE, 0.0)]), "bounds lower", id="ActionBounds-lower"),
+        pytest.param(lambda: ActionBounds.from_pairs([(-1, HUGE)]), "bounds upper", id="ActionBounds-upper"),
+        pytest.param(lambda: GaConfig(mutation_fraction=HUGE), "mutation_fraction", id="GaConfig-mutation_fraction"),
+        pytest.param(lambda: external_policy(["/nonexistent/policy-binary"], 183, 2, timeout=HUGE), "timeout", id="bridge-timeout"),
     ],
 )
 def test_an_integer_beyond_the_float_range_is_a_value_error_naming_its_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
         build()
+
+
+@pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "string"])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda v: reverse_query(size_limits=(v, 1.0)), "size_limits", id="CfeQuery-size_limits"),
+        pytest.param(lambda v: ActionBounds.from_pairs([(v, 0.5)]), "bounds lower", id="ActionBounds-lower"),
+        pytest.param(lambda v: ActionBounds.from_pairs([(-0.5, v)]), "bounds upper", id="ActionBounds-upper"),
+        pytest.param(lambda v: GaConfig(mutation_fraction=v), "mutation_fraction", id="GaConfig-mutation_fraction"),
+    ],
+)
+def test_a_bool_or_a_string_is_not_a_number(build, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+        build(value)

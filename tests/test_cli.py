@@ -395,13 +395,19 @@ class TestExplainCommand:
             "n_obstacles=181",
             "n_obstacles=100000000",
             "lambda_p=1e",
+            pytest.param(f"size_limits=[0.1, {10**400}]", id="size_limits=[0.1, 10**400]"),
+            pytest.param(f"bounds=[[0, {10**400}], [0, 1]]", id="bounds=[[0, 10**400], [0, 1]]"),
+            "ga.mutation_fraction=true",
+            "n_cfes=9223372036854775808",
         ],
     )
-    def test_malformed_query_value_is_input_error(self, tmp_path, override):
+    def test_malformed_query_value_is_input_error(self, tmp_path, capsys, override):
         write_empty_room(tmp_path)
         query = write_reverse_query(tmp_path, "room.yaml")
         args = ["explain", str(query), "--model", "scripted:goal_seeker", "-o", str(tmp_path), "--no-plots"]
         assert main([*args, *FAST_GA, "--set", override]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {query}: " in err and override.split("=")[0].split(".")[-1] in err  # names the file and the field
 
     @pytest.mark.parametrize("text, value", [("1e-3", 0.001), ("1E+2", 100.0)])
     def test_exponent_floats_are_numbers(self, tmp_path, text, value):
@@ -751,6 +757,22 @@ def explain_reverse(tmp_path, *args):
         ),
         (lambda tmp: explain_with_scan_base(tmp, readings=["3.5"] * 180), EXIT_INPUT, "room.scan.json: readings must be real numbers"),
         (lambda tmp: explain_with_scan_base(tmp, readings=[True] * 180), EXIT_INPUT, "room.scan.json: readings must be real numbers"),
+        (lambda tmp: scan_of_scenario(tmp, goal=[10**400, 0.0]), EXIT_INPUT, "scene.yaml: goal: point x is too large for a float"),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "center": [2.0, 10**400]}]),
+            EXIT_INPUT,
+            "scene.yaml: obstacles[0].center: point y is too large for a float",
+        ),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "radius": 10**400}]),
+            EXIT_INPUT,
+            "scene.yaml: obstacles[0]: radius is too large for a float",
+        ),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{"kind": "rectangle", "center": [-2.0, 0.0], "half_extents": [0.1, 1.0], "orientation": 10**400}]),
+            EXIT_INPUT,
+            "scene.yaml: obstacles[0]: orientation is too large for a float",
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -793,6 +815,10 @@ def explain_reverse(tmp_path, *args):
         "scan-max-range-bool",
         "scan-readings-text",
         "scan-readings-bool",
+        "scenario-goal-huge",
+        "scenario-center-huge",
+        "scenario-radius-huge",
+        "scenario-orientation-huge",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):

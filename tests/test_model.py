@@ -155,6 +155,20 @@ class TestNetForward:
         with pytest.raises(NetworkConfigError, match="layer 1"):
             NetworkSpec(8, 3, (Conv1d(1, 4, 3, 1, 1, True), Conv1d(2, 4, 3, 1, 1, True), Dense(1, 1)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Conv1d(1, 2, 2.5, padding=1), "kernel must be an integer, got 2.5"),
+            (lambda: Conv1d(True, 2, 3), "in_channels must be an integer, got True"),
+            (lambda: Conv1d(1, 2, 3, padding=1.0), "padding must be an integer, got 1.0"),
+            (lambda: Dense(19, 2.0), "out_size must be an integer, got 2.0"),
+        ],
+        ids=["conv-kernel-float", "conv-in-bool", "conv-padding-float", "dense-out-float"],
+    )
+    def test_a_layer_size_that_is_not_an_integer_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_spec_requires_dense(self):
         with pytest.raises(NetworkConfigError, match="dense"):
             NetworkSpec(8, 3, (Conv1d(1, 4, 3, 1, 1, True),))
