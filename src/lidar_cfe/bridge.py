@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import BridgeError, BridgeTimeout
-from .ga import require_real
+from .ga import require_int, require_real
 from .model import PolicyModel, check_action_rows, row_keys
 
 
@@ -45,8 +45,8 @@ class ExternalPolicy(PolicyModel):
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
-        self.input_size = int(input_size)
-        self.output_size = int(output_size)
+        self.input_size = require_int("input_size", input_size)
+        self.output_size = require_int("output_size", output_size)
         self.timeout = require_real("timeout", timeout)
         if not 0.0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, got {timeout!r}")

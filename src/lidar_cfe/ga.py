@@ -21,10 +21,11 @@ TERMINATED_SATURATE = "saturate"
 TERMINATED_REACH_ZERO = "reach_zero"
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+def require_int(name: str, value, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_real(name: str, value) -> float:

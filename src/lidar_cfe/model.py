@@ -118,6 +118,8 @@ class Conv1d:
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "kernel", "stride", "padding"):
             require_int(name, getattr(self, name))
+        if not isinstance(self.circular, bool):
+            raise ValueError(f"circular must be true or false, got {self.circular!r}")
         if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
             raise ValueError("conv channels, kernel, and stride must be >= 1")
         if self.padding < 0:
@@ -178,6 +180,8 @@ class NetworkSpec:
     layers: tuple[Layer, ...]
 
     def __post_init__(self) -> None:
+        for name in ("lidar_inputs", "extra_inputs"):
+            require_int(name, getattr(self, name), NetworkConfigError)
         if self.lidar_inputs < 1 or self.extra_inputs < 0:
             raise NetworkConfigError("lidar_inputs must be >= 1 and extra_inputs >= 0")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -228,18 +232,15 @@ def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(distinct, inverse)``, ``distinct[inverse]`` bit-equal to
     ``states``. Rows are told apart by their bits, so a row holding -0.0 and
     one holding 0.0 stay distinct, as do NaNs with different payloads.
-    ``distinct`` keeps the rows in the order of their first occurrence.
+    ``distinct``, read-only, keeps the rows in the order of their first occurrence.
     """
     rows = np.ascontiguousarray(states, dtype=float)
     ids: dict[bytes, int] = {}
     inverse = np.array([ids.setdefault(key, len(ids)) for key in row_keys(rows)], dtype=np.intp)
-    first = np.empty(len(rows), dtype=bool)  # a row is a first occurrence when it opens a new id
-    first[:1] = True
-    np.greater(inverse[1:], np.maximum.accumulate(inverse)[:-1], out=first[1:])
-    return rows[first], inverse
+    return np.frombuffer(b"".join(ids)).reshape(len(ids), rows.shape[1]), inverse
 
 
-ROW_FLOOR = 16  # _forward never runs fewer states
+ROW_FLOOR = 16  # a gemm never runs fewer rows than this many states give it
 FULL_PASS_SHARE = 0.25  # a batch that must recompute more of its last conv outputs than this runs the full conv pass
 GEMM_MIN_OUTPUTS = 128  # values a product must give each state to run as gemm
 
@@ -247,21 +248,20 @@ GEMM_MIN_OUTPUTS = 128  # values a product must give each state to run as gemm
 def _row_products(rows: np.ndarray, w: np.ndarray, per_state: int) -> np.ndarray:
     """``rows @ w.T`` for an (n, in) array of rows, ``per_state`` consecutive rows for each state.
 
-    Each conv and dense layer of the engine runs through here: its rows are
-    a state's convolution windows or its one input row. The product runs as
-    one matrix-matrix product (gemm) when ``w`` has at least two rows and
-    each state gets at least GEMM_MIN_OUTPUTS values from it; otherwise as
-    one matrix-vector product (gemv) per row. With at least ROW_FLOOR
-    states, every gemm then makes at least ROW_FLOOR * GEMM_MIN_OUTPUTS
-    values. BLAS picks its kernel by the size of a product, and a product
-    this large keeps one kernel however many rows share it, so a row gets
-    the same bits in any batch. A one-column product would go to a gemv over
-    all rows, whose tail rows round differently; a stacked gemv makes the
-    same call for every row. tests/test_invariance.py checks every shape the
-    engine and its tests use, on the BLAS build that runs them.
+    Each conv and dense layer of the engine runs through here: its rows are a state's convolution
+    windows or its one input row. The product runs as one matrix-matrix product (gemm) when ``w``
+    has at least two rows and each state gets at least GEMM_MIN_OUTPUTS values from it, padded with
+    zero rows when fewer than ROW_FLOOR states give it rows; otherwise as one matrix-vector product
+    (gemv) per row. So every gemm makes at least ROW_FLOOR * GEMM_MIN_OUTPUTS values. BLAS picks
+    its kernel by the size of a product, and a product this large keeps one kernel however many rows
+    share it, so a row gets the same bits in any batch. A one-column product would go to a gemv over
+    all rows, whose tail rows round differently; a stacked gemv makes the same call for every row.
+    tests/test_invariance.py checks every shape the engine and its tests use, on the BLAS build that runs them.
     """
     if len(w) > 1 and per_state * len(w) >= GEMM_MIN_OUTPUTS:
-        return rows @ w.T
+        missing = ROW_FLOOR * per_state - len(rows)
+        padded = np.concatenate([rows, np.zeros((missing, rows.shape[1]))]) if missing > 0 else rows
+        return (padded @ w.T)[: len(rows)]
     return (w @ rows[:, :, np.newaxis])[:, :, 0]
 
 
@@ -358,25 +358,25 @@ def _receptive_fields(spec: NetworkSpec):
     """What recomputing output j of the last conv layer takes; None where the full pass is cheaper.
 
     j reads k positions of the layer below, each of those k of the layer below it, down to the rays:
-    a tree, listed level by level, window by window. Returns its (n_last, w_0) rays, each level's
-    (n_last, w_l) mask of zero padding (None without any), and for each ray the outputs whose tree
-    holds it, an (n_rays, m) table whose short rows repeat their first entry."""
-    convs, lengths = [layer for layer in spec.layers if isinstance(layer, Conv1d)], [spec.lidar_inputs]
+    a tree, listed level by level, window by window (``_window_index``). Returns its (n_last, w_0)
+    rays, each level's (n_last, w_l) mask of zero padding (None without any), and for each ray the
+    outputs whose tree holds it, an (n_rays, m) table whose short rows repeat their first entry."""
+    convs, lengths, indexes = [layer for layer in spec.layers if isinstance(layer, Conv1d)], [spec.lidar_inputs], []
     if not convs or math.prod(conv.kernel for conv in convs) > spec.lidar_inputs:
         return None  # a tree with more leaves than the scan has rays would cost more than the full pass
-    for conv in convs:
-        lengths.append((lengths[-1] + 2 * conv.padding - conv.kernel) // conv.stride + 1)
+    for conv in convs:  # position ``length`` of a level is its zero padding
+        indexes.append(_window_index(lengths[-1], 1, conv.kernel, conv.stride, conv.padding, conv.circular))
+        lengths.append(len(indexes[-1]))
     positions, pads = np.arange(lengths[-1])[:, np.newaxis], []
-    for conv, length in zip(reversed(convs), reversed(lengths[:-1])):
-        window = positions[:, :, np.newaxis] * conv.stride - conv.padding + np.arange(conv.kernel)
-        window = window % length if conv.circular else np.where((window < 0) | (window >= length), -1, window)
-        positions = np.where(positions[:, :, np.newaxis] < 0, -1, window).reshape(len(positions), -1)
-        pads.insert(0, positions < 0 if np.any(positions < 0) else None)
-    hits, inside = np.zeros((spec.lidar_inputs, lengths[-1]), dtype=bool), positions >= 0
+    for index, length in zip(reversed(indexes), reversed(lengths[:-1])):
+        index = np.concatenate([index, np.full((1, index.shape[1]), length)])  # a padding position's window is all padding
+        positions = index[positions].reshape(len(positions), -1)
+        pads.insert(0, positions == length if np.any(positions == length) else None)
+    hits, inside = np.zeros((spec.lidar_inputs, lengths[-1]), dtype=bool), positions < spec.lidar_inputs
     hits[positions[inside], np.nonzero(inside)[0]] = True
     order = np.argsort(~hits, axis=1, kind="stable")[:, : hits.sum(axis=1).max()]
     reach = np.where(np.take_along_axis(hits, order, axis=1), order, order[:, :1])
-    return np.maximum(positions, 0), pads, reach
+    return np.where(inside, positions, 0), pads, reach
 
 
 def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states: np.ndarray) -> np.ndarray:
@@ -384,7 +384,7 @@ def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states:
 
     A ray changes when its bits differ. Each last-layer output whose tree (``_receptive_fields``)
     holds one is recomputed up the tree, all together, layer by layer, through ``_row_products`` as
-    the full pass runs the layer and with at least its rows, so each gets the full pass's bits.
+    the full pass runs the layer, so each gets the full pass's bits.
     """
     rays, pads, reach, bits, row = reference
     n_rays, n_last, size = spec.lidar_inputs, len(rays), row.size - spec.extra_inputs
@@ -410,10 +410,8 @@ def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states:
         if pads[level] is not None:
             x.reshape(len(rows), -1, in_channels)[pads[level][outputs]] = 0.0
         length, level = (length + 2 * layer.padding - kernel) // layer.stride + 1, level + 1
-        n = x.size // (in_channels * kernel)
-        windows = np.zeros((max(n, ROW_FLOOR * length), in_channels * kernel))  # the full pass's smallest product
-        windows[:n].reshape(len(rows), -1, in_channels, kernel)[...] = x.reshape(len(rows), -1, kernel, in_channels).transpose(0, 1, 3, 2)
-        x = _row_products(windows, weight.reshape(out_channels, -1), length)[:n].reshape(len(rows), -1)
+        windows = x.reshape(len(rows), -1, kernel, in_channels).transpose(0, 1, 3, 2).reshape(-1, in_channels * kernel)
+        x = _row_products(windows, weight.reshape(out_channels, -1), length).reshape(len(rows), -1)
         x += np.tile(bias, x.shape[1] // out_channels)
     dense[:, :size].reshape(len(states), -1, n_last)[rows, :, outputs] = x
     return dense
@@ -422,15 +420,11 @@ def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states:
 def _forward(spec: NetworkSpec, weights: list, states: np.ndarray, reference: tuple | None = None) -> np.ndarray:
     """Run a network whose layer chain, weights and state length are already checked on (P, inputs) states.
 
-    A batch of fewer than ROW_FLOOR states runs padded with copies of its
-    first state, which are dropped from the result. With the product rule of
-    ``_row_products`` every row gets the same bits whatever batch it sits in.
-    A ``reference`` (``NetworkPolicy._set_reference``) changes which conv
-    outputs are computed and which copied, never a bit of the result.
+    With the product rule of ``_row_products`` every row gets the same bits
+    whatever batch it sits in, a batch of one state included. A ``reference``
+    (``NetworkPolicy._set_reference``) changes which conv outputs are
+    computed and which copied, never a bit of the result.
     """
-    n = len(states)
-    if 0 < n < ROW_FLOOR:
-        states = np.concatenate([states, np.repeat(states[:1], ROW_FLOOR - n, axis=0)])
     x = _conv_input(spec, weights, states) if reference is None else _reference_input(spec, weights, reference, states)
     first_dense = next(i for i, layer in enumerate(spec.layers) if isinstance(layer, Dense))
     for layer, entry in zip(spec.layers[first_dense:], weights[first_dense:]):
@@ -439,7 +433,7 @@ def _forward(spec: NetworkSpec, weights: list, states: np.ndarray, reference: tu
             x += entry[1]
         else:
             x = _activate(layer, x, True)
-    return x[:n]
+    return x
 
 
 class NetworkPolicy(PolicyModel):
@@ -469,7 +463,7 @@ class NetworkPolicy(PolicyModel):
         if self._fields is None or (self._reference is not None and np.array_equal(self._reference[3], bits)):
             return
         with np.errstate(over="ignore", invalid="ignore"):
-            row = _conv_input(self.spec, self.weights, np.repeat(np.array(state, dtype=float)[np.newaxis], ROW_FLOOR, axis=0))[0]
+            row = _conv_input(self.spec, self.weights, np.array(state, dtype=float)[np.newaxis])[0]
         self._reference = (*self._fields, bits, row)
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
@@ -717,6 +711,7 @@ def scripted_policy(kind: str, n_lidar: int = 180) -> PolicyModel:
     """
     if kind not in (GOAL_SEEKER, LEFT_PREFERRER):
         raise ValueError(f"unknown scripted policy {kind!r}")
+    require_int("n_lidar", n_lidar)
     if n_lidar < 8:
         raise ValueError("n_lidar must be >= 8")
     return _ScriptedPolicy(kind, n_lidar)

@@ -180,6 +180,21 @@ def test_timeout_that_is_not_positive_and_finite_is_refused_before_the_spawn(tim
         external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS, timeout=timeout)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        pytest.param((4.7, N_OUTPUTS), "input_size must be an integer, got 4.7", id="input-float"),
+        pytest.param((True, N_OUTPUTS), "input_size must be an integer, got True", id="input-bool"),
+        pytest.param((N_INPUTS, 2.0), "output_size must be an integer, got 2.0", id="output-float"),
+        pytest.param((N_INPUTS, "2"), "output_size must be an integer, got '2'", id="output-string"),
+    ],
+)
+def test_a_size_that_is_not_an_integer_is_refused_before_the_spawn(sizes, message):
+    # The command cannot start, so a spawn would raise BridgeError instead.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        external_policy(["/nonexistent/policy-binary"], *sizes)
+
+
 def test_state_round_trip_is_exact(bridge_script):
     # repr-formatted decimals survive the pipe bit for bit.
     body = f"""

@@ -133,7 +133,7 @@ MICRO_BATCHES = [1, 2, 5, 16, 17, 40, 101, 400]
 
 
 def padded(rows, per_state):
-    """The rows of a batch below the row floor, padded with copies of its first state as ``_forward`` pads them."""
+    """The rows of a batch below the row floor, padded to ROW_FLOOR states with copies of its first state."""
     missing = ROW_FLOOR - len(rows) // per_state
     return np.concatenate([rows] + [rows[:per_state]] * missing) if missing > 0 else rows
 
@@ -177,6 +177,23 @@ def check_padded_rows(shape):
                 f"{blas_build()}: the {per_state}x{size_in} -> {size_out} product gives {differ.size} of {n} rows "
                 f"padded to {len(padded)} other bits than in the full pass, first at row {differ[0]} (offset {offset})"
             )
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES + EDGE_SHAPES + MICRO_SHAPES, ids=str)
+def test_a_product_of_fewer_rows_than_the_floor_gives_each_row_its_floor_bits(shape):
+    # No caller pads: a batch of few states, or the few windows a changed ray reaches, go in as they are.
+    per_state, size_in, size_out = shape
+    rng = np.random.default_rng([*shape, 2])
+    w = rng.normal(size=(size_out, size_in))
+    floor = ROW_FLOOR * per_state
+    rows = rng.normal(size=(floor, size_in))
+    full = bits(_row_products(rows, w, per_state))
+    counts = sorted({n for n in (1, 2, 3, 7, per_state - 1, per_state + 1, floor - 1) if 0 < n < floor})
+    differ = [n for n in counts if not np.array_equal(bits(_row_products(rows[:n], w, per_state)), full[:n])]
+    assert not differ, (
+        f"{blas_build()}: the {per_state}x{size_in} -> {size_out} product of {differ} rows gives them "
+        f"other bits than the product of {floor} rows: short products are not padded to the row floor"
+    )
 
 
 @pytest.mark.parametrize("shape", BENCH_SHAPES + EDGE_SHAPES, ids=str)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -156,17 +157,32 @@ class TestNetForward:
             NetworkSpec(8, 3, (Conv1d(1, 4, 3, 1, 1, True), Conv1d(2, 4, 3, 1, 1, True), Dense(1, 1)))
 
     @pytest.mark.parametrize(
-        "build, message",
+        "build, error, message",
         [
-            (lambda: Conv1d(1, 2, 2.5, padding=1), "kernel must be an integer, got 2.5"),
-            (lambda: Conv1d(True, 2, 3), "in_channels must be an integer, got True"),
-            (lambda: Conv1d(1, 2, 3, padding=1.0), "padding must be an integer, got 1.0"),
-            (lambda: Dense(19, 2.0), "out_size must be an integer, got 2.0"),
+            (lambda: Conv1d(1, 2, 2.5, padding=1), ValueError, "kernel must be an integer, got 2.5"),
+            (lambda: Conv1d(True, 2, 3), ValueError, "in_channels must be an integer, got True"),
+            (lambda: Conv1d(1, 2, 3, padding=1.0), ValueError, "padding must be an integer, got 1.0"),
+            (lambda: Dense(19, 2.0), ValueError, "out_size must be an integer, got 2.0"),
+            (lambda: Conv1d(1, 2, 3, padding=1, circular="no"), ValueError, "circular must be true or false, got 'no'"),
+            (lambda: Conv1d(1, 2, 3, padding=1, circular=1), ValueError, "circular must be true or false, got 1"),
+            (lambda: NetworkSpec(7.5, 3.5, (Dense(11, 2), Activation("tanh"))), NetworkConfigError, "lidar_inputs must be an integer, got 7.5"),
+            (lambda: NetworkSpec(8, 3.5, (Dense(11, 2), Activation("tanh"))), NetworkConfigError, "extra_inputs must be an integer, got 3.5"),
+            (lambda: NetworkSpec(True, 3, (Dense(4, 2), Activation("tanh"))), NetworkConfigError, "lidar_inputs must be an integer, got True"),
         ],
-        ids=["conv-kernel-float", "conv-in-bool", "conv-padding-float", "dense-out-float"],
+        ids=[
+            "conv-kernel-float",
+            "conv-in-bool",
+            "conv-padding-float",
+            "dense-out-float",
+            "conv-circular-string",
+            "conv-circular-int",
+            "spec-lidar-float",
+            "spec-extra-float",
+            "spec-lidar-bool",
+        ],
     )
-    def test_a_layer_size_that_is_not_an_integer_is_refused(self, build, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    def test_a_layer_size_that_is_not_an_integer_is_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
             build()
 
     def test_spec_requires_dense(self):
@@ -515,6 +531,11 @@ class TestScriptedPolicies:
         with pytest.raises(ValueError, match="n_lidar must be >= 8"):
             scripted_policy("goal_seeker", 7)
         assert scripted_policy("left_preferrer", 8).input_size == 11
+
+    @pytest.mark.parametrize("n_lidar", [8.5, 16.0, True, "8"], ids=repr)
+    def test_a_ray_count_that_is_not_an_integer_is_refused(self, n_lidar):
+        with pytest.raises(ValueError, match=f"^n_lidar must be an integer, got {re.escape(repr(n_lidar))}$"):
+            scripted_policy("goal_seeker", n_lidar)
 
     def test_wrong_state_length_rejected(self):
         policy = scripted_policy("goal_seeker", 16)
