@@ -27,7 +27,7 @@ from .ga import GaConfig, require_int
 from .model import NetworkPolicy, PolicyModel, scripted_policy
 from .plot import cfe_plot_svg, scan_plot_svg
 from .scan import GoalFeatures, Scan
-from .scenario import _obstacle_entry, _pair, load_scenario, load_yaml_mapping, parse_yaml
+from .scenario import _json_object, _obstacle_entry, _pair, build, load_scenario, parse_yaml, read_mapping, refuse_unknown
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
 
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_INTERNAL = 4
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +103,16 @@ def _load_base(base_ref: str, query_path: Path) -> tuple[Scan, GoalFeatures, str
     if base_path.suffix != ".json":
         scenario = load_scenario(base_path)
         return scenario.base_scan(), scenario.goal_features(), str(base_path)
-    try:
-        data = json.loads(base_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
-        raise InputError(f"cannot read scan file {base_path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("kind") != "scan":
+    data = read_mapping(base_path)
+    if data.get("kind") != "scan":
         raise InputError(f"{base_path}: not a scan file (kind != 'scan')")
-    _refuse_unknown(data, _SCAN_KEYS, str(base_path))
+    refuse_unknown(data, _SCAN_KEYS, str(base_path))
     try:
         file_format, _, name, n_rays, max_range, readings, goal = (data[key] for key in _SCAN_KEYS)
         require_int("n_rays", n_rays)
         if file_format != 1 or isinstance(file_format, bool) or not isinstance(name, str):
             raise ValueError(f"format must be 1 and name a string, got {file_format!r} and {name!r}")
-        scan, goal = Scan(readings, max_range), GoalFeatures(**goal)
+        scan, goal = Scan(readings, max_range), build(GoalFeatures, goal, str(base_path))
         if n_rays != scan.n:
             raise ValueError(f"n_rays {n_rays} does not match the {scan.n} readings")
     except KeyError as exc:
@@ -134,35 +129,24 @@ def _query_keys() -> list[str]:
     return [f.name for f in fields(CfeQuery) if f.name not in ("base_scan", "goal")]
 
 
-def _refuse_unknown(data: dict, known, where: str) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
-
-
 def _build_query(data: dict, scan: Scan, goal: GoalFeatures, where: str) -> CfeQuery:
     """The query that ``data``'s query-file keys set, for query files and ``results.json`` headers.
 
     Other keys are ignored. A missing or null key takes the ``CfeQuery`` default.
     """
-    kwargs = {name: data[name] for name in _query_keys() if data.get(name) is not None}
-    kwargs["bounds"] = _parse_bounds(kwargs.get("bounds"), where)
-    if "size_limits" in kwargs:
-        kwargs["size_limits"] = _pair(kwargs["size_limits"], f"{where}: size_limits")
-    try:
-        return CfeQuery(base_scan=scan, goal=goal, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+    values = {name: data[name] for name in _query_keys() if name in data}
+    values["bounds"] = _parse_bounds(data.get("bounds"), where)
+    return build(CfeQuery, {**values, "base_scan": scan, "goal": goal}, where, {"size_limits": _pair})
 
 
 def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     """Build the query and GA config from a YAML query file plus --set overrides."""
     query_path = Path(path)
-    data = load_yaml_mapping(query_path)
+    data = read_mapping(query_path)
     where = str(query_path)
     for dotted, raw_value in overrides or []:
         _apply_override(data, dotted, raw_value)
-    _refuse_unknown(data, [*_query_keys(), "base", "ga"], where)
+    refuse_unknown(data, [*_query_keys(), "base", "ga"], where)
 
     base_ref = data.get("base")
     if not isinstance(base_ref, str):
@@ -170,16 +154,7 @@ def _load_query(path, overrides) -> tuple[CfeQuery, GaConfig, dict]:
     scan, goal, base_path = _load_base(base_ref, query_path)
     query = _build_query(data, scan, goal, where)
 
-    ga_raw = data.get("ga") or {}
-    if not isinstance(ga_raw, dict):
-        raise InputError(f"{where}: 'ga' must be a mapping of engine settings")
-    _refuse_unknown(ga_raw, [f.name for f in fields(GaConfig)], f"{where}: ga")
-    try:
-        ga_config = GaConfig(**ga_raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: ga: {exc}") from None
-
-    return query, ga_config, {"base": base_path}
+    return query, build(GaConfig, {} if data.get("ga") is None else data["ga"], f"{where}: ga"), {"base": base_path}
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +250,8 @@ def verify_results_file(path, model: PolicyModel) -> int:
     is malformed or differs. Returns the number of entries checked.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        query = _build_query(data, Scan(data["base_readings"], data["max_range"]), GoalFeatures(**data["goal"]), str(path))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
+        query = _build_query(data, Scan(data["base_readings"], data["max_range"]), build(GoalFeatures, data["goal"], str(path)), str(path))
         entries, searches = list(data["results"]), []
         genomes = np.empty((len(entries), GENES_PER_OBSTACLE * query.n_obstacles))
         for i, entry in enumerate(entries):

@@ -563,9 +563,9 @@ def _read_weight_file(path) -> tuple[str, str]:
     """The text of a weight file and the sha256 of its bytes, both from one read."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read weight file {path}: {exc}") from exc
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 def load_weight_file(path, text: str | None = None) -> tuple[NetworkSpec, list]:
@@ -596,6 +596,8 @@ def load_weight_file(path, text: str | None = None) -> tuple[NetworkSpec, list]:
     header = {"lidar": None, "extra": None}
     pos = 1
     while pos < len(entries) and entries[pos][0] in header:
+        if header[entries[pos][0]] is not None:
+            raise ModelError(f"{path}: repeated {entries[pos][0]!r} line")
         header[entries[pos][0]] = entries[pos][1].strip()
         pos += 1
     lidar = _parse_int(header["lidar"], "lidar", str(path))

@@ -8,11 +8,12 @@ origin-to-goal vector.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -92,15 +93,8 @@ def _obstacle(entry, where: str) -> ObstacleShape:
     kind = entry.get("kind")
     if kind not in (CIRCLE, RECTANGLE):
         raise InputError(f"{where}: unknown obstacle kind {kind!r}")
-    unknown = set(entry) - {"kind", *_OBSTACLE_KEYS[kind]}
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)} for a {kind}")
-    values = {key: _READERS[key](value, f"{where}.{key}") if key in _READERS else value
-              for key, value in entry.items() if key != "kind" and value is not None}
-    try:
-        return ObstacleShape(kind, **values)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+    refuse_unknown(entry, {"kind", *_OBSTACLE_KEYS[kind]}, where, f" for a {kind}")
+    return build(ObstacleShape, entry, where, _READERS)
 
 
 def _obstacles(value, where: str) -> tuple[ObstacleShape, ...]:
@@ -130,8 +124,19 @@ class _Yaml12Loader(yaml.SafeLoader):
     """The safe loader, also reading YAML 1.2 floats that YAML 1.1 leaves as strings.
 
     YAML 1.1 wants a dot and a signed exponent (``1.0e-3``), so ``1e-3``,
-    ``1E+2`` and ``1.5e3`` would load as text.
+    ``1E+2`` and ``1.5e3`` would load as text. A key repeated in one mapping
+    is an error, as YAML 1.2 requires; a merge key (``<<``) is not a key.
     """
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"] if isinstance(node, yaml.MappingNode) else []
+        mapping, seen = super().construct_mapping(node, deep), set()
+        for key_node in own:
+            key = self.construct_object(key_node)  # built and checked hashable above
+            if key in seen:
+                raise yaml.constructor.ConstructorError("while constructing a mapping", node.start_mark, f"found repeated key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 _Yaml12Loader.add_implicit_resolver(
@@ -146,20 +151,51 @@ def parse_yaml(text: str):
     return yaml.load(text, Loader=_Yaml12Loader)
 
 
-def load_yaml_mapping(path) -> dict:
-    """Read a YAML file that must contain a top-level mapping."""
+def _json_object(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of every JSON input: a repeated key is an error, as in YAML."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        raise ValueError(f"repeated key {next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))!r}")
+    return data
+
+
+def read_mapping(path) -> dict:
+    """The top-level mapping of a UTF-8 file: JSON for a ``.json`` file, YAML 1.2 otherwise."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        data = json.loads(text, object_pairs_hook=_json_object) if path.suffix == ".json" else parse_yaml(text)
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # a UnicodeDecodeError or a JSON error is a ValueError
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = parse_yaml(text)
-    except yaml.YAMLError as exc:
-        raise InputError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a top-level mapping")
     return data
+
+
+def refuse_unknown(data: dict, known, where: str, note: str = "") -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}{note}")
+
+
+def build(cls, data, where: str, readers=None):
+    """``cls`` built from the file mapping ``data`` of its fields, each key in ``readers`` read by its reader.
+
+    A null takes the field's default unless its annotation (text: it is postponed) admits None. Raises ``InputError`` naming ``where``.
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected a mapping of {cls.__name__} fields")
+    known = {f.name: f for f in fields(cls)}
+    refuse_unknown(data, known, where)
+    values = {key: readers[key](value, f"{where}: {key}") if value is not None and key in (readers or ()) else value
+              for key, value in data.items() if value is not None or "None" in known[key].type.split(" | ")}
+    for name, f in known.items():
+        if name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise InputError(f"{where}: missing field {name!r}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -168,15 +204,7 @@ def load_scenario(path) -> Scenario:
     A missing or null key takes the field's default (``name``: the file stem); an unknown key is an input error.
     """
     path = Path(path)
-    where = str(path)
-    data = load_yaml_mapping(path)
-    unknown = set(data) - {f.name for f in fields(Scenario)}
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
-    kwargs = {key: _READERS[key](value, f"{where}: {key}") if key in _READERS else value
-              for key, value in data.items() if value is not None}
-    kwargs.setdefault("name", path.stem)
-    try:
-        return Scenario(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+    data = read_mapping(path)
+    if data.get("name") is None:
+        data["name"] = path.stem
+    return build(Scenario, data, str(path), _READERS)

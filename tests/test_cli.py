@@ -656,6 +656,30 @@ def explain_reverse(tmp_path, *args):
     return ["explain", str(write_reverse_query(tmp_path, "room.yaml")), *args]
 
 
+LATIN_1_COMMENT = "# café\n".encode("latin-1")  # 0xe9 is not UTF-8
+
+
+def with_bytes_appended(command, extra: bytes):
+    """``command`` after appending ``extra`` to the scenario or query file it reads first."""
+    path = Path(command[1])
+    path.write_bytes(path.read_bytes() + extra)
+    return command
+
+
+def explain_with_scan_text(tmp_path, edit):
+    """An explain on a fresh scan of the empty room whose JSON text ``edit`` rewrote."""
+    command = explain_with_scan_base(tmp_path)
+    path = tmp_path / "room.scan.json"
+    path.write_text(edit(path.read_text()))
+    return command
+
+
+def validate_tiny_net(tmp_path, text: bytes):
+    path = tmp_path / "net.txt"
+    path.write_bytes(text)
+    return ["validate-model", "--model", f"weights:{path}", "--n-rays", "8"]
+
+
 @pytest.mark.parametrize(
     "command, code, message",
     [
@@ -761,7 +785,7 @@ def explain_reverse(tmp_path, *args):
         (
             lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "center": [2.0, 10**400]}]),
             EXIT_INPUT,
-            "scene.yaml: obstacles[0].center: point y is too large for a float",
+            "scene.yaml: obstacles[0]: center: point y is too large for a float",
         ),
         (
             lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "radius": 10**400}]),
@@ -773,6 +797,27 @@ def explain_reverse(tmp_path, *args):
             EXIT_INPUT,
             "scene.yaml: obstacles[0]: orientation is too large for a float",
         ),
+        (lambda tmp: with_bytes_appended(scan_of_scenario(tmp), LATIN_1_COMMENT), EXIT_INPUT, "scene.yaml: 'utf-8' codec can't decode byte 0xe9"),
+        (
+            lambda tmp: with_bytes_appended(explain_reverse(tmp, "--model", "scripted:goal_seeker"), LATIN_1_COMMENT),
+            EXIT_INPUT,
+            "query.yaml: 'utf-8' codec can't decode byte 0xe9",
+        ),
+        (lambda tmp: validate_tiny_net(tmp, TINY_NET.encode() + LATIN_1_COMMENT), EXIT_MODEL, "net.txt: 'utf-8' codec can't decode byte 0xe9"),
+        (lambda tmp: with_bytes_appended(scan_of_scenario(tmp), b"goal: [2.0, 0.0]\n"), EXIT_INPUT, "found repeated key 'goal'"),
+        (
+            lambda tmp: with_bytes_appended(explain_reverse(tmp, "--model", "scripted:goal_seeker"), b"n_cfes: 1\n"),
+            EXIT_INPUT,
+            "found repeated key 'n_cfes'",
+        ),
+        (
+            lambda tmp: explain_with_scan_text(tmp, lambda text: text.rstrip()[:-1] + ', "max_range": 9.0}'),
+            EXIT_INPUT,
+            "room.scan.json: repeated key 'max_range'",
+        ),
+        (lambda tmp: validate_tiny_net(tmp, TINY_NET.replace("lidar: 8", "lidar: 4\nlidar: 8").encode()), EXIT_MODEL, "net.txt: repeated 'lidar' line"),
+        # A repeated key makes the value text, as any value that is not YAML does, and bounds refuses text.
+        (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "bounds={a: 1, a: 2}"), EXIT_INPUT, "query.yaml: bounds"),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -819,6 +864,14 @@ def explain_reverse(tmp_path, *args):
         "scenario-center-huge",
         "scenario-radius-huge",
         "scenario-orientation-huge",
+        "scenario-latin-1",
+        "query-latin-1",
+        "weight-file-latin-1",
+        "scenario-repeated-key",
+        "query-repeated-key",
+        "scan-repeated-key",
+        "weight-file-repeated-lidar",
+        "set-bounds-repeated-key",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -829,6 +882,106 @@ def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monk
         exit_code = exc.code
     assert exit_code == code
     assert message in capsys.readouterr().err
+
+
+def scan_of_text(tmp_path, text):
+    path = tmp_path / "scene.yaml"
+    path.write_text(text)
+    return ["scan", str(path)]
+
+
+def explain_on_query_text(tmp_path, text):
+    write_empty_room(tmp_path)
+    path = tmp_path / "query.yaml"
+    path.write_text(text)
+    return ["explain", str(path), "--model", "scripted:goal_seeker"]
+
+
+GOAL = {"cos": 1.0, "sin": 0.0, "distance": 2.0}
+NO_COS = {"sin": 0.0, "distance": 2.0}
+INTERNALS = ("__init__()", "argument after **")
+
+# Per reader, a value that is not a mapping, an unknown key, a missing required field and a null
+# for a required field, each with the texts the error must name: the file, then the key.
+# GaConfig has no required field; its nulls are in the test of defaults below.
+READER_CASES = {
+    "scenario-not-a-mapping": (lambda tmp: scan_of_text(tmp, "- goal\n"), "scene.yaml: ", "top-level mapping"),
+    "scenario-unknown-key": (lambda tmp: scan_of_scenario(tmp, colour="red"), "scene.yaml: ", "['colour']"),
+    "scenario-missing-goal": (lambda tmp: scan_of_text(tmp, "n_rays: 90\n"), "scene.yaml: ", "missing field 'goal'"),
+    "scenario-null-goal": (lambda tmp: scan_of_scenario(tmp, goal=None), "scene.yaml: ", "missing field 'goal'"),
+    "obstacle-not-a-mapping": (lambda tmp: scan_of_scenario(tmp, obstacles=[[2.0, 1.0]]), "scene.yaml: obstacles[0]: ", "mapping"),
+    "obstacle-unknown-key": (lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "colour": "red"}]), "scene.yaml: obstacles[0]: ", "['colour']"),
+    "obstacle-missing-center": (
+        lambda tmp: scan_of_scenario(tmp, obstacles=[{"kind": "circle", "radius": 0.5}]), "scene.yaml: obstacles[0]: ", "missing field 'center'",
+    ),
+    "obstacle-null-center": (
+        lambda tmp: scan_of_scenario(tmp, obstacles=[{**CIRCLE_AHEAD, "center": None}]), "scene.yaml: obstacles[0]: ", "missing field 'center'",
+    ),
+    "query-not-a-mapping": (lambda tmp: explain_on_query_text(tmp, "- base\n"), "query.yaml: ", "top-level mapping"),
+    "query-unknown-key": (lambda tmp: with_bytes_appended(explain_reverse(tmp, "--model", "scripted:goal_seeker"), b"turbo: 1\n"), "query.yaml: ", "['turbo']"),
+    "query-missing-bounds": (lambda tmp: explain_on_query_text(tmp, "base: room.yaml\n"), "query.yaml: ", "bounds"),
+    "query-null-base": (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "base=null"), "query.yaml: ", "'base'"),
+    "ga-not-a-mapping": (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "ga=[1, 2]"), "query.yaml: ", "ga"),
+    "ga-unknown-key": (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "ga.colour=red"), "query.yaml: ga: ", "['colour']"),
+    "scan-not-a-mapping": (lambda tmp: explain_with_scan_text(tmp, lambda text: "[1, 2]"), "room.scan.json: ", "top-level mapping"),
+    "scan-unknown-key": (lambda tmp: explain_with_scan_base(tmp, colour="red"), "room.scan.json: ", "['colour']"),
+    "scan-missing-goal": (lambda tmp: explain_with_scan_base(tmp, drop=["goal"]), "room.scan.json: ", "missing field 'goal'"),
+    "scan-null-n-rays": (lambda tmp: explain_with_scan_base(tmp, n_rays=None), "room.scan.json: ", "n_rays"),
+    "scan-goal-not-a-mapping": (lambda tmp: explain_with_scan_base(tmp, goal=[1.0, 0.0, 2.0]), "room.scan.json: ", "GoalFeatures"),
+    "scan-goal-unknown-key": (lambda tmp: explain_with_scan_base(tmp, goal={**GOAL, "colour": "red"}), "room.scan.json: ", "['colour']"),
+    "scan-goal-missing-cos": (lambda tmp: explain_with_scan_base(tmp, goal=NO_COS), "room.scan.json: ", "missing field 'cos'"),
+    "scan-goal-null-cos": (lambda tmp: explain_with_scan_base(tmp, goal={**GOAL, "cos": None}), "room.scan.json: ", "cos"),
+}
+
+
+@pytest.mark.parametrize("command, file, key", READER_CASES.values(), ids=READER_CASES.keys())
+def test_every_reader_names_the_file_and_the_key(tmp_path, capsys, monkeypatch, command, file, key):
+    monkeypatch.setenv("LIDAR_CFE_OUT", str(tmp_path / "out"))
+    assert main(command(tmp_path)) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert file in err and key in err[err.index(file) :]
+    assert not any(text in err for text in INTERNALS)
+
+
+@pytest.mark.parametrize(
+    "goal, key",
+    [([1.0, 0.0, 2.0], "GoalFeatures"), ({**GOAL, "colour": "red"}, "['colour']"), (NO_COS, "missing field 'cos'"), ({**GOAL, "cos": None}, "cos")],
+    ids=["not-a-mapping", "unknown-key", "missing-cos", "null-cos"],
+)
+def test_the_results_header_goal_names_the_file_and_the_key(tmp_path, reverse_results, goal, key):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps({**reverse_results, "goal": goal}))
+    with pytest.raises(LidarCfeError) as exc:
+        verify_results_file(path, scripted_policy("goal_seeker"))
+    assert str(exc.value).startswith(f"{path}: ") and key in str(exc.value)
+    assert not any(text in str(exc.value) for text in INTERNALS)
+
+
+def test_a_null_takes_the_default_of_its_field(tmp_path):
+    wall = {"kind": "rectangle", "center": [-2.0, 0.0], "half_extents": [0.1, 1.0]}
+    for name, orientation in (("set", {}), ("null", {"orientation": None})):
+        scene = {"name": name, "goal": [1.0, 0.0], "n_rays": None if orientation else 180, "obstacles": [{**wall, **orientation}]}
+        (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(scene))
+        assert main(["scan", str(tmp_path / f"{name}.yaml"), "-o", str(tmp_path)]) == EXIT_OK
+    written = [json.loads((tmp_path / f"{name}.scan.json").read_text()) for name in ("set", "null")]
+    assert written[0]["readings"] == written[1]["readings"] and written[1]["n_rays"] == 180
+
+    nulls = ["lambda_y=null", "ga.generations=null", "ga.saturate_k=null", "ga.reach_zero=null"]
+    command = explain_reverse(tmp_path, "--model", "scripted:goal_seeker", "-o", str(tmp_path / "out"), "--no-plots", "--set", "n_cfes=1")
+    assert main([*command, *(arg for setting in nulls for arg in ("--set", setting))]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "results.json").read_text())["lambda_y"] == 1.0
+    ga = json.loads((tmp_path / "out" / "manifest.json").read_text())["ga"]
+    assert (ga["generations"], ga["saturate_k"], ga["reach_zero"]) == (100, None, True)  # a null saturate_k disables that stop
+
+
+def test_a_yaml_merge_key_still_loads(tmp_path):
+    wall = "{kind: rectangle, center: [0.0, 2.0], half_extents: [2.0, 0.05]}"
+    merged = f"name: merged\ngoal: [1.0, 0.0]\nobstacles:\n  - &wall {wall}\n  - <<: *wall\n    center: [0.0, -2.0]\n"
+    written = f"name: written\ngoal: [1.0, 0.0]\nobstacles:\n  - {wall}\n  - {wall.replace('0.0, 2.0', '0.0, -2.0')}\n"
+    for text in (merged, written):
+        assert main(scan_of_text(tmp_path, text) + ["-o", str(tmp_path)]) == EXIT_OK
+    readings = [json.loads((tmp_path / f"{name}.scan.json").read_text())["readings"] for name in ("merged", "written")]
+    assert readings[0] == readings[1] and min(readings[0]) < 3.5
 
 
 def test_far_goal_warns_once_per_explain_and_once_per_verify(tmp_path, caplog):
@@ -1077,6 +1230,32 @@ def test_explain_with_any_overrides_exits_0_2_or_3(overrides, generations):
         for setting in [f"{key}={value}" for key, value in overrides] + TINY_GA + [f"ga.generations={generations}"]:
             args += ["--set", setting]
         assert main(args) in (EXIT_OK, EXIT_INPUT, EXIT_MODEL)
+
+
+SAMPLE_EDITS = st.tuples(st.sampled_from(["box_ahead.yaml", "turn_right_query.yaml"]), st.booleans(), st.integers(0, 10**4), st.integers(0, 255))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit=SAMPLE_EDITS)
+def test_scan_and_explain_of_a_sample_with_any_byte_inserted_or_line_repeated_exit_0_or_2(edit):
+    name, repeat_line, pick, byte = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        for sample in ("box_ahead.yaml", "turn_right_query.yaml"):
+            (Path(tmp) / sample).write_bytes((SAMPLES / sample).read_bytes())
+        path = Path(tmp) / name
+        data = path.read_bytes()
+        if repeat_line:
+            lines = data.splitlines(keepends=True)
+            data = b"".join(lines[: pick % len(lines) + 1] + lines[pick % len(lines) :])
+        else:
+            data = data[: pick % (len(data) + 1)] + bytes([byte]) + data[pick % (len(data) + 1) :]
+        path.write_bytes(data)
+        out = str(Path(tmp) / "out")
+        assert main(["scan", str(Path(tmp) / "box_ahead.yaml"), "-o", out]) in (EXIT_OK, EXIT_INPUT)
+        args = ["explain", str(Path(tmp) / "turn_right_query.yaml"), "--model", "scripted:left_preferrer", "-o", out, "--no-plots"]
+        for setting in TINY_GA + ["ga.generations=2"]:
+            args += ["--set", setting]
+        assert main(args) in (EXIT_OK, EXIT_INPUT)
 
 
 TINY_NET = """format: 1

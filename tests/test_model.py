@@ -389,6 +389,20 @@ class TestWeightFile:
         with pytest.raises(ModelError, match="format: 1"):
             load_weight_file(path)
 
+    @pytest.mark.parametrize("key", ["lidar", "extra"])
+    def test_a_repeated_header_line_is_refused(self, key):
+        text = "format: 1\nlidar: 4\nextra: 3\nlayer: dense in=7 out=1\nweights: 0 0 0 0 0 0 0\nbias: 0\nlayer: activation tanh\n"
+        assert load_weight_file("net.txt", text)[0].lidar_inputs == 4
+        with pytest.raises(ModelError, match=f"^net\\.txt: repeated '{key}' line$"):
+            load_weight_file("net.txt", text.replace(f"{key}:", f"{key}: 9\n{key}:"))
+
+    def test_a_file_that_is_not_utf8_is_a_model_error(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes("# caf\xe9\nformat: 1\nlidar: 4\nextra: 3\n".encode("latin-1"))
+        for load in (load_weight_file, NetworkPolicy.from_file):
+            with pytest.raises(ModelError, match=r"^cannot read weight file .*net\.txt: 'utf-8' codec can't decode byte 0xe9"):
+                load(path)
+
     def test_wrapped_arrays_and_comments(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text(
