@@ -62,9 +62,9 @@ def _out_dir(args) -> Path:
 
 def _apply_override(data: dict, dotted: str, raw_value: str) -> None:
     try:
-        value = parse_yaml(raw_value)
-    except yaml.YAMLError:
-        value = raw_value
+        value = parse_yaml(raw_value, f"--set {dotted}")
+    except yaml.YAMLError as exc:
+        raise InputError(f"--set {dotted}: {exc}") from None
     node = data
     keys = dotted.split(".")
     for key in keys[:-1]:
@@ -272,7 +272,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
         results = _package(query, model, genomes, searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise LidarCfeError(f"{path}: {exc}") from None
     if len(entries) != query.n_cfes:
         raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")

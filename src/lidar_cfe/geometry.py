@@ -5,7 +5,9 @@ Conventions, used consistently across the package:
 * ray 0 points along +x and ray indices increase counter-clockwise,
 * tangent rays count as hits,
 * a ray cast from inside a shape returns the exit distance,
-* scan rays that hit nothing read exactly ``max_range``.
+* scan rays that hit nothing read exactly ``max_range``,
+* a zero distance (the sensor on a boundary) reads +0.0, so a reading has the
+  bits of a sweep in any slot or kind order.
 
 ``raycast_rows`` works per obstacle, then per ray: terms that do not need the
 ray (a circle's center offset and ``|f|^2 - r^2``, a rectangle's local
@@ -226,11 +228,9 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     (``_ray_windows``), outside of which no ray can hit it. The pairs are
     ordered by kind once; each kind's kernel spreads its per-pair terms over
     the windows with ``np.repeat``, so every (pair, ray) element sees the
-    operations and operands of a kernel run on every ray. With one slot per
-    scene no two elements share a reading, and the distances are written
-    straight into the rows. With several, they are scatter-minimized into the
-    rows in scene-major, slot-minor order, so even a tie of +0 and -0
-    resolves as in a sweep. Either way a reading has a sweep's bits.
+    operations and operands of a kernel run on every ray. The distances are
+    scatter-minimized into the rows. A zero distance reads +0.0, so a reading
+    has the bits of a sweep in any slot or kind order.
 
     The readings are written into ``out``, which the caller gives as a
     C-contiguous (scenes, n_rays) float array, or into a new array; the
@@ -244,8 +244,7 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     pair = np.argsort(rect, kind="stable")  # circles, then rectangles, each in scene-major order
     w = width[pair]
     block = np.cumsum(w) - w  # first element of each pair's window, in kind order
-    element = np.arange(w.sum())
-    ray = (element + np.repeat(first[pair] - block, w)) % n_rays
+    ray = (np.arange(w.sum()) + np.repeat(first[pair] - block, w)) % n_rays
     cell = ray + np.repeat(pair // n_slots * n_rays, w)  # each element's flat reading index, in kind order
     cx, cy, cos_o, sin_o, size1, size2 = (getattr(shapes, p).ravel()[pair] for p in ("cx", "cy", "cos_o", "sin_o", "size1", "size2"))
     dx, dy = (d[ray] for d in _ray_directions(n_rays))
@@ -253,15 +252,10 @@ def raycast_rows(origin: Point2, shapes: ShapeRows, n_rays: int, max_range: floa
     e = w[:k].sum()  # their elements
     circles = _circle_hits(origin, w[:k], dx[:e], dy[:e], cx[:k], cy[:k], size1[:k])
     rects = _rect_hits(origin, w[k:], dx[e:], dy[e:], cx[k:], cy[k:], cos_o[k:], sin_o[k:], size1[k:], size2[k:])
+    t = np.concatenate((circles, rects))
+    t += 0.0  # -0.0 becomes +0.0, after which the minimum does not depend on order
     out.fill(np.inf)
-    flat = out.reshape(-1)
-    if n_slots == 1:  # no two elements share a reading
-        flat[cell[:e]], flat[cell[e:]] = circles, rects
-    else:
-        element += np.repeat((np.cumsum(width) - width)[pair] - block, w)  # its place in scene-major, slot-minor order
-        cells, t = np.empty_like(cell), np.empty(cell.size)
-        cells[element], t[element[:e]], t[element[e:]] = cell, circles, rects
-        np.minimum.at(flat, cells, t)
+    np.minimum.at(out.reshape(-1), cell, t)
     return np.minimum(out, max_range, out=out)
 
 

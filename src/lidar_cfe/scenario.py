@@ -8,6 +8,7 @@ origin-to-goal vector.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -146,9 +147,11 @@ _Yaml12Loader.add_implicit_resolver(
 )
 
 
-def parse_yaml(text: str):
-    """Parse YAML text with the safe loader; exponent numbers read as floats."""
-    return yaml.load(text, Loader=_Yaml12Loader)
+def parse_yaml(text: str, name: str):
+    """Parse YAML text with the safe loader; exponent numbers read as floats, and errors name ``name``."""
+    stream = io.StringIO(text)
+    stream.name = name  # PyYAML names a stream's marks after its ``name``
+    return yaml.load(stream, Loader=_Yaml12Loader)
 
 
 def _json_object(pairs: list) -> dict:
@@ -164,7 +167,7 @@ def read_mapping(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        data = json.loads(text, object_pairs_hook=_json_object) if path.suffix == ".json" else parse_yaml(text)
+        data = json.loads(text, object_pairs_hook=_json_object) if path.suffix == ".json" else parse_yaml(text, str(path))
     except (OSError, ValueError, yaml.YAMLError) as exc:  # a UnicodeDecodeError or a JSON error is a ValueError
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):

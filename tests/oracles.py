@@ -271,7 +271,7 @@ def scalar_raycast(shapes, n_rays, max_range):
             lo_y, hi_y = _scalar_slab(-fx * sin_o + fy * cos_o, -dx * sin_o + dy * cos_o, shape.half_extents[1])
             t_enter, t_exit = np.maximum(lo_x, lo_y), np.minimum(hi_x, hi_y)
             t = np.where((t_enter <= t_exit) & (t_exit >= 0.0), np.where(t_enter >= 0.0, t_enter, t_exit), np.inf)
-        best = np.minimum(best, t)
+        best = np.minimum(best, t + 0.0)  # a zero distance reads +0.0
     return np.minimum(best, max_range)
 
 
@@ -331,7 +331,8 @@ def full_sweep_raycast_rows(origin, shapes, n_rays, max_range):
     """``raycast_rows`` without windows: every slot against every ray, one slot and kind at a time.
 
     It runs the frozen element-wise kernels above, so it checks the per-pair
-    kernels, the windows and the scatter-min of ``raycast_rows``.
+    kernels, the windows and the scatter-min of ``raycast_rows``. Like the
+    library, it reads a zero distance as +0.0.
     """
     headings = np.arange(n_rays) * (2.0 * math.pi / n_rays)
     dx, dy = np.cos(headings), np.sin(headings)
@@ -347,7 +348,7 @@ def full_sweep_raycast_rows(origin, shapes, n_rays, max_range):
                 t = _rect_hit_distances(origin.x, origin.y, dx, dy, cx, cy, cos_o, sin_o, size1, size2)
             else:
                 t = _circle_hit_distances(origin.x, origin.y, dx, dy, cx, cy, size1)
-            best[rows] = np.minimum(best[rows], t)
+            best[rows] = np.minimum(best[rows], t + 0.0)  # a zero distance reads +0.0
     return np.minimum(best, max_range)
 
 

@@ -159,6 +159,11 @@ class TestExplainCommand:
         checked = verify_results_file(out / "results.json", scripted_policy("goal_seeker"))
         assert checked == 3
 
+    def test_verify_names_a_missing_results_file(self, tmp_path):
+        path = tmp_path / "results.json"
+        with pytest.raises(LidarCfeError, match=f"{re.escape(str(path))}: .*No such file"):
+            verify_results_file(path, scripted_policy("goal_seeker"))
+
     def test_verify_scores_every_entry_in_one_batch_and_names_bad_entries(self, tmp_path):
         write_empty_room(tmp_path)
         query = write_reverse_query(tmp_path, "room.yaml")
@@ -816,8 +821,23 @@ def validate_tiny_net(tmp_path, text: bytes):
             "room.scan.json: repeated key 'max_range'",
         ),
         (lambda tmp: validate_tiny_net(tmp, TINY_NET.replace("lidar: 8", "lidar: 4\nlidar: 8").encode()), EXIT_MODEL, "net.txt: repeated 'lidar' line"),
-        # A repeated key makes the value text, as any value that is not YAML does, and bounds refuses text.
-        (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "bounds={a: 1, a: 2}"), EXIT_INPUT, "query.yaml: bounds"),
+        # A --set value that is not YAML is refused, naming the flag in the message and in its marks.
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "bounds={a: 1, a: 2}"),
+            EXIT_INPUT,
+            "found repeated key 'a'\n  in \"--set bounds\"",
+        ),
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "bounds=[[-1, 0], [-0.2, 0.2]"),
+            EXIT_INPUT,
+            "--set bounds: while parsing a flow sequence\n  in \"--set bounds\"",
+        ),
+        # A YAML error in a file names the file in its marks.
+        (
+            lambda tmp: with_bytes_appended(explain_reverse(tmp, "--model", "scripted:goal_seeker"), b"base: room.yaml\n"),
+            EXIT_INPUT,
+            "query.yaml\", line 8, column 1",  # the mark of the repeated key
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -872,6 +892,8 @@ def validate_tiny_net(tmp_path, text: bytes):
         "scan-repeated-key",
         "weight-file-repeated-lidar",
         "set-bounds-repeated-key",
+        "set-bounds-unclosed",
+        "query-repeated-base",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -881,7 +903,9 @@ def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monk
     except SystemExit as exc:  # argparse refuses a malformed flag value by exiting 2
         exit_code = exc.code
     assert exit_code == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "<unicode string>" not in err
 
 
 def scan_of_text(tmp_path, text):

@@ -21,6 +21,8 @@ from lidar_cfe.geometry import (
 
 from oracles import (
     Ray,
+    _circle_hit_distances,
+    _rect_hit_distances,
     full_sweep_raycast_rows,
     march_ray,
     march_scan,
@@ -436,30 +438,27 @@ def stacked_rows(scenes):
     return ShapeRows(*(np.concatenate([getattr(row, f.name) for row in rows]) for f in dataclasses.fields(ShapeRows)))
 
 
-def test_zero_distance_ties_resolve_in_slot_order():
+def test_zero_distances_read_positive_zero_in_any_slot_order():
     # A circle and a rectangle whose boundaries pass exactly through the
-    # origin: each reads 0 on many rays, +0 on some and -0 on others. On a
-    # tie np.minimum keeps its second operand, so the sweep keeps the later
-    # slot's zero, and the scatter-min must meet the slots of a scene in slot
-    # order, whichever kind comes first.
+    # origin: the hit kernels give 0 on many rays, +0 on some and -0 on
+    # others. Every such reading is +0.0, for one slot per scene and for two,
+    # whichever kind comes first, so it has a sweep's bits in any order.
     circles = [ObstacleShape.circle(Point2(0.0, 0.5), 0.5), ObstacleShape.circle(Point2(0.0, -0.25), 0.25)]
     rects = [ObstacleShape.rectangle(Point2(0.5, 0.0), (0.5, 0.2)), ObstacleShape.rectangle(Point2(-0.3, 0.0), (0.3, 0.1))]
+    headings = np.arange(180) * (2.0 * math.pi / 180)
+    dx, dy = np.cos(headings), np.sin(headings)
+    raw = [_circle_hit_distances(0.0, 0.0, dx, dy, c.center.x, c.center.y, c.radius) for c in circles] + [
+        _rect_hit_distances(0.0, 0.0, dx, dy, r.center.x, r.center.y, math.cos(r.orientation), math.sin(r.orientation), *r.half_extents)
+        for r in rects
+    ]
+    assert all(np.signbit(t[t == 0.0]).any() for t in raw)  # every shape gives -0 on some ray
     scenes = [[c, r] for c in circles for r in rects] + [[r, c] for r in rects for c in circles]
     shapes = stacked_rows(scenes)
-    one_slot = [full_sweep_raycast_rows(ORIGIN, shapes.take((slice(None), [k])), 180, 3.5) for k in range(2)]
-    opposite = (one_slot[0] == 0.0) & (one_slot[1] == 0.0) & (np.signbit(one_slot[0]) != np.signbit(one_slot[1]))
-    assert opposite.any(axis=1).all()  # every scene has a ray whose two slots disagree on the sign of zero
-    assert_same_bits(ORIGIN, shapes, 180)
-    assert_same_bits(ORIGIN, shapes, 7)
-    # Each slot alone: one slot per scene, whose distances are written straight
-    # into the rows. Every bounding circle reaches the sensor, so every window
-    # is the whole scan, and the readings hold zeros of both signs.
-    for k, readings in enumerate(one_slot):
-        alone = shapes.take((slice(None), [k]))
-        assert np.all(_ray_windows(ORIGIN, alone, 180)[1] == 180)
-        assert set(np.signbit(readings[readings == 0.0]).tolist()) == {False, True}
-        assert_same_bits(ORIGIN, alone, 180)
-        assert_same_bits(ORIGIN, alone, 7)
+    for rows in (shapes, shapes.take((slice(None), [0])), shapes.take((slice(None), [1]))):
+        assert (raycast_rows(ORIGIN, rows, 180, 3.5) == 0.0).any(axis=1).all()
+        for n_rays in (180, 7):
+            assert not np.signbit(raycast_rows(ORIGIN, rows, n_rays, 3.5)).any()
+            assert_same_bits(ORIGIN, rows, n_rays)
 
 
 @pytest.mark.parametrize("batch", ["circles", "rectangles", "no_slots", "no_scenes"])
