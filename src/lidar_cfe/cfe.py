@@ -13,7 +13,7 @@ from .errors import ModelError
 from .ga import TERMINATED_GENERATIONS, TERMINATED_REACH_ZERO, TERMINATED_SATURATE, GaConfig, require_int, require_real, run_ga
 from .geometry import ORIGIN, ObstacleShape, ShapeRows, overlaps_disk_rows, raycast_rows
 from .model import PolicyModel, check_action_rows
-from .scan import GoalFeatures, Scan, goal_state, state_rows
+from .scan import GoalFeatures, Scan, goal_distance_scale, goal_state, state_rows
 
 logger = logging.getLogger(__name__)
 
@@ -58,9 +58,9 @@ class CfeQuery:
     ``world_bounds`` is the half-width of the square region obstacles decode
     into, centered on the sensor; ``d_g_max`` normalizes the goal distance.
     Construction resolves their defaults into the fields from the base scan
-    alone: its max range, and 2·√2 times its max range, the diagonal of the
-    scan's square extent. ``d_min`` is the protective radius around the
-    sensor that obstacles may not enter. Search i runs with seed ``seed + i``.
+    alone: its max range, and ``scan.goal_distance_scale`` of it. ``d_min``
+    is the protective radius around the sensor that obstacles may not
+    enter. Search i runs with seed ``seed + i``.
     """
 
     base_scan: Scan
@@ -106,10 +106,7 @@ class CfeQuery:
         if not self.world_bounds > 0.0:
             raise ValueError(f"world_bounds must be > 0, got {self.world_bounds}")
         if self.d_g_max is None:
-            scale = 2.0 * math.sqrt(2.0) * self.base_scan.max_range
-            if not scale < math.inf:
-                raise ValueError(f"goal-distance scale must be finite: 2*sqrt(2)*max_range overflows for max_range {self.base_scan.max_range}")
-            object.__setattr__(self, "d_g_max", scale)
+            object.__setattr__(self, "d_g_max", goal_distance_scale(self.base_scan.max_range))
         if not self.d_g_max > 0.0:
             raise ValueError(f"d_g_max must be > 0, got {self.d_g_max}")
         if self.goal.distance > self.d_g_max:
@@ -183,9 +180,8 @@ def _decode_rows(genes: np.ndarray, world_bounds: float, size_limits) -> ShapeRo
 
 
 def _hinge_rows(actions: np.ndarray, bounds: ActionBounds) -> np.ndarray:
-    inside = (actions >= bounds.lower) & (actions <= bounds.upper)
-    nearest_edge = np.minimum(np.abs(actions - bounds.lower), np.abs(actions - bounds.upper))
-    return np.where(inside, 0.0, nearest_edge).sum(axis=1)
+    """Each (P, m) action row's summed distance to the bounds interval; 0.0 inside it."""
+    return (np.maximum(bounds.lower - actions, 0.0) + np.maximum(actions - bounds.upper, 0.0)).sum(axis=1)
 
 
 def _act_rows(model: PolicyModel, states: np.ndarray) -> np.ndarray:
@@ -323,7 +319,7 @@ def generate_cfes(query: CfeQuery, model: PolicyModel, ga_config: GaConfig | Non
     length = GENES_PER_OBSTACLE * query.n_obstacles
     genomes, best, searches = np.empty((query.n_cfes, length)), np.empty(query.n_cfes), []
     for i, seed in enumerate(range(query.seed, query.seed + query.n_cfes)):
-        run = run_ga(config, length, objective, seed)  # a GaRun holds its population; keep none
+        run = run_ga(config, length, objective, seed)
         genomes[i], best[i] = run.best_genome, run.best_fitness
         searches.append(SearchFacts(seed, run.termination, run.generations_run, run.generations_run * config.population))
     results = _package(query, model, genomes, searches)

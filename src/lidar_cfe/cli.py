@@ -26,7 +26,7 @@ from .errors import InputError, LidarCfeError, ModelError
 from .ga import GaConfig, require_int
 from .model import NetworkPolicy, PolicyModel, scripted_policy
 from .plot import cfe_plot_svg, scan_plot_svg
-from .scan import GoalFeatures, Scan
+from .scan import GoalFeatures, Scan, goal_state, state_rows
 from .scenario import _json_object, _obstacle_entry, _pair, build, load_scenario, parse_yaml, read_mapping, refuse_unknown
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
@@ -243,11 +243,12 @@ def verify_results_file(path, model: PolicyModel) -> int:
     """Re-package every stored genome, in one batch, under the query the header gives.
 
     The file must equal the re-packaging field by field. The entries must run
-    best fitness first, and their ``search`` blocks must be well formed and
-    hold the seeds ``seed`` to ``seed + n_cfes - 1``, each once, in any order;
-    the rest of each block is taken as stored. Raises ``LidarCfeError``
-    naming the file and the header field, or the entry and its field, that
-    is malformed or differs. Returns the number of entries checked.
+    best fitness first, and their ``search`` blocks, each read by ``build``
+    like every other mapping, must hold the seeds ``seed`` to ``seed +
+    n_cfes - 1``, each once, in any order; the rest of each block is taken
+    as stored. Raises ``LidarCfeError`` naming the file and the header
+    field, or the entry and its field, that is malformed or differs.
+    Returns the number of entries checked.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
@@ -258,10 +259,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
             lacking = sorted({"genome", "search"} - set(entry))
             if lacking:
                 raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(lacking)}")
-            try:
-                searches.append(SearchFacts(**entry["search"]))
-            except (TypeError, ValueError) as exc:
-                raise LidarCfeError(f"{path}: entry {i} search: {exc}") from None
+            searches.append(build(SearchFacts, entry["search"], f"{path}: entry {i} search"))
             try:
                 genome = np.array(entry["genome"], dtype=float)
                 if genome.shape != genomes.shape[1:]:
@@ -364,9 +362,9 @@ def cmd_validate_model(args) -> int:
     with load_model(args.model, n_inputs, args.outputs, timeout=args.timeout) as model:
         # Probe with the range-clear state: every ray at max range, goal dead
         # ahead at half the distance scale.
-        state = np.concatenate([np.ones(args.n_rays), [1.0, 0.5, 0.5]])
+        state = state_rows(np.ones((1, args.n_rays)), 1.0, goal_state(GoalFeatures(1.0, 0.0, 0.5), 1.0))
         t0 = time.perf_counter()
-        (action,) = _act_rows(model, state[np.newaxis])
+        (action,) = _act_rows(model, state)
         latency = time.perf_counter() - t0
     print(f"model: {args.model}")
     print(f"inputs: {model.input_size}  outputs: {model.output_size}")

@@ -82,14 +82,10 @@ class GaConfig:
 
 @dataclass(frozen=True, eq=False)
 class GaRun:
-    """Outcome of one engine run.
+    """Outcome of one engine run: the first genome to reach the best fitness,
+    that fitness, the best fitness of every evaluated generation, and why the
+    run stopped ("generations", "saturate" or "reach_zero")."""
 
-    ``trace`` holds the best fitness of every evaluated generation;
-    ``termination`` is one of "generations", "saturate", "reach_zero".
-    """
-
-    population: np.ndarray
-    fitnesses: np.ndarray
     best_genome: np.ndarray
     best_fitness: float
     trace: tuple[float, ...]
@@ -192,11 +188,4 @@ def run_ga(config: GaConfig, genome_length: int, fitness, seed: int) -> GaRun:
         if gen == config.generations:
             break
         pop = _next_generation(pop, fits, order, config, rng)
-    return GaRun(
-        population=pop,
-        fitnesses=fits,
-        best_genome=best_genome,
-        best_fitness=best_fitness,
-        trace=tuple(trace),
-        termination=termination,
-    )
+    return GaRun(best_genome, best_fitness, tuple(trace), termination)

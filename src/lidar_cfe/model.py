@@ -162,6 +162,11 @@ Layer = Conv1d | Dense | Activation
 _PARAMS = ("weights", "bias")
 
 
+def conv_length(length: int, kernel: int, stride: int, padding: int) -> int:
+    """How many outputs a convolution gives a signal of ``length``; below 1 when the kernel is wider than the padded signal."""
+    return (length + 2 * padding - kernel) // stride + 1
+
+
 def _layer_name(idx: int, layer: Layer) -> str:
     return f"layer {idx} ({layer.kind})"
 
@@ -202,11 +207,10 @@ class NetworkSpec:
                     )
                 if layer.circular and layer.padding > length:
                     raise NetworkConfigError(f"{where}: circular padding {layer.padding} wider than signal {length}")
-                padded = length + 2 * layer.padding
-                if padded < layer.kernel:
-                    raise NetworkConfigError(f"{where}: kernel {layer.kernel} wider than padded signal {padded}")
-                length = (padded - layer.kernel) // layer.stride + 1
-                channels = layer.out_channels
+                n_out = conv_length(length, layer.kernel, layer.stride, layer.padding)
+                if n_out < 1:
+                    raise NetworkConfigError(f"{where}: kernel {layer.kernel} wider than padded signal {length + 2 * layer.padding}")
+                length, channels = n_out, layer.out_channels
             elif isinstance(layer, Dense):
                 if dense_size is None:
                     dense_size = channels * length + self.extra_inputs
@@ -276,7 +280,7 @@ def _window_index(length: int, in_channels: int, kernel: int, stride: int, paddi
     points it at index ``length * in_channels``, a zero column appended to
     the signal.
     """
-    n_out = (length + 2 * padding - kernel) // stride + 1
+    n_out = conv_length(length, kernel, stride, padding)
     position = np.arange(n_out)[:, np.newaxis, np.newaxis] * stride - padding + np.arange(kernel)
     index = (position % length) * in_channels + np.arange(in_channels)[:, np.newaxis]  # (n_out, in, kernel)
     if not circular:
@@ -409,7 +413,7 @@ def _reference_input(spec: NetworkSpec, weights: list, reference: tuple, states:
         (out_channels, in_channels, kernel), (weight, bias) = entry[0].shape, entry
         if pads[level] is not None:
             x.reshape(len(rows), -1, in_channels)[pads[level][outputs]] = 0.0
-        length, level = (length + 2 * layer.padding - kernel) // layer.stride + 1, level + 1
+        length, level = conv_length(length, kernel, layer.stride, layer.padding), level + 1
         windows = x.reshape(len(rows), -1, kernel, in_channels).transpose(0, 1, 3, 2).reshape(-1, in_channels * kernel)
         x = _row_products(windows, weight.reshape(out_channels, -1), length).reshape(len(rows), -1)
         x += np.tile(bias, x.shape[1] // out_channels)

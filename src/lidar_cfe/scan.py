@@ -88,6 +88,14 @@ class ModelState:
         return int(self.values.size)
 
 
+def goal_distance_scale(max_range: float) -> float:
+    """2·√2·``max_range``, the diagonal of a scan's square extent and the default ``d_g_max``; ValueError if it overflows."""
+    scale = 2.0 * math.sqrt(2.0) * max_range
+    if not scale < math.inf:
+        raise ValueError(f"goal-distance scale must be finite: 2*sqrt(2)*max_range overflows for max_range {max_range}")
+    return scale
+
+
 def goal_state(goal: GoalFeatures, d_g_max: float) -> np.ndarray:
     """The last three model-state values: goal cos and sin mapped through (v + 1) / 2, and distance / d_g_max.
 

@@ -22,7 +22,7 @@ import yaml
 from .errors import InputError
 from .ga import require_int, require_real
 from .geometry import CIRCLE, ORIGIN, RECTANGLE, ObstacleShape, Point2, raycast_scan, shape_overlaps_disk
-from .scan import GoalFeatures, Scan
+from .scan import GoalFeatures, Scan, goal_distance_scale
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ class Scenario:
         return raycast_scan(self.origin, self.obstacles, self.n_rays, self.max_range)
 
     def goal_distance_scale(self) -> float:
-        """2·√2·``max_range``, the ``CfeQuery`` default of ``d_g_max`` for this scene's base scan.
+        """``scan.goal_distance_scale`` of ``max_range``, the ``CfeQuery`` default of ``d_g_max`` for this scene's base scan.
 
         Only the benchmark's tests call it; it goes when they build their query instead.
         """
-        return 2.0 * math.sqrt(2.0) * self.max_range
+        return goal_distance_scale(self.max_range)
 
 
 def _pair(value, where: str) -> tuple:

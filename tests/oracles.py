@@ -13,7 +13,9 @@ former line formatter, which formatted every distinct value of a batch, so
 that the reference-spliced lines are checked against it byte for byte.
 ``FROZEN_NOT_XML_CHAR`` and ``frozen_cfe_plot_svg`` keep the plot module's
 former XML filter and its former overlay, which formatted every point of
-the combined scan, for the same byte-for-byte checks.
+the combined scan, for the same byte-for-byte checks. ``frozen_hinge_rows``
+keeps the former mask-and-nearest-edge hinge, which the interval-distance
+hinge must match bit for bit.
 """
 
 from __future__ import annotations
@@ -139,6 +141,21 @@ def ray_rect_intersect(ray: Ray, rect: ObstacleShape) -> float | None:
 def rowwise(objective):
     """A population objective from a one-genome objective: one call per row."""
     return lambda pop: np.array([objective(genome) for genome in pop], dtype=float)
+
+
+class Recorded:
+    """A population objective that keeps a copy of every population it scored and the fitnesses it gave."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.populations: list[np.ndarray] = []
+        self.fitnesses: list[np.ndarray] = []
+
+    def __call__(self, pop):
+        fits = self.objective(pop)
+        self.populations.append(np.array(pop, dtype=float))
+        self.fitnesses.append(np.array(fits, dtype=float))
+        return fits
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +588,13 @@ def random_scene(
                 continue
         shapes.append(shape)
     return shapes
+
+
+def frozen_hinge_rows(actions, bounds):
+    """The row hinge as the library once computed it: a mask of the inside values, else the nearer edge's distance."""
+    inside = (actions >= bounds.lower) & (actions <= bounds.upper)
+    nearest_edge = np.minimum(np.abs(actions - bounds.lower), np.abs(actions - bounds.upper))
+    return np.where(inside, 0.0, nearest_edge).sum(axis=1)
 
 
 def hinge_oracle(action, lowers, uppers):

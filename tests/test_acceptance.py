@@ -30,7 +30,7 @@ from lidar_cfe.cli import EXIT_OK, main, verify_results_file
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, raycast_scan
 from lidar_cfe.scan import GoalFeatures, Scan
 
-from oracles import hinge_oracle, march_headings, march_scan, naive_net_forward, random_micro_net, random_scene
+from oracles import Recorded, hinge_oracle, march_headings, march_scan, naive_net_forward, random_micro_net, random_scene
 
 
 def report(cid: str, message: str) -> None:
@@ -201,15 +201,16 @@ def test_c05_ga_engine_properties_and_convergence():
     # Engine laws over 50 seeded runs (run twice each for determinism).
     for seed in range(50):
         config = GaConfig()
-        first = run_ga(config, 6, objective, seed)
-        second = run_ga(config, 6, objective, seed)
+        seen_first, seen_second = Recorded(objective), Recorded(objective)
+        first = run_ga(config, 6, seen_first, seed)
+        second = run_ga(config, 6, seen_second, seed)
         assert first.trace == second.trace
         assert np.array_equal(first.best_genome, second.best_genome)
-        assert np.array_equal(first.population, second.population)
+        assert np.array_equal(seen_first.populations[-1], seen_second.populations[-1])
         trace = np.array(first.trace)
         assert np.all(np.diff(trace) >= 0.0)  # elitism keeps the best
-        assert first.population.shape == (config.population, 6)
-        assert np.all((first.population >= 0.0) & (first.population <= 1.0))
+        assert seen_first.populations[-1].shape == (config.population, 6)
+        assert np.all((seen_first.populations[-1] >= 0.0) & (seen_first.populations[-1] <= 1.0))
 
     # Search quality: full generation budget (stall stop disabled), 100 seeds.
     reached = 0
@@ -283,9 +284,10 @@ def test_c09_sensor_disk_guard():
     assert np.all(fitness(pop) == -math.inf)
 
     # Violators never survive into the elite slots of a real run.
-    run = run_ga(GaConfig(), GENES_PER_OBSTACLE * query.n_obstacles, fitness, 11)
-    order = np.argsort(-run.fitnesses, kind="stable")
-    elites = run.fitnesses[order[:10]]
+    seen = Recorded(fitness)
+    run = run_ga(GaConfig(), GENES_PER_OBSTACLE * query.n_obstacles, seen, 11)
+    last = seen.fitnesses[-1]
+    elites = last[np.argsort(-last, kind="stable")[:10]]
     assert np.all(np.isfinite(elites))
     assert math.isfinite(run.best_fitness)
     report("C09 sensor-disk-guard", "1000 crowding genomes rejected; elites all finite")

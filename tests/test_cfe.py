@@ -26,7 +26,7 @@ from lidar_cfe.bridge import external_policy
 from lidar_cfe.cfe import GENES_PER_OBSTACLE, SearchFacts, _decode_rows, _hinge_rows, _package
 from lidar_cfe.geometry import ORIGIN, ObstacleShape, Point2, ShapeRows, raycast_scan, shape_overlaps_disk
 
-from oracles import hinge_oracle, scalar_decode
+from oracles import frozen_hinge_rows, hinge_oracle, scalar_decode
 
 
 GOAL_AHEAD = GoalFeatures(1.0, 0.0, 2.0)
@@ -224,6 +224,16 @@ class TestHingeLoss:
                 action[0] = lo[0] if rng.random() < 0.5 else hi[0]
             bounds = ActionBounds(lo, hi)
             assert hinge(action, bounds) == hinge_oracle(action, lo, hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_interval_distance_matches_the_masked_formula_bit_for_bit(self, data):
+        edge = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+        pairs = data.draw(st.lists(st.tuples(edge, edge).map(sorted), min_size=1, max_size=4))
+        bounds = ActionBounds.from_pairs(pairs)
+        value = st.sampled_from([-0.0, 0.0, *(v for pair in pairs for v in pair)]) | st.floats(-1.0, 1.0)
+        actions = data.draw(arrays(float, (data.draw(st.integers(1, 5)), len(pairs)), elements=value))
+        assert _hinge_rows(actions, bounds).tobytes() == frozen_hinge_rows(actions, bounds).tobytes()
 
 
 class TestFitness:

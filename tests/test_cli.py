@@ -263,24 +263,26 @@ class TestExplainCommand:
             ),
             (lambda data: data["results"][1]["search"].__setitem__("generations", -1), "entry 1 search: need seed >= 0 and 1 <= generations"),
             (lambda data: data["results"][1]["search"].__setitem__("generations", 31), "entry 1 search: need seed >= 0 and 1 <= generations"),
-            (lambda data: data["results"][1]["search"].__setitem__("evaluations", None), "entry 1 search: evaluations must be an integer, got None"),
+            (lambda data: data["results"][1]["search"].__setitem__("evaluations", None), "entry 1 search: missing field 'evaluations'"),
             (lambda data: data["results"][1]["search"].__setitem__("seed", -1), "entry 1 search: need seed >= 0"),
-            (lambda data: data["results"][1]["search"].__setitem__("colour", 1), "entry 1 search: "),
-            (lambda data: data["results"][1].__setitem__("search", [6]), "entry 1 search: "),
+            (lambda data: data["results"][1]["search"].__setitem__("colour", 1), "entry 1 search: unknown fields ['colour']"),
+            (lambda data: data["results"][1].__setitem__("search", [6]), "entry 1 search: expected a mapping of SearchFacts fields"),
+            (lambda data: data["results"][1]["search"].pop("seed"), "entry 1 search: missing field 'seed'"),
             (lambda data: data.__setitem__("seed", 2**70), "entry 0 search seed 5 is not one of header seed 1180591620717411303424"),
             (lambda data: data.__setitem__("seed", 6), "entry 0 search seed 5 is not one of header seed 6"),
             (lambda data: data["results"][2]["search"].__setitem__("seed", 5), "entry 2 search seed 5 is not one of header seed 5"),
         ],
         ids=[
             "seed-text", "termination-unknown", "generations-negative", "generations-past-evaluations",
-            "evaluations-null", "seed-negative", "extra-search-field", "search-not-a-mapping",
+            "evaluations-null", "seed-negative", "extra-search-field", "search-not-a-mapping", "search-missing-key",
             "header-seed-2-70", "header-seed-shifted", "seed-twice",
         ],
     )
     def test_verify_names_the_entry_whose_search_block_is_malformed(self, tmp_path, edit, message):
         path = self.edited_results(tmp_path, edit)
-        with pytest.raises(LidarCfeError, match=re.escape(message)):
+        with pytest.raises(LidarCfeError, match=re.escape(message)) as caught:
             verify_results_file(path, scripted_policy("goal_seeker"))
+        assert "__init__()" not in str(caught.value)
 
     def test_verify_takes_the_seeds_in_any_order_but_the_entries_best_first(self, tmp_path):
         def swap_first_two(data):

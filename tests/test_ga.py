@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lidar_cfe import GaConfig, ga, run_ga
 from lidar_cfe.ga import _next_generation, crossover_rows, mutate_rows, tournament_rows
 
-from oracles import frozen_mutate_rows, frozen_next_generation, rowwise
+from oracles import Recorded, frozen_mutate_rows, frozen_next_generation, rowwise
 
 
 def l1_objective(pop):
@@ -285,11 +285,11 @@ class TestRunGa:
         def half_satisfied(pop):
             return np.where(pop[:, 0] > 0.5, 0.0, -1.0)
 
-        run = run_ga(GaConfig(), 6, half_satisfied, 3)
+        objective = Recorded(half_satisfied)
+        run = run_ga(GaConfig(), 6, objective, 3)
         pop = np.random.default_rng(3).random((100, 6))
         assert run.termination == "reach_zero" and run.trace == (0.0,) and run.best_fitness == 0.0
-        assert np.array_equal(run.population, pop)
-        assert np.array_equal(run.fitnesses, half_satisfied(pop))
+        assert len(objective.populations) == 1 and np.array_equal(objective.populations[0], pop)
         assert np.array_equal(run.best_genome, pop[np.argmax(pop[:, 0] > 0.5)])
 
     def test_constant_negative_saturates_after_k_plus_one(self):
@@ -308,28 +308,49 @@ class TestRunGa:
         assert np.all(np.diff(trace) >= 0.0)
         assert run.best_fitness == trace[-1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([-math.inf, -0.0, 0.0]) | st.floats(allow_nan=False), min_size=4, max_size=4), min_size=1, max_size=8))
+    @example([[-math.inf] * 4] * 3)
+    @example([[-0.0] * 4, [0.0, -0.0, 0.0, -0.0], [-1.0] * 4])
+    @example([[-math.inf, 0.0, -0.0, -math.inf], [-0.0, -0.0, 0.0, -1.0]])
+    def test_best_fitness_is_the_running_best_of_the_trace(self, generations):
+        scores = iter(generations)
+        objective = Recorded(lambda pop: np.array(next(scores)))
+        config = GaConfig(len(generations), 4, 2, 1, 2, saturate_k=None, reach_zero=False)
+        run = run_ga(config, 3, objective, 0)
+        assert [np.float64(v).tobytes() for v in run.trace] == [np.float64(max(fits)).tobytes() for fits in generations]
+        best = -math.inf
+        for value in run.trace:
+            if value > best:
+                best = value
+        assert np.float64(run.best_fitness).tobytes() == np.float64(best).tobytes()
+        # The best genome is the first to reach that fitness: -inf or a tie (0.0 and -0.0) never takes its place.
+        gen = next(g for g, value in enumerate(run.trace) if value == best)
+        fits = objective.fitnesses[gen]
+        assert np.array_equal(run.best_genome, objective.populations[gen][np.argmax(fits == fits.max())])
+
     def test_population_size_and_gene_range_every_generation(self):
         calls = []
 
         def spy(pop):
             g = np.asarray(pop)
             assert np.all((g >= 0.0) & (g <= 1.0))
-            calls.append(len(g))
+            calls.append(g.shape)
             return l1_objective(g)
 
         config = GaConfig(generations=12, saturate_k=None, reach_zero=False)
-        run = run_ga(config, 6, spy, 2)
-        assert calls == [config.population] * 12  # one call per generation, scoring the whole population
-        assert run.population.shape == (config.population, 6)
-        assert np.all((run.population >= 0.0) & (run.population <= 1.0))
+        run_ga(config, 6, spy, 2)
+        assert calls == [(config.population, 6)] * 12  # one call per generation, scoring the whole population
 
     def test_seed_determinism(self):
         cfg = GaConfig()
-        r1 = run_ga(cfg, 6, l1_objective, 33)
-        r2 = run_ga(cfg, 6, l1_objective, 33)
+        o1, o2 = Recorded(l1_objective), Recorded(l1_objective)
+        r1 = run_ga(cfg, 6, o1, 33)
+        r2 = run_ga(cfg, 6, o2, 33)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.best_genome, r2.best_genome)
-        assert np.array_equal(r1.population, r2.population)
+        assert len(o1.populations) == len(o2.populations)
+        assert all(np.array_equal(a, b) for a, b in zip(o1.populations, o2.populations))
         assert r1.termination == r2.termination
 
     def test_different_seeds_differ(self):
@@ -345,10 +366,16 @@ class TestRunGa:
             nan_counts.append(int(nan.sum()))
             return np.where(nan, math.nan, l1_objective(pop))
 
+        config = GaConfig(generations=3, saturate_k=None, reach_zero=False)
+        objective = Recorded(sometimes_nan)
         with caplog.at_level(logging.WARNING, logger="lidar_cfe.ga"):
-            run = run_ga(GaConfig(generations=3, saturate_k=None, reach_zero=False), 4, sometimes_nan, 4)
+            run = run_ga(config, 4, objective, 4)
         assert math.isfinite(run.best_fitness)
-        assert not np.any(np.isnan(run.fitnesses))
+        # No NaN-scored individual comes back as an elite, one of the next generation's first keep_parents rows.
+        for pop, fits, nxt in zip(objective.populations, objective.fitnesses, objective.populations[1:]):
+            for elite in nxt[: config.keep_parents]:
+                same = np.all(pop == elite, axis=1)
+                assert same.any() and not np.isnan(fits[same]).any()
         # One record per generation that had NaN, giving that generation's count.
         warned = [record.getMessage() for record in caplog.records if "NaN" in record.getMessage()]
         affected = [(gen, count) for gen, count in enumerate(nan_counts, start=1) if count]
@@ -356,6 +383,10 @@ class TestRunGa:
         assert len(warned) == len(affected)
         for message, (gen, count) in zip(warned, affected):
             assert f"NaN for {count} of 100 individuals in generation {gen}" in message
+        # NaN scores are coerced to -inf: a generation scored all NaN reads -inf in the trace.
+        all_nan = iter([l1_objective, lambda pop: np.full(len(pop), math.nan), l1_objective])
+        run = run_ga(config, 4, lambda pop: next(all_nan)(pop), 4)
+        assert run.trace[1] == -math.inf and math.isfinite(run.trace[2])
 
     def test_objective_must_return_one_value_per_genome(self):
         with pytest.raises(ValueError, match="shape"):

@@ -22,7 +22,7 @@ from lidar_cfe import (
 )
 from lidar_cfe import model as model_module
 from lidar_cfe.errors import ModelError
-from lidar_cfe.model import FULL_PASS_SHARE, ROW_FLOOR, _forward
+from lidar_cfe.model import FULL_PASS_SHARE, ROW_FLOOR, _forward, _window_index, conv_length
 
 from oracles import conv1d_forward, naive_conv1d, naive_net_forward, random_micro_net, random_wide_net
 from test_batch import bench_conv_net
@@ -69,6 +69,19 @@ class TestConvPrimitive:
         w = np.zeros((1, 1, 5))
         out = checked_conv(x, w, np.zeros(1), stride=2, padding=2, circular=True)
         assert out.shape == (1, 90)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 70), st.integers(1, 8), st.integers(0, 40), st.booleans())
+    def test_conv_length_counts_the_windows_of_every_accepted_shape(self, length, kernel, stride, padding, circular):
+        n_out = conv_length(length, kernel, stride, padding)
+        layers = (Conv1d(1, 1, kernel, stride, padding, circular), Dense(max(n_out, 1), 1))
+        try:
+            NetworkSpec(length, 0, layers)
+        except NetworkConfigError:
+            assert n_out < 1 or (circular and padding > length)
+            return
+        assert n_out == len(_window_index(length, 1, kernel, stride, padding, circular))
+        assert n_out == len(range(0, length + 2 * padding - kernel + 1, stride)) >= 1
 
 
 def identity_dense_spec(n):
