@@ -45,12 +45,17 @@ class ExternalPolicy(PolicyModel):
     """
 
     def __init__(self, command, input_size: int, output_size: int, timeout: float = 5.0) -> None:
-        self.input_size = require_int("input_size", input_size)
-        self.output_size = require_int("output_size", output_size)
+        self.input_size = require_int("input_size", input_size, 1)
+        self.output_size = require_int("output_size", output_size, 1)
         self.timeout = require_real("timeout", timeout)
         if not 0.0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
-        argv = shlex.split(command) if isinstance(command, str) else [str(a) for a in command]
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else [str(a) for a in command]
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise BridgeError(f"cannot parse policy command {command!r}: {exc}") from None
+        if not argv:
+            raise BridgeError(f"policy command {command!r} names no program")
         self.command = argv
         self._buffer = b""
         self._answers: dict[bytes, list[float]] = {}  # the last call's answers, by the state's bytes

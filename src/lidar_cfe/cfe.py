@@ -78,8 +78,10 @@ class CfeQuery:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_obstacles", "n_cfes", "seed"):
-            require_int(name, getattr(self, name))
+        # More slots than rays would leave obstacles that no ray can show.
+        require_int("n_obstacles", self.n_obstacles, 1, self.base_scan.n)
+        require_int("n_cfes", self.n_cfes, 0, sys.maxsize)
+        require_int("seed", self.seed, 0)
         for name in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(require_real(name, value)):
@@ -88,15 +90,8 @@ class CfeQuery:
             raise ValueError(f"combination must be {MIN_DISTANCE!r} or {GEN_PRIORITY!r}, got {self.combination!r}")
         if self.lambda_y < 0.0 or self.lambda_p < 0.0:
             raise ValueError("lambda_y and lambda_p must be >= 0")
-        if not 1 <= self.n_obstacles <= self.base_scan.n:
-            # More slots than rays would leave obstacles that no ray can show.
-            raise ValueError(f"n_obstacles must lie in [1, {self.base_scan.n}], the scan's ray count, got {self.n_obstacles}")
         if self.d_min < 0.0:
             raise ValueError(f"d_min must be >= 0, got {self.d_min}")
-        if not 0 <= self.n_cfes <= sys.maxsize:
-            raise ValueError(f"n_cfes must lie in [0, {sys.maxsize}], got {self.n_cfes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         lo, hi = (require_real("size_limits", v) for v in self.size_limits)
         if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"size_limits must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
@@ -125,13 +120,11 @@ class SearchFacts:
     evaluations: int
 
     def __post_init__(self) -> None:
-        for name in ("seed", "generations", "evaluations"):
-            require_int(name, getattr(self, name))
+        require_int("seed", self.seed, 0)
+        require_int("generations", self.generations, 1)
+        require_int("evaluations", self.evaluations, self.generations)
         if self.termination not in (TERMINATED_GENERATIONS, TERMINATED_SATURATE, TERMINATED_REACH_ZERO):
             raise ValueError(f"termination must be 'generations', 'saturate' or 'reach_zero', got {self.termination!r}")
-        if self.seed < 0 or not 1 <= self.generations <= self.evaluations:
-            raise ValueError(f"need seed >= 0 and 1 <= generations <= evaluations, got seed {self.seed}, "
-                             f"generations {self.generations}, evaluations {self.evaluations}")
 
 
 @dataclass(frozen=True, eq=False)

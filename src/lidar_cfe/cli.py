@@ -27,7 +27,7 @@ from .ga import GaConfig, require_int
 from .model import NetworkPolicy, PolicyModel, scripted_policy
 from .plot import cfe_plot_svg, scan_plot_svg
 from .scan import GoalFeatures, Scan, goal_state, state_rows
-from .scenario import _json_object, _obstacle_entry, _pair, build, load_scenario, parse_yaml, read_mapping, refuse_unknown
+from .scenario import _obstacle_entry, _pair, build, load_scenario, parse_yaml, read_mapping, refuse_unknown
 
 ENV_OUT_DIR = "LIDAR_CFE_OUT"
 
@@ -250,12 +250,16 @@ def verify_results_file(path, model: PolicyModel) -> int:
     field, or the entry and its field, that is malformed or differs.
     Returns the number of entries checked.
     """
+    data = read_mapping(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_json_object)
         query = _build_query(data, Scan(data["base_readings"], data["max_range"]), build(GoalFeatures, data["goal"], str(path)), str(path))
-        entries, searches = list(data["results"]), []
+        entries, searches = data["results"], []
+        if not isinstance(entries, list):
+            raise LidarCfeError(f"{path}: results must be a list of entries, got {type(entries).__name__}")
         genomes = np.empty((len(entries), GENES_PER_OBSTACLE * query.n_obstacles))
         for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise LidarCfeError(f"{path}: entry {i} must be a mapping, got {type(entry).__name__}")
             lacking = sorted({"genome", "search"} - set(entry))
             if lacking:
                 raise LidarCfeError(f"{path}: entry {i} lacks {', '.join(lacking)}")
@@ -270,7 +274,7 @@ def verify_results_file(path, model: PolicyModel) -> int:
         results = _package(query, model, genomes, searches)
     except KeyError as exc:
         raise LidarCfeError(f"{path}: missing field {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise LidarCfeError(f"{path}: {exc}") from None
     if len(entries) != query.n_cfes:
         raise LidarCfeError(f"{path}: {len(entries)} entries for n_cfes {query.n_cfes}")

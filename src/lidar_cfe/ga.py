@@ -21,11 +21,14 @@ TERMINATED_SATURATE = "saturate"
 TERMINATED_REACH_ZERO = "reach_zero"
 
 
-def require_int(name: str, value, error: type[Exception] = ValueError) -> int:
-    """``value`` as an int; ``error`` unless it is an integer (a bool is not one)."""
+def require_int(name: str, value, low: int | None = None, high: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (a bool is not one) in [``low``, ``high``], each bound optional."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise error(f"{name} must be >= {low}, got {value}" if high is None else f"{name} must lie in [{low}, {high}], got {value}")
+    return value
 
 
 def require_real(name: str, value) -> float:
@@ -58,26 +61,17 @@ class GaConfig:
     reach_zero: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("generations", "population", "parents_mating", "keep_parents", "tournament_size"):
-            require_int(name, getattr(self, name))
+        require_int("generations", self.generations, 1)
+        require_int("population", self.population, 1, sys.maxsize)
+        require_int("parents_mating", self.parents_mating, 1, self.population)
+        require_int("keep_parents", self.keep_parents, 0, self.parents_mating)
+        require_int("tournament_size", self.tournament_size, 1, self.population)
         if self.saturate_k is not None:
-            require_int("saturate_k", self.saturate_k)
+            require_int("saturate_k", self.saturate_k, 1)
         if not isinstance(self.reach_zero, bool):
             raise ValueError(f"reach_zero must be true or false, got {self.reach_zero!r}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
-        if not 1 <= self.population <= sys.maxsize:
-            raise ValueError(f"population must lie in [1, {sys.maxsize}], got {self.population}")
-        if not 1 <= self.parents_mating <= self.population:
-            raise ValueError(f"parents_mating must lie in [1, population], got {self.parents_mating}")
-        if not 0 <= self.keep_parents <= self.parents_mating:
-            raise ValueError(f"keep_parents must lie in [0, parents_mating], got {self.keep_parents}")
-        if not 1 <= self.tournament_size <= self.population:
-            raise ValueError(f"tournament_size must lie in [1, population], got {self.tournament_size}")
         if not 0.0 < require_real("mutation_fraction", self.mutation_fraction) <= 1.0:
             raise ValueError(f"mutation_fraction must lie in (0, 1], got {self.mutation_fraction}")
-        if self.saturate_k is not None and self.saturate_k < 1:
-            raise ValueError(f"saturate_k must be >= 1 or None, got {self.saturate_k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +147,7 @@ def run_ga(config: GaConfig, genome_length: int, fitness, seed: int) -> GaRun:
     generation). It is called once per generation. The run is fully
     determined by (config, genome_length, fitness, seed).
     """
-    if genome_length < 1:
-        raise ValueError(f"genome_length must be >= 1, got {genome_length}")
+    require_int("genome_length", genome_length, 1)
     rng = np.random.default_rng(seed)
     pop = rng.random((config.population, genome_length))
     best_genome = pop[0].copy()

@@ -116,14 +116,11 @@ class Conv1d:
     circular: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("in_channels", "out_channels", "kernel", "stride", "padding"):
-            require_int(name, getattr(self, name))
+        for name in ("in_channels", "out_channels", "kernel", "stride"):
+            require_int(name, getattr(self, name), 1)
+        require_int("padding", self.padding, 0)
         if not isinstance(self.circular, bool):
             raise ValueError(f"circular must be true or false, got {self.circular!r}")
-        if min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1:
-            raise ValueError("conv channels, kernel, and stride must be >= 1")
-        if self.padding < 0:
-            raise ValueError("conv padding must be >= 0")
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
         return (self.out_channels, self.in_channels, self.kernel), (self.out_channels,)
@@ -136,10 +133,8 @@ class Dense:
     out_size: int = field(metadata={"key": "out"})
 
     def __post_init__(self) -> None:
-        require_int("in_size", self.in_size)
-        require_int("out_size", self.out_size)
-        if min(self.in_size, self.out_size) < 1:
-            raise ValueError("dense sizes must be >= 1")
+        require_int("in_size", self.in_size, 1)
+        require_int("out_size", self.out_size, 1)
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
         return (self.out_size, self.in_size), (self.out_size,)
@@ -185,10 +180,8 @@ class NetworkSpec:
     layers: tuple[Layer, ...]
 
     def __post_init__(self) -> None:
-        for name in ("lidar_inputs", "extra_inputs"):
-            require_int(name, getattr(self, name), NetworkConfigError)
-        if self.lidar_inputs < 1 or self.extra_inputs < 0:
-            raise NetworkConfigError("lidar_inputs must be >= 1 and extra_inputs >= 0")
+        require_int("lidar_inputs", self.lidar_inputs, 1, error=NetworkConfigError)
+        require_int("extra_inputs", self.extra_inputs, 0, error=NetworkConfigError)
         object.__setattr__(self, "layers", tuple(self.layers))
         self.output_size()  # fail fast on incompatible layer chains
 
@@ -197,6 +190,8 @@ class NetworkSpec:
         channels, length = 1, self.lidar_inputs
         dense_size: int | None = None
         for idx, layer in enumerate(self.layers):
+            if not isinstance(layer, Layer):
+                raise NetworkConfigError(f"layer {idx}: unsupported layer type {type(layer).__name__}")
             where = _layer_name(idx, layer)
             if isinstance(layer, Conv1d):
                 if dense_size is not None:
@@ -217,8 +212,6 @@ class NetworkSpec:
                 if layer.in_size != dense_size:
                     raise NetworkConfigError(f"{where}: expects {layer.in_size} inputs, previous stage gives {dense_size}")
                 dense_size = layer.out_size
-            elif not isinstance(layer, Activation):
-                raise NetworkConfigError(f"layer {idx}: unsupported layer type {type(layer).__name__}")
         if dense_size is None:
             raise NetworkConfigError("network needs at least one dense layer")
         return dense_size
@@ -717,7 +710,5 @@ def scripted_policy(kind: str, n_lidar: int = 180) -> PolicyModel:
     """
     if kind not in (GOAL_SEEKER, LEFT_PREFERRER):
         raise ValueError(f"unknown scripted policy {kind!r}")
-    require_int("n_lidar", n_lidar)
-    if n_lidar < 8:
-        raise ValueError("n_lidar must be >= 8")
+    require_int("n_lidar", n_lidar, 8)
     return _ScriptedPolicy(kind, n_lidar)

@@ -10,7 +10,7 @@ import functools
 import math
 import re
 
-from .geometry import CIRCLE
+from .geometry import CIRCLE, _ray_directions
 from .scan import GoalFeatures, Scan
 
 _SIZE = 440
@@ -39,12 +39,6 @@ class _Frame:
         return self.cx + float(x) * self.scale, self.cy - float(y) * self.scale
 
 
-@functools.lru_cache(maxsize=4)
-def _ray_units(n: int) -> tuple[tuple[float, float], ...]:
-    """Cosine and sine of each of ``n`` scan headings."""
-    return tuple((math.cos(2.0 * math.pi * i / n), math.sin(2.0 * math.pi * i / n)) for i in range(n))
-
-
 def _scan_points(frame: _Frame, scan: Scan, color: str, base: Scan | None = None) -> list[str]:
     """One point per reading; a ray whose reading has the bits of ``base``'s reuses that scan's point in ``color``."""
     reused = [None] * scan.n
@@ -52,7 +46,8 @@ def _scan_points(frame: _Frame, scan: Scan, color: str, base: Scan | None = None
         same = (scan.readings.view("u8") == base.readings.view("u8")).tolist()
         reused = [point if keep else None for point, keep in zip(_base_points(base, color), same)]
     parts = []
-    for reading, (cos_t, sin_t), point in zip(scan.readings.tolist(), _ray_units(scan.n), reused):
+    cos_rays, sin_rays = (units.tolist() for units in _ray_directions(scan.n))
+    for reading, cos_t, sin_t, point in zip(scan.readings.tolist(), cos_rays, sin_rays, reused):
         if point is None:
             x, y = frame.pt(reading * cos_t, reading * sin_t)
             opacity = 0.22 if reading >= scan.max_range else 0.9

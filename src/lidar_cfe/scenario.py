@@ -43,9 +43,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not 0 < len(os.fsencode(self.name)) <= 200 or set("/\0") & set(self.name):
             raise ValueError(f"name must be a file name stem of 1 to 200 bytes without '/' or NUL, got {self.name!r}")
-        require_int("n_rays", self.n_rays)
-        if not 1 <= self.n_rays <= sys.maxsize:
-            raise ValueError(f"n_rays must lie in [1, {sys.maxsize}], got {self.n_rays}")
+        require_int("n_rays", self.n_rays, 1, sys.maxsize)
         if not 0.0 < require_real("max_range", self.max_range) < math.inf:
             raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
         self.goal_features()  # raises for a goal too far to measure

@@ -11,9 +11,10 @@ per-pair kernels and windows are both checked against the arithmetic they
 must reproduce bit for bit. ``frozen_state_lines`` keeps the bridge's
 former line formatter, which formatted every distinct value of a batch, so
 that the reference-spliced lines are checked against it byte for byte.
-``FROZEN_NOT_XML_CHAR`` and ``frozen_cfe_plot_svg`` keep the plot module's
-former XML filter and its former overlay, which formatted every point of
-the combined scan, for the same byte-for-byte checks. ``frozen_hinge_rows``
+``FROZEN_NOT_XML_CHAR``, ``frozen_cfe_plot_svg`` and ``frozen_ray_directions``
+keep the plot module's former XML filter, its former overlay, which
+formatted every point of the combined scan, and its former heading table,
+for the same byte-for-byte checks. ``frozen_hinge_rows``
 keeps the former mask-and-nearest-edge hinge, which the interval-distance
 hinge must match bit for bit.
 """
@@ -783,6 +784,12 @@ def frozen_state_lines(states: np.ndarray) -> bytes:
 # formatted every combined point afresh.
 
 FROZEN_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def frozen_ray_directions(n):
+    """The plot module's former heading table: the cosine and sine of ``2.0 * math.pi * i / n`` for each ray i."""
+    headings = [2.0 * math.pi * i / n for i in range(n)]
+    return np.array([math.cos(h) for h in headings]), np.array([math.sin(h) for h in headings])
 
 
 def _frozen_points(scan, color, max_range):

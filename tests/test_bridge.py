@@ -159,6 +159,23 @@ def test_missing_command():
         external_policy(["/nonexistent/policy-binary"], N_INPUTS, N_OUTPUTS)
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("", "policy command '' names no program"),
+        ("   ", "policy command '   ' names no program"),
+        ([], "policy command [] names no program"),
+        ("'unclosed", "cannot parse policy command \"'unclosed\": No closing quotation"),
+        ("policy \\", "cannot parse policy command 'policy \\\\': No escaped character"),
+    ],
+    ids=["empty", "blank", "empty-list", "unclosed-quote", "trailing-escape"],
+)
+def test_a_command_that_names_no_program_is_a_bridge_error(command, message):
+    with pytest.raises(BridgeError) as caught:
+        external_policy(command, N_INPUTS, N_OUTPUTS)
+    assert str(caught.value) == message
+
+
 NOT_POSITIVE = "timeout must be positive and finite"
 
 
@@ -291,6 +308,16 @@ def test_act_batch_rows_equal_act_bit_for_bit(bridge_script, rows):
     expected = np.stack([-states[:, 0], states[:, -1]], axis=1)
     assert batch.shape == (rows, N_OUTPUTS)
     assert batch.tobytes() == singles.tobytes() == expected.tobytes()
+
+
+def test_a_batch_of_the_wrong_width_is_refused_and_an_empty_one_sends_nothing(bridge_script):
+    states = echo_states(3)
+    with external_policy(echo_child(bridge_script), N_INPUTS, N_OUTPUTS) as policy:
+        with pytest.raises(BridgeError, match=f"^state length {N_INPUTS + 1}, bridge expects {N_INPUTS}$"):
+            policy.act_batch(np.zeros((2, N_INPUTS + 1)))
+        assert policy.act_batch(np.empty((0, N_INPUTS))).shape == (0, N_OUTPUTS)
+        batch = policy.act_batch(states)  # each answer is still its own state's
+    assert batch.tobytes() == np.stack([-states[:, 0], states[:, -1]], axis=1).tobytes()
 
 
 def test_batch_larger_than_both_pipe_buffers_does_not_deadlock(bridge_script):

@@ -458,7 +458,7 @@ class TestGenerateCfes:
             reverse_query(n_cfes=True)
         with pytest.raises(ValueError):
             reverse_query(n_obstacles=2.0)
-        with pytest.raises(ValueError, match="ray count"):
+        with pytest.raises(ValueError, match=r"n_obstacles must lie in \[1, 180\], got 181"):
             reverse_query(n_obstacles=181)  # more obstacle slots than the 180 rays
         assert reverse_query(n_obstacles=180).n_obstacles == 180
         with pytest.raises(ValueError):
@@ -466,6 +466,10 @@ class TestGenerateCfes:
         for field in ("lambda_y", "lambda_p", "d_min", "world_bounds", "d_g_max"):
             with pytest.raises(ValueError):
                 reverse_query(**{field: math.nan})
+        for field in ("world_bounds", "d_g_max"):
+            for value in (0.0, -1.0):
+                with pytest.raises(ValueError, match=rf"^{field} must be > 0, got {value}$"):
+                    reverse_query(**{field: value})
         overflowing = {"base_scan": Scan.empty(8, 1e308), "n_obstacles": 1}
         with pytest.raises(ValueError, match=r"goal-distance scale must be finite: 2\*sqrt\(2\)\*max_range overflows"):
             reverse_query(**overflowing)  # 2·√2 times the scan's max range overflows

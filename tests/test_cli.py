@@ -38,7 +38,7 @@ from lidar_cfe import cli
 from lidar_cfe.cfe import _package
 from lidar_cfe.cli import EXIT_INPUT, EXIT_MODEL, EXIT_OK, main, verify_results_file
 
-from oracles import FROZEN_NOT_XML_CHAR, frozen_cfe_plot_svg
+from oracles import FROZEN_NOT_XML_CHAR, frozen_cfe_plot_svg, frozen_ray_directions
 from test_cfe import BatchMeanPolicy, NoisyPolicy, swerve_query
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -218,8 +218,14 @@ class TestExplainCommand:
             (lambda data: data["results"][1]["genome"].__setitem__(2, "x"), "results.json: entry 1 genome: could not convert string to float: 'x'"),
             (lambda data: data["results"][1]["genome"].pop(), r"results.json: entry 1 genome: must be a list of 30 numbers, 6 per obstacle, got shape \(29,\)"),
             (lambda data: data["results"][1]["genome"].__setitem__(0, 10**400), "results.json: entry 1 genome: int too large to convert to float"),
+            (lambda data: data["results"].__setitem__(1, 5), "results.json: entry 1 must be a mapping, got int"),
+            (lambda data: data["results"].__setitem__(1, ["genome", "search"]), "results.json: entry 1 must be a mapping, got list"),
+            (lambda data: data.__setitem__("results", {"a": 1}), "results.json: results must be a list of entries, got dict"),
         ],
-        ids=["goal-off-unit-circle", "crossed-bounds", "no-achieved-action", "no-d_g_max", "string-gene", "short-genome", "huge-gene"],
+        ids=[
+            "goal-off-unit-circle", "crossed-bounds", "no-achieved-action", "no-d_g_max", "string-gene", "short-genome", "huge-gene",
+            "entry-a-number", "entry-a-list", "results-a-mapping",
+        ],
     )
     def test_verify_names_the_file_or_entry_with_malformed_fields(self, tmp_path, edit, message):
         path = self.edited_results(tmp_path, edit)
@@ -261,10 +267,10 @@ class TestExplainCommand:
                 lambda data: data["results"][1]["search"].__setitem__("termination", "nope"),
                 "entry 1 search: termination must be 'generations', 'saturate' or 'reach_zero', got 'nope'",
             ),
-            (lambda data: data["results"][1]["search"].__setitem__("generations", -1), "entry 1 search: need seed >= 0 and 1 <= generations"),
-            (lambda data: data["results"][1]["search"].__setitem__("generations", 31), "entry 1 search: need seed >= 0 and 1 <= generations"),
+            (lambda data: data["results"][1]["search"].__setitem__("generations", -1), "entry 1 search: generations must be >= 1, got -1"),
+            (lambda data: data["results"][1]["search"].__setitem__("generations", 31), "entry 1 search: evaluations must be >= 31, got 30"),
             (lambda data: data["results"][1]["search"].__setitem__("evaluations", None), "entry 1 search: missing field 'evaluations'"),
-            (lambda data: data["results"][1]["search"].__setitem__("seed", -1), "entry 1 search: need seed >= 0"),
+            (lambda data: data["results"][1]["search"].__setitem__("seed", -1), "entry 1 search: seed must be >= 0, got -1"),
             (lambda data: data["results"][1]["search"].__setitem__("colour", 1), "entry 1 search: unknown fields ['colour']"),
             (lambda data: data["results"][1].__setitem__("search", [6]), "entry 1 search: expected a mapping of SearchFacts fields"),
             (lambda data: data["results"][1]["search"].pop("seed"), "entry 1 search: missing field 'seed'"),
@@ -840,6 +846,25 @@ def validate_tiny_net(tmp_path, text: bytes):
             EXIT_INPUT,
             "query.yaml\", line 8, column 1",  # the mark of the repeated key
         ),
+        (
+            lambda tmp: scan_of_scenario(tmp, obstacles=[{"kind": "triangle", "center": [2.0, 1.0]}]),
+            EXIT_INPUT,
+            "scene.yaml: obstacles[0]: unknown obstacle kind 'triangle'",
+        ),
+        (
+            lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "bounds={linear: [-1, 0], turn: [-0.2, 0.2]}"),
+            EXIT_INPUT,
+            "query.yaml: bounds mapping must have exactly the keys linear and angular",
+        ),
+        (lambda tmp: explain_reverse(tmp, "--model", "scripted:goal_seeker", "--set", "n_cfes"), EXIT_INPUT, "argument --set: expected KEY=VALUE, got 'n_cfes'"),
+        # An exec: command that names no program, or that shlex cannot split, is the model's fault.
+        (lambda tmp: ["validate-model", "--model", "exec:"], EXIT_MODEL, "model error: policy command '' names no program"),
+        (lambda tmp: ["validate-model", "--model", "exec:   "], EXIT_MODEL, "model error: policy command '   ' names no program"),
+        (
+            lambda tmp: ["validate-model", "--model", "exec:'unclosed"],
+            EXIT_MODEL,
+            "model error: cannot parse policy command \"'unclosed\": No closing quotation",
+        ),
     ],
     ids=[
         "scenario-max-range-inf",
@@ -896,6 +921,12 @@ def validate_tiny_net(tmp_path, text: bytes):
         "set-bounds-repeated-key",
         "set-bounds-unclosed",
         "query-repeated-base",
+        "scenario-obstacle-kind-unknown",
+        "set-bounds-mapping-keys",
+        "set-without-equals",
+        "exec-empty",
+        "exec-blank",
+        "exec-unclosed-quote",
     ],
 )
 def test_malformed_inputs_exit_2_and_faulty_models_exit_3(tmp_path, capsys, monkeypatch, command, code, message):
@@ -1109,6 +1140,29 @@ def test_counterfactual_plots_draw_their_own_base_scan():
         want = [line.replace(_COLOR_COMBINED, _COLOR_BASE) for line in points(scan_plot_svg(base), _COLOR_COMBINED)]
         assert points(svg, _COLOR_BASE) == want
         assert points(svg, _COLOR_COMBINED) == points(scan_plot_svg(combined), _COLOR_COMBINED)
+
+
+def test_plots_draw_the_geometry_headings_with_the_bytes_of_the_former_table(monkeypatch):
+    from lidar_cfe import plot
+    from lidar_cfe.scenario import load_scenario
+
+    scenes = [load_scenario(SAMPLES / f"{name}.yaml") for name in ("empty_room", "box_ahead", "walled_room")]
+    plots = [(None, scene.base_scan(), (), scene.goal_features()) for scene in scenes]
+    for name, kind in (("reverse_query", "goal_seeker"), ("turn_right_query", "left_preferrer")):
+        query, config, _ = cli._load_query(SAMPLES / f"{name}.yaml", [("n_cfes", "20")])
+        plots += [(query.base_scan, r.combined_scan, r.obstacles, query.goal) for r in generate_cfes(query, scripted_policy(kind), config)]
+
+    def render():
+        plot._base_points.cache_clear()
+        return [
+            plot.scan_plot_svg(scan, goal, "scan") if base is None else plot.cfe_plot_svg(base, scan, obstacles, goal, "counterfactual")
+            for base, scan, obstacles, goal in plots
+        ]
+
+    svgs = render()
+    monkeypatch.setattr(plot, "_ray_directions", frozen_ray_directions)
+    assert render() == svgs
+    plot._base_points.cache_clear()  # no later plot may reuse points drawn from the frozen table
 
 
 def test_xml_filter_removes_the_code_points_the_negated_class_removed():

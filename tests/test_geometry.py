@@ -202,6 +202,9 @@ class TestRaycastScan:
         with pytest.raises(ValueError, match="max_range"):
             Scenario("s", Point2(1.0, 0.0), max_range=0.0)
 
+    def test_a_goal_on_the_sensor_faces_forward_at_zero_distance(self):
+        assert Scenario("s", Point2(0.5, -0.5), origin=Point2(0.5, -0.5)).goal_features() == GoalFeatures(1.0, 0.0, 0.0)
+
 
 # Multiples of 1/64 add exactly, so edge, corner and rim points built from
 # them land exactly on the boundary of an unturned shape.
@@ -304,11 +307,22 @@ class TestShapeTypes:
     def test_rect_validation(self):
         with pytest.raises(ValueError):
             ObstacleShape.rectangle(Point2(0, 0), (0.0, 0.1))
+        with pytest.raises(ValueError, match="^rectangle needs half_extents$"):
+            ObstacleShape("rectangle", Point2(0, 0))
+        for turn in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^orientation must be finite, got {turn}$"):
+                ObstacleShape.rectangle(Point2(0, 0), (1, 1), turn)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown shape kind: 'triangle'$"):
+            ObstacleShape("triangle", Point2(0, 0), radius=1.0)
 
     def test_orientation_wraps_to_half_turn(self):
         rect = ObstacleShape.rectangle(Point2(0, 0), (1, 1), math.pi + 0.25)
         assert rect.orientation == pytest.approx(0.25, abs=1e-12)
         assert ObstacleShape.rectangle(Point2(0, 0), (1, 1), math.pi).orientation == 0.0
+        assert -1e-20 % math.pi == math.pi  # float mod rounds up to the divisor itself
+        assert ObstacleShape.rectangle(Point2(0, 0), (1, 1), -1e-20).orientation == 0.0
 
     def test_point_must_be_finite(self):
         with pytest.raises(ValueError):

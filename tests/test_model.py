@@ -170,6 +170,33 @@ class TestNetForward:
             NetworkSpec(8, 3, (Conv1d(1, 4, 3, 1, 1, True), Conv1d(2, 4, 3, 1, 1, True), Dense(1, 1)))
 
     @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ((Dense(11, 4), Conv1d(1, 4, 3)), "layer 1 (conv1d): convolution after the dense stack"),
+            ((Dense(11, 4), Dense(5, 2)), "layer 1 (dense): expects 5 inputs, previous stage gives 4"),
+            ((Dense(11, 2), "tanh"), "layer 1: unsupported layer type str"),
+        ],
+        ids=["conv-after-dense", "dense-size-mismatch", "unsupported-layer"],
+    )
+    def test_spec_names_the_layer_that_breaks_the_chain(self, layers, message):
+        with pytest.raises(NetworkConfigError) as caught:
+            NetworkSpec(8, 3, layers)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([(np.zeros((2, 11)), np.zeros(2))], "1 weight entries for 2 layers"),
+            ([None, None], "layer 0 (dense): missing weights"),
+        ],
+        ids=["too-few-entries", "missing-weights"],
+    )
+    def test_weights_that_do_not_cover_the_layers_are_refused(self, weights, message):
+        with pytest.raises(NetworkConfigError) as caught:
+            NetworkPolicy(NetworkSpec(8, 3, (Dense(11, 2), Activation("tanh"))), weights)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "build, error, message",
         [
             (lambda: Conv1d(1, 2, 2.5, padding=1), ValueError, "kernel must be an integer, got 2.5"),

@@ -186,8 +186,11 @@ class TestAssembleState:
             assert np.all((state.values >= 0.0) & (state.values <= 1.0))
 
     def test_model_state_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^state values must lie in"):
             ModelState(np.array([0.5, 1.2, 0.0, 0.1]))
+        for values in (np.full((2, 4), 0.5), np.full(3, 0.5)):
+            with pytest.raises(ValueError, match="^state must be 1-d with at least 4 entries$"):
+                ModelState(values)
 
 
 class TestProximityLoss:
